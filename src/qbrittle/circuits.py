@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Union
 
@@ -239,15 +239,8 @@ def remove_gates(circuit: Circuit, indices: Iterable[int]) -> Circuit:
 
 def _gate_to_obj(gate: Gate) -> dict:
     if isinstance(gate, Rotation):
-        return {
-            "type": "rot",
-            "axis": gate.axis.value,
-            "qubit": gate.qubit,
-            "theta": gate.theta,
-            "provenance": gate.provenance,
-            "layer": gate.layer,
-        }
-    return {"type": "cnot", "control": gate.control, "target": gate.target, "layer": gate.layer}
+        return {"type": "rot", **asdict(gate), "axis": gate.axis.value}
+    return {"type": "cnot", **asdict(gate)}
 
 
 def to_json(circuit: Circuit) -> str:
@@ -256,13 +249,9 @@ def to_json(circuit: Circuit) -> str:
     Angles are emitted in Python's shortest round-trip float form, so
     from_json(to_json(c)) reproduces every angle bit-exactly.
     """
-    params = None
-    if circuit.params is not None:
-        p = circuit.params
-        params = {"n": p.n, "alpha": p.alpha, "rho": p.rho, "seed": p.seed}
     doc = {
         "n_qubits": circuit.n_qubits,
-        "params": params,
+        "params": None if circuit.params is None else asdict(circuit.params),
         "gates": [_gate_to_obj(g) for g in circuit.gates],
     }
     return json.dumps(doc, indent=1)

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .circuits import GenerationParams, circuit_depth, export_qasm, from_json, generate_uniform, to_json
 from .errors import CircuitFormatError, InvalidParameterError, NoTransitionError, ResourceLimitError
-from .pruning import RiskThresholds, aware_prune, causal_prune, importance_profile, write_importance_csv
+from .pruning import PRUNING_MODES, importance_profile, prune, write_importance_csv
 from .protocol import (
     EnsembleConfig,
     SweepConfig,
@@ -32,7 +33,7 @@ from .protocol import (
     run_ensemble,
     write_records_csv,
 )
-from .stats import ClassLabel, classify
+from .stats import DEFAULT_CLASSIFY_THRESHOLD, DEFAULT_SMALL_ANGLE_THRESHOLD, ClassLabel, classify
 
 HISTOGRAM_BINS = 40
 
@@ -64,6 +65,11 @@ def _write_manifest(path: Path, command: str, config: dict, inputs: list[str], o
     path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def _config_from_args(cls, args):
+    """Build the config dataclass `cls` from the flags whose dests name its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def histogram_rows(robust_vals, fragile_vals, lo: float, hi: float,
                    bins: int = HISTOGRAM_BINS) -> list[tuple[float, float, int, int]]:
     """Shared-edge counts of both classes over [lo, hi]."""
@@ -76,12 +82,11 @@ def histogram_rows(robust_vals, fragile_vals, lo: float, hi: float,
     ]
 
 
-def write_histogram_csv(path: Path, rows) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin_lo", "bin_hi", "robust_count", "fragile_count"])
-    for lo, hi, rc, fc in rows:
-        writer.writerow([repr(lo), repr(hi), rc, fc])
+    writer.writerow(header)
+    writer.writerows(rows)
     path.write_text(buf.getvalue())
 
 
@@ -135,7 +140,7 @@ def render_histogram_svg(rows, title: str, x_label: str) -> str:
 
 
 def cmd_generate(args, max_qubits: int | None) -> int:
-    params = GenerationParams(n=args.n, alpha=args.alpha, rho=args.rho, seed=args.seed)
+    params = _config_from_args(GenerationParams, args)
     circuit = generate_uniform(params)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -145,9 +150,7 @@ def cmd_generate(args, max_qubits: int | None) -> int:
         qasm_path = Path(args.qasm)
         qasm_path.write_text(export_qasm(circuit))
         outputs.append(str(qasm_path))
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "generate",
-                    {"n": args.n, "alpha": args.alpha, "rho": args.rho, "seed": args.seed},
-                    [], outputs)
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "generate", asdict(params), [], outputs)
     print(f"wrote {out}: {len(circuit.gates)} gates, depth {circuit_depth(circuit)}")
     return 0
 
@@ -159,12 +162,7 @@ def cmd_prune(args, max_qubits: int | None) -> int:
     except OSError as exc:
         raise CircuitFormatError(f"cannot read {in_path}: {exc}") from None
     profile = importance_profile(circuit, max_qubits)
-    if args.mode == "aware":
-        thresholds = RiskThresholds(small_angle=args.small_angle_threshold)
-        result = aware_prune(circuit, args.kappa, thresholds=thresholds,
-                             profile=profile, max_qubits=max_qubits)
-    else:
-        result = causal_prune(circuit, args.kappa, profile=profile, max_qubits=max_qubits)
+    result = prune(circuit, args.kappa, args.pruning_mode, args.small_angle_threshold, profile, max_qubits)
 
     outputs = []
     if args.out:
@@ -178,18 +176,15 @@ def cmd_prune(args, max_qubits: int | None) -> int:
         Path(args.importance_csv).write_text(buf.getvalue())
         outputs.append(args.importance_csv)
     if args.dump_state_csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "re", "im"])
-        for i, amp in enumerate(profile.baseline_state.amplitudes):
-            writer.writerow([i, repr(float(amp.real)), repr(float(amp.imag))])
-        Path(args.dump_state_csv).write_text(buf.getvalue())
+        _write_csv(Path(args.dump_state_csv), ["index", "re", "im"],
+                   [(i, repr(float(amp.real)), repr(float(amp.imag)))
+                    for i, amp in enumerate(profile.baseline_state.amplitudes)])
         outputs.append(args.dump_state_csv)
 
     label = classify(result.fidelity, args.classify_threshold)
     manifest_base = Path(args.out) if args.out else in_path
     _write_manifest(manifest_base.with_suffix(manifest_base.suffix + ".manifest.json"), "prune",
-                    {"kappa": args.kappa, "mode": args.mode,
+                    {"kappa": args.kappa, "mode": args.pruning_mode,
                      "classify_threshold": args.classify_threshold,
                      "small_angle_threshold": args.small_angle_threshold},
                     [str(in_path)], outputs)
@@ -201,14 +196,19 @@ def cmd_prune(args, max_qubits: int | None) -> int:
     return 0
 
 
+def _print_summary(report) -> None:
+    summary = report.class_summary
+    print(f"robust: {summary['robust'].count} ({summary['robust'].fraction:.2f}), "
+          f"fragile: {summary['fragile'].count} ({summary['fragile'].fraction:.2f})")
+    gap = "absent" if report.fidelity_gap is None else f"{report.fidelity_gap:.6f}"
+    effect = "absent" if report.cohens_d_fidelity is None else f"{report.cohens_d_fidelity:.4f}"
+    print(f"fidelity gap: {gap}; cohens d: {effect}")
+
+
 def cmd_ensemble(args, max_qubits: int | None) -> int:
-    config = EnsembleConfig(
-        n=args.n, alpha=args.alpha, rho=args.rho, kappa=args.kappa,
-        circuit_count=args.count, base_seed=args.base_seed,
-        classify_threshold=args.classify_threshold,
-        small_angle_threshold=args.small_angle_threshold,
-        pruning_mode=args.mode,
-    )
+    if args.bins < 1:
+        raise InvalidParameterError(f"--bins must be at least 1, got {args.bins}")
+    config = _config_from_args(EnsembleConfig, args)
     report = run_ensemble(config, threads=args.threads, max_qubits=max_qubits)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -219,42 +219,32 @@ def cmd_ensemble(args, max_qubits: int | None) -> int:
     buf = io.StringIO()
     write_records_csv(buf, report.records)
     records_path.write_text(buf.getvalue())
+    outputs = [str(report_path), str(records_path)]
 
     robust = [r for r in report.records if r.label is ClassLabel.ROBUST]
     fragile = [r for r in report.records if r.label is ClassLabel.FRAGILE]
-    outputs = [str(report_path), str(records_path)]
-
-    fid_rows = histogram_rows([r.fidelity for r in robust], [r.fidelity for r in fragile],
-                              0.0, 1.0, args.bins)
-    fid_csv = out_dir / "fidelity_hist.csv"
-    write_histogram_csv(fid_csv, fid_rows)
-    outputs.append(str(fid_csv))
-    corr_rows = histogram_rows(
-        [r.angle_importance_r for r in robust if r.angle_importance_r is not None],
-        [r.angle_importance_r for r in fragile if r.angle_importance_r is not None],
-        -1.0, 1.0, args.bins,
-    )
-    corr_csv = out_dir / "correlation_hist.csv"
-    write_histogram_csv(corr_csv, corr_rows)
-    outputs.append(str(corr_csv))
+    histograms = [
+        ("fidelity", "Post-compression fidelity", "fidelity",
+         histogram_rows([r.fidelity for r in robust], [r.fidelity for r in fragile], 0.0, 1.0, args.bins)),
+        ("correlation", "Angle-importance correlation", "r",
+         histogram_rows([r.angle_importance_r for r in robust if r.angle_importance_r is not None],
+                        [r.angle_importance_r for r in fragile if r.angle_importance_r is not None],
+                        -1.0, 1.0, args.bins)),
+    ]
+    for name, _, _, rows in histograms:
+        hist_csv = out_dir / f"{name}_hist.csv"
+        _write_csv(hist_csv, ["bin_lo", "bin_hi", "robust_count", "fragile_count"],
+                   [(repr(lo), repr(hi), rc, fc) for lo, hi, rc, fc in rows])
+        outputs.append(str(hist_csv))
     if args.svg:
-        fid_svg = out_dir / "fidelity_hist.svg"
-        fid_svg.write_text(render_histogram_svg(fid_rows, "Post-compression fidelity", "fidelity"))
-        corr_svg = out_dir / "correlation_hist.svg"
-        corr_svg.write_text(render_histogram_svg(corr_rows, "Angle-importance correlation", "r"))
-        outputs.extend([str(fid_svg), str(corr_svg)])
+        for name, title, x_label, rows in histograms:
+            hist_svg = out_dir / f"{name}_hist.svg"
+            hist_svg.write_text(render_histogram_svg(rows, title, x_label))
+            outputs.append(str(hist_svg))
 
-    _write_manifest(out_dir / "manifest.json", "ensemble",
-                    report_to_dict(report)["config"], [], outputs)
+    _write_manifest(out_dir / "manifest.json", "ensemble", asdict(config), [], outputs)
 
-    summary = report.class_summary
-    print(
-        f"robust: {summary['robust'].count} ({summary['robust'].fraction:.2f}), "
-        f"fragile: {summary['fragile'].count} ({summary['fragile'].fraction:.2f})"
-    )
-    gap = "absent" if report.fidelity_gap is None else f"{report.fidelity_gap:.6f}"
-    effect = "absent" if report.cohens_d_fidelity is None else f"{report.cohens_d_fidelity:.4f}"
-    print(f"fidelity gap: {gap}; cohens d: {effect}")
+    _print_summary(report)
     print(f"wrote {out_dir}")
     if not robust or not fragile:
         print("warning: one outcome class is empty; gap and class comparisons are reported as null",
@@ -263,38 +253,18 @@ def cmd_ensemble(args, max_qubits: int | None) -> int:
 
 
 def cmd_sweep(args, max_qubits: int | None) -> int:
-    config = SweepConfig(
-        n=args.n, alpha=args.alpha, rho=args.rho, base_seed=args.base_seed,
-        probe_count=args.probes,
-        kappa_start=args.kappa_start, kappa_stop=args.kappa_stop, kappa_step=args.kappa_step,
-        classify_threshold=args.classify_threshold,
-        small_angle_threshold=args.small_angle_threshold,
-        pruning_mode=args.mode,
-    )
+    config = _config_from_args(SweepConfig, args)
     result = kappa_sweep(config, threads=args.threads, max_qubits=max_qubits)
 
-    outputs = []
     if args.out_csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["kappa", "gap", "robust_fraction", "valid"])
-        for point in result.grid:
-            writer.writerow([
-                repr(point.kappa),
-                "" if point.gap is None else repr(point.gap),
-                repr(point.robust_fraction),
-                int(point.valid),
-            ])
         out_csv = Path(args.out_csv)
         out_csv.parent.mkdir(parents=True, exist_ok=True)
-        out_csv.write_text(buf.getvalue())
-        outputs.append(str(out_csv))
+        _write_csv(out_csv, ["kappa", "gap", "robust_fraction", "valid"], [
+            (repr(p.kappa), "" if p.gap is None else repr(p.gap), repr(p.robust_fraction), int(p.valid))
+            for p in result.grid
+        ])
         _write_manifest(out_csv.with_suffix(out_csv.suffix + ".manifest.json"), "sweep",
-                        {"n": args.n, "alpha": args.alpha, "rho": args.rho,
-                         "base_seed": args.base_seed, "probes": args.probes,
-                         "kappa_start": args.kappa_start, "kappa_stop": args.kappa_stop,
-                         "kappa_step": args.kappa_step, "mode": args.mode},
-                        [], outputs)
+                        asdict(config), [], [str(out_csv)])
 
     for point in result.grid:
         gap = "absent" if point.gap is None else f"{point.gap:.6f}"
@@ -320,15 +290,26 @@ def cmd_report(args, max_qubits: int | None) -> int:
     c = report.config
     print(f"ensemble: n={c.n} alpha={c.alpha} rho={c.rho} kappa={c.kappa} "
           f"count={c.circuit_count} base_seed={c.base_seed} mode={c.pruning_mode}")
-    summary = report.class_summary
-    print(f"robust: {summary['robust'].count} ({summary['robust'].fraction:.2f}), "
-          f"fragile: {summary['fragile'].count} ({summary['fragile'].fraction:.2f})")
-    gap = "absent" if report.fidelity_gap is None else f"{report.fidelity_gap:.6f}"
-    effect = "absent" if report.cohens_d_fidelity is None else f"{report.cohens_d_fidelity:.4f}"
-    print(f"fidelity gap: {gap}; cohens d: {effect}")
+    _print_summary(report)
     print()
     print(compare_classes(report), end="")
     return 0
+
+
+def _add_pruning_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mode", dest="pruning_mode", choices=PRUNING_MODES, default="causal")
+    parser.add_argument("--classify-threshold", type=float, default=DEFAULT_CLASSIFY_THRESHOLD)
+    parser.add_argument("--small-angle-threshold", type=float, default=DEFAULT_SMALL_ANGLE_THRESHOLD)
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags shared by `ensemble` and `sweep`."""
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--alpha", type=float, required=True)
+    parser.add_argument("--rho", type=float, required=True)
+    parser.add_argument("--base-seed", type=int, default=0)
+    parser.add_argument("--threads", type=int, default=None, help="parallel workers (default: all cores)")
+    _add_pruning_flags(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,47 +329,33 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--qasm", default=None, help="also export OpenQASM 2.0 to this path")
     gen.set_defaults(func=cmd_generate)
 
-    prune = sub.add_parser("prune", help="compress a circuit by leave-one-out importance")
-    prune.add_argument("--in", dest="in_path", required=True, help="input circuit JSON path")
-    prune.add_argument("--kappa", type=float, required=True, help="fraction of gates to remove")
-    prune.add_argument("--mode", choices=["causal", "aware"], default="causal")
-    prune.add_argument("--out", default=None, help="compressed circuit JSON path")
-    prune.add_argument("--importance-csv", default=None, help="per-gate importance CSV path")
-    prune.add_argument("--dump-state-csv", default=None, help="debug dump of the intact final state")
-    prune.add_argument("--classify-threshold", type=float, default=0.9)
-    prune.add_argument("--small-angle-threshold", type=float, default=0.1)
-    prune.set_defaults(func=cmd_prune)
+    prn = sub.add_parser("prune", help="compress a circuit by leave-one-out importance")
+    prn.add_argument("--in", dest="in_path", required=True, help="input circuit JSON path")
+    prn.add_argument("--kappa", type=float, required=True, help="fraction of gates to remove")
+    prn.add_argument("--out", default=None, help="compressed circuit JSON path")
+    prn.add_argument("--importance-csv", default=None, help="per-gate importance CSV path")
+    prn.add_argument("--dump-state-csv", default=None, help="debug dump of the intact final state")
+    _add_pruning_flags(prn)
+    prn.set_defaults(func=cmd_prune)
 
     ens = sub.add_parser("ensemble", help="run a full ensemble experiment")
-    ens.add_argument("--n", type=int, required=True)
-    ens.add_argument("--alpha", type=float, required=True)
-    ens.add_argument("--rho", type=float, required=True)
+    _add_run_flags(ens)
     ens.add_argument("--kappa", type=float, required=True)
-    ens.add_argument("--count", type=int, default=100, help="number of circuits")
-    ens.add_argument("--base-seed", type=int, default=0)
-    ens.add_argument("--mode", choices=["causal", "aware"], default="causal")
+    ens.add_argument("--count", dest="circuit_count", metavar="COUNT", type=int, default=100,
+                     help="number of circuits")
     ens.add_argument("--out-dir", required=True)
     ens.add_argument("--bins", type=int, default=HISTOGRAM_BINS, help="histogram bin count")
     ens.add_argument("--svg", action="store_true", help="also render histogram SVGs")
-    ens.add_argument("--threads", type=int, default=None, help="parallel workers (default: all cores)")
-    ens.add_argument("--classify-threshold", type=float, default=0.9)
-    ens.add_argument("--small-angle-threshold", type=float, default=0.1)
     ens.set_defaults(func=cmd_ensemble)
 
     swp = sub.add_parser("sweep", help="search the kappa grid for the clearest transition")
-    swp.add_argument("--n", type=int, required=True)
-    swp.add_argument("--alpha", type=float, required=True)
-    swp.add_argument("--rho", type=float, required=True)
-    swp.add_argument("--base-seed", type=int, default=0)
-    swp.add_argument("--probes", type=int, default=30, help="probe circuits per grid point")
+    _add_run_flags(swp)
+    swp.add_argument("--probes", dest="probe_count", metavar="PROBES", type=int, default=30,
+                     help="probe circuits per grid point")
     swp.add_argument("--kappa-start", type=float, default=0.05)
     swp.add_argument("--kappa-stop", type=float, default=0.40)
     swp.add_argument("--kappa-step", type=float, default=0.03)
-    swp.add_argument("--mode", choices=["causal", "aware"], default="causal")
     swp.add_argument("--out-csv", default=None, help="sweep table CSV path")
-    swp.add_argument("--threads", type=int, default=None)
-    swp.add_argument("--classify-threshold", type=float, default=0.9)
-    swp.add_argument("--small-angle-threshold", type=float, default=0.1)
     swp.set_defaults(func=cmd_sweep)
 
     rep = sub.add_parser("report", help="re-render the class-comparison tables from a report JSON")

@@ -10,17 +10,20 @@ regardless of scheduling.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import partial
-from typing import IO, Callable, Iterable, Sequence
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
+from functools import cache, partial
+from types import UnionType
+from typing import IO, Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from . import stats as st
-from .circuits import Axis, Circuit, GenerationParams, circuit_depth, generate_uniform
+from .circuits import Axis, GenerationParams, circuit_depth, generate_uniform
 from .errors import InvalidParameterError, NoTransitionError, UndefinedStatisticError
-from .pruning import RiskThresholds, aware_prune, causal_prune, importance_profile
-from .stats import AngleStats, AxisAngleStats, ClassLabel
+from .pruning import PRUNING_MODES, importance_profile, prune
+from .stats import AngleStats, ClassLabel
 
 __all__ = [
     "EnsembleConfig",
@@ -42,11 +45,11 @@ __all__ = [
     "RECORD_CSV_COLUMNS",
 ]
 
-PRUNING_MODES = ("causal", "aware")
-
 # Seed offset separating sweep probe circuits from main-ensemble circuits.
 SWEEP_SEED_OFFSET = 10_000
 SWEEP_SEED_STRIDE = 100
+# Largest kappa grid a sweep accepts (the default grid has 12 points).
+MAX_SWEEP_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -122,20 +125,12 @@ class EnsembleReport:
     correlation_summary: CorrelationSummary
 
 
-def _prune_circuit(circuit: Circuit, kappa: float, mode: str, small_angle_threshold: float,
-                   max_qubits: int | None, profile=None):
-    if mode == "aware":
-        thresholds = RiskThresholds(small_angle=small_angle_threshold)
-        return aware_prune(circuit, kappa, thresholds=thresholds, profile=profile, max_qubits=max_qubits)
-    return causal_prune(circuit, kappa, profile=profile, max_qubits=max_qubits)
-
-
 def _build_record(config: EnsembleConfig, max_qubits: int | None, k: int) -> CircuitRecord:
     seed = config.seed_for(k)
     circuit = generate_uniform(GenerationParams(config.n, config.alpha, config.rho, seed))
     profile = importance_profile(circuit, max_qubits)
-    result = _prune_circuit(circuit, config.kappa, config.pruning_mode,
-                            config.small_angle_threshold, max_qubits, profile)
+    result = prune(circuit, config.kappa, config.pruning_mode, config.small_angle_threshold,
+                   profile, max_qubits)
     angle_summary = st.angle_stats(circuit, config.small_angle_threshold)
     try:
         correlation = st.angle_importance_r(circuit, profile)
@@ -285,6 +280,11 @@ class SweepConfig:
             )
         if self.kappa_step <= 0:
             raise InvalidParameterError(f"kappa_step must be positive, got {self.kappa_step}")
+        points = math.floor((self.kappa_stop - self.kappa_start) / self.kappa_step) + 1
+        if points > MAX_SWEEP_POINTS:
+            raise InvalidParameterError(
+                f"kappa grid would have {points} points; at most {MAX_SWEEP_POINTS} are allowed"
+            )
         if self.pruning_mode not in PRUNING_MODES:
             raise InvalidParameterError(f"pruning_mode must be one of {PRUNING_MODES}, got {self.pruning_mode!r}")
 
@@ -321,8 +321,8 @@ def _probe_fidelity(config: SweepConfig, max_qubits: int | None,
     grid_index, kappa, k = task
     seed = config.base_seed + SWEEP_SEED_OFFSET + grid_index * SWEEP_SEED_STRIDE + k
     circuit = generate_uniform(GenerationParams(config.n, config.alpha, config.rho, seed))
-    result = _prune_circuit(circuit, kappa, config.pruning_mode,
-                            config.small_angle_threshold, max_qubits)
+    result = prune(circuit, kappa, config.pruning_mode, config.small_angle_threshold,
+                   max_qubits=max_qubits)
     return result.fidelity
 
 
@@ -340,8 +340,6 @@ def kappa_sweep(config: SweepConfig, threads: int | None = None,
     fidelities = _parallel_map(partial(_probe_fidelity, config, max_qubits), tasks, threads)
 
     points = []
-    best_kappa = None
-    best_gap = None
     for gi, kappa in enumerate(grid):
         fids = fidelities[gi * config.probe_count:(gi + 1) * config.probe_count]
         robust = [f for f in fids if st.classify(f, config.classify_threshold) is ClassLabel.ROBUST]
@@ -349,15 +347,14 @@ def kappa_sweep(config: SweepConfig, threads: int | None = None,
         valid = bool(robust) and bool(fragile)
         gap = st.fidelity_gap(robust, fragile) if valid else None
         points.append(SweepPoint(kappa=kappa, gap=gap, robust_fraction=len(robust) / len(fids), valid=valid))
-        if valid and (best_gap is None or gap > best_gap):
-            best_gap = gap
-            best_kappa = kappa
-    if best_kappa is None:
+    valid_points = [p for p in points if p.valid]
+    if not valid_points:
         raise NoTransitionError(
             "no grid point produced both robust and fragile outcomes; "
             "the configuration exhibits no compression transition"
         )
-    return SweepResult(grid=tuple(points), selected_kappa=best_kappa)
+    best = max(valid_points, key=lambda p: p.gap)  # the first maximum: ties go to the smaller kappa
+    return SweepResult(grid=tuple(points), selected_kappa=best.kappa)
 
 
 def _fmt(value: float | None, fmt: str = "0.4f", absent: str = "n/a") -> str:
@@ -425,123 +422,64 @@ def write_records_csv(stream: IO[str], records: Iterable[CircuitRecord]) -> None
         ])
 
 
-def _angle_stats_to_dict(a: AngleStats) -> dict:
-    return {
-        "mean_theta": a.mean_theta,
-        "std_theta": a.std_theta,
-        "small_angle_ratio": a.small_angle_ratio,
-        "per_axis": {
-            axis.value: {
-                "mean": s.mean, "std": s.std,
-                "small_angle_ratio": s.small_angle_ratio, "count": s.count,
-            }
-            for axis, s in a.per_axis.items()
-        },
-    }
+# Fields serialized under another key: {class: {field name: JSON key}}.
+_RENAMED_KEYS = {FingerprintEntry: {"robust_mean": "robust", "fragile_mean": "fragile"}}
 
 
-def _angle_stats_from_dict(obj: dict) -> AngleStats:
-    return AngleStats(
-        mean_theta=obj["mean_theta"],
-        std_theta=obj["std_theta"],
-        small_angle_ratio=obj["small_angle_ratio"],
-        per_axis={
-            Axis(key): AxisAngleStats(
-                mean=val["mean"], std=val["std"],
-                small_angle_ratio=val["small_angle_ratio"], count=val["count"],
-            )
-            for key, val in obj["per_axis"].items()
-        },
-    )
+@cache
+def _field_keys(cls) -> tuple[tuple[str, str], ...]:
+    renamed = _RENAMED_KEYS.get(cls, {})
+    return tuple((f.name, renamed.get(f.name, f.name)) for f in fields(cls))
 
 
-def _record_to_dict(r: CircuitRecord) -> dict:
-    return {
-        "seed": r.seed,
-        "gate_count": r.gate_count,
-        "depth": r.depth,
-        "fidelity": r.fidelity,
-        "label": r.label.value,
-        "angle_stats": _angle_stats_to_dict(r.angle_stats),
-        "angle_importance_r": r.angle_importance_r,
-        "importance_entropy": r.importance_entropy,
-        "importance_gini": r.importance_gini,
-    }
+def _encode(value):
+    """Dataclasses to dicts in field order, enums to their values, tuples to lists."""
+    if value is None or isinstance(value, (int, float)):
+        return value
+    if is_dataclass(value):
+        return {key: _encode(getattr(value, name)) for name, key in _field_keys(type(value))}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {_encode(k): _encode(v) for k, v in value.items()}
+    return value
 
 
-def _record_from_dict(obj: dict) -> CircuitRecord:
-    return CircuitRecord(
-        seed=obj["seed"],
-        gate_count=obj["gate_count"],
-        depth=obj["depth"],
-        fidelity=obj["fidelity"],
-        label=ClassLabel(obj["label"]),
-        angle_stats=_angle_stats_from_dict(obj["angle_stats"]),
-        angle_importance_r=obj["angle_importance_r"],
-        importance_entropy=obj["importance_entropy"],
-        importance_gini=obj["importance_gini"],
-    )
+def _as_dict(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected an object, got {type(obj).__name__}")
+    return obj
+
+
+@cache
+def _decoder(tp) -> Callable:
+    """Inverse of `_encode` for the annotated type `tp`, built once per type."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # X | None
+        inner = _decoder(next(a for a in args if a is not type(None)))
+        return lambda obj: None if obj is None else inner(obj)
+    if origin is tuple:
+        item = _decoder(args[0])
+        return lambda obj: tuple(item(v) for v in obj)
+    if origin is dict:
+        key, val = _decoder(args[0]), _decoder(args[1])
+        return lambda obj: {key(k): val(v) for k, v in _as_dict(obj).items()}
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        parts = [(name, key, _decoder(hints[name])) for name, key in _field_keys(tp)]
+        return lambda obj: tp(**{name: dec(obj[key]) for name, key, dec in parts})
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp
+    return lambda obj: obj
 
 
 def report_to_dict(report: EnsembleReport) -> dict:
-    c = report.config
-    return {
-        "config": {
-            "n": c.n, "alpha": c.alpha, "rho": c.rho, "kappa": c.kappa,
-            "circuit_count": c.circuit_count, "base_seed": c.base_seed,
-            "classify_threshold": c.classify_threshold,
-            "small_angle_threshold": c.small_angle_threshold,
-            "pruning_mode": c.pruning_mode,
-        },
-        "records": [_record_to_dict(r) for r in report.records],
-        "class_summary": {
-            name: {"count": s.count, "fraction": s.fraction, "mean_fidelity": s.mean_fidelity}
-            for name, s in report.class_summary.items()
-        },
-        "fidelity_gap": report.fidelity_gap,
-        "cohens_d_fidelity": report.cohens_d_fidelity,
-        "angle_fingerprint": {
-            key: {"robust": e.robust_mean, "fragile": e.fragile_mean, "p_value": e.p_value}
-            for key, e in report.angle_fingerprint.items()
-        },
-        "per_axis_p": dict(report.per_axis_p),
-        "correlation_summary": {
-            "robust_mean_r": report.correlation_summary.robust_mean_r,
-            "fragile_mean_r": report.correlation_summary.fragile_mean_r,
-            "p_value": report.correlation_summary.p_value,
-        },
-    }
+    return _encode(report)
 
 
 def report_from_dict(obj: dict) -> EnsembleReport:
-    cfg = obj["config"]
-    config = EnsembleConfig(
-        n=cfg["n"], alpha=cfg["alpha"], rho=cfg["rho"], kappa=cfg["kappa"],
-        circuit_count=cfg["circuit_count"], base_seed=cfg["base_seed"],
-        classify_threshold=cfg["classify_threshold"],
-        small_angle_threshold=cfg["small_angle_threshold"],
-        pruning_mode=cfg["pruning_mode"],
-    )
-    fingerprint = {
-        key: FingerprintEntry(robust_mean=e["robust"], fragile_mean=e["fragile"], p_value=e["p_value"])
-        for key, e in obj["angle_fingerprint"].items()
-    }
-    summary = {
-        name: ClassSummary(count=s["count"], fraction=s["fraction"], mean_fidelity=s["mean_fidelity"])
-        for name, s in obj["class_summary"].items()
-    }
-    corr = obj["correlation_summary"]
-    return EnsembleReport(
-        config=config,
-        records=tuple(_record_from_dict(r) for r in obj["records"]),
-        class_summary=summary,
-        fidelity_gap=obj["fidelity_gap"],
-        cohens_d_fidelity=obj["cohens_d_fidelity"],
-        angle_fingerprint=fingerprint,
-        per_axis_p=dict(obj["per_axis_p"]),
-        correlation_summary=CorrelationSummary(
-            robust_mean_r=corr["robust_mean_r"],
-            fragile_mean_r=corr["fragile_mean_r"],
-            p_value=corr["p_value"],
-        ),
-    )
+    """Rebuild a report from `report_to_dict` output; a malformed document
+    raises KeyError, TypeError or ValueError."""
+    return _decoder(EnsembleReport)(obj)

@@ -28,8 +28,12 @@ __all__ = [
     "causal_prune",
     "risk_assess",
     "aware_prune",
+    "prune",
+    "PRUNING_MODES",
     "write_importance_csv",
 ]
+
+PRUNING_MODES = ("causal", "aware")
 
 
 @dataclass(frozen=True)
@@ -203,6 +207,24 @@ def aware_prune(
     ranked = [int(i) for i in _ranked_indices(profile.importances) if int(i) not in protected]
     removed = ranked[:quota]
     return _finish(circuit, profile, removed, max_qubits)
+
+
+def prune(
+    circuit: Circuit,
+    kappa: float,
+    mode: str = "causal",
+    small_angle_threshold: float = DEFAULT_SMALL_ANGLE_THRESHOLD,
+    profile: ImportanceProfile | None = None,
+    max_qubits: int | None = None,
+) -> CompressionResult:
+    """Prune with the named mode: `causal_prune`, or `aware_prune` with the
+    given small-angle threshold and the default risk thresholds otherwise."""
+    if mode == "causal":
+        return causal_prune(circuit, kappa, profile=profile, max_qubits=max_qubits)
+    if mode == "aware":
+        thresholds = RiskThresholds(small_angle=small_angle_threshold)
+        return aware_prune(circuit, kappa, thresholds=thresholds, profile=profile, max_qubits=max_qubits)
+    raise InvalidParameterError(f"pruning mode must be one of {PRUNING_MODES}, got {mode!r}")
 
 
 def write_importance_csv(stream: IO[str], circuit: Circuit, profile: ImportanceProfile) -> None:

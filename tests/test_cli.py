@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from qbrittle.circuits import Axis, Circuit, Rotation, from_json, to_json
+from qbrittle import protocol
+from qbrittle.circuits import Axis, Circuit, GenerationParams, Rotation, from_json, to_json
 from qbrittle.cli import histogram_rows, main, render_histogram_svg
-from qbrittle.protocol import RECORD_CSV_COLUMNS
+from qbrittle.protocol import RECORD_CSV_COLUMNS, EnsembleConfig, SweepConfig
 
 
 def run_cli(*args):
@@ -202,6 +204,53 @@ def test_sweep_without_transition_exits_3(tmp_path, capsys):
                    "--kappa-step", 0.05, "--threads", 1)
     assert code == 3
     assert "no compression transition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [(), ("--svg",)])
+def test_ensemble_rejects_bins_below_one(tmp_path, capsys, extra):
+    code = run_cli("ensemble", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--kappa", 0.15,
+                   "--count", 4, "--out-dir", tmp_path / "ens", "--threads", 1, "--bins", 0, *extra)
+    assert code == 2
+    assert "--bins must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "ens").exists()
+
+
+def test_sweep_rejects_oversized_grid_before_building_it(tmp_path, capsys, monkeypatch):
+    def no_grid(config):
+        raise AssertionError("the grid must not be built")
+
+    monkeypatch.setattr(protocol, "sweep_grid", no_grid)
+    code = run_cli("sweep", "--n", 6, "--alpha", 1.0, "--rho", 0.2, "--kappa-step", 1e-9,
+                   "--threads", 1)
+    assert code == 2
+    assert "kappa grid" in capsys.readouterr().err
+
+
+def _manifest_config(path):
+    return json.loads(path.read_text())["config"]
+
+
+def test_manifest_config_is_the_run_config(tmp_path):
+    circuit = tmp_path / "c.json"
+    assert run_cli("generate", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--seed", 4, "--out", circuit) == 0
+    assert _manifest_config(tmp_path / "c.json.manifest.json") == dataclasses.asdict(
+        GenerationParams(n=6, alpha=1.0, rho=0.3, seed=4))
+
+    assert run_cli("ensemble", "--n", 6, "--alpha", 1.0, "--rho", 0.2, "--kappa", 0.3, "--count", 4,
+                   "--base-seed", 2, "--mode", "aware", "--classify-threshold", 0.8,
+                   "--small-angle-threshold", 0.05, "--out-dir", tmp_path / "ens", "--threads", 1) == 0
+    assert _manifest_config(tmp_path / "ens" / "manifest.json") == dataclasses.asdict(EnsembleConfig(
+        n=6, alpha=1.0, rho=0.2, kappa=0.3, circuit_count=4, base_seed=2, classify_threshold=0.8,
+        small_angle_threshold=0.05, pruning_mode="aware"))
+
+    sweep_csv = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--n", 6, "--alpha", 1.0, "--rho", 0.2, "--probes", 6,
+                   "--kappa-start", 0.25, "--kappa-stop", 0.35, "--kappa-step", 0.05,
+                   "--classify-threshold", 0.85, "--small-angle-threshold", 0.08,
+                   "--out-csv", sweep_csv, "--threads", 1) == 0
+    assert _manifest_config(tmp_path / "sweep.csv.manifest.json") == dataclasses.asdict(SweepConfig(
+        n=6, alpha=1.0, rho=0.2, probe_count=6, kappa_start=0.25, kappa_stop=0.35, kappa_step=0.05,
+        classify_threshold=0.85, small_angle_threshold=0.08))
 
 
 def test_histogram_rows_counts_both_classes():

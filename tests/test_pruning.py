@@ -19,6 +19,7 @@ from qbrittle.pruning import (
     aware_prune,
     causal_prune,
     importance_profile,
+    prune,
     risk_assess,
     write_importance_csv,
 )
@@ -204,3 +205,19 @@ def test_importance_csv_layout():
     assert len(lines) == 3
     assert lines[1].startswith("0,rot,x,0,0.5,")
     assert lines[2].startswith("1,cnot,,0;1,,")
+
+
+def test_prune_dispatches_by_mode():
+    # seed 3 is flagged brittle, so aware and causal pruning remove different gates
+    circuit = generate_uniform(GenerationParams(6, 1.0, 0.3, 3))
+    profile = importance_profile(circuit)
+    assert risk_assess(circuit).brittle
+    assert prune(circuit, 0.15, "causal", profile=profile) == causal_prune(circuit, 0.15, profile=profile)
+    aware = prune(circuit, 0.15, "aware", profile=profile)
+    assert aware == aware_prune(circuit, 0.15, profile=profile)
+    assert aware.removed_indices != causal_prune(circuit, 0.15, profile=profile).removed_indices
+    wide = prune(circuit, 0.15, "aware", 1.0, profile)  # the threshold reaches aware_prune
+    assert wide == aware_prune(circuit, 0.15, RiskThresholds(small_angle=1.0), profile)
+    assert wide.removed_indices != aware.removed_indices
+    with pytest.raises(InvalidParameterError, match="pruning mode"):
+        prune(circuit, 0.15, "greedy", profile=profile)
