@@ -116,4 +116,4 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     if a.n_qubits != b.n_qubits:
         raise InvalidParameterError(f"fidelity of states on {a.n_qubits} and {b.n_qubits} qubits is undefined")
     overlap = np.vdot(a.amplitudes, b.amplitudes)
-    return min(max(abs(overlap) ** 2, 0.0), 1.0)
+    return float(min(max(abs(overlap) ** 2, 0.0), 1.0))

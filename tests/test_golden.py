@@ -37,7 +37,7 @@ GOLDEN = {
         "ens/correlation_hist.svg": "29f312b7c78e61bbfae662ec92573529dfb3bad0d755a71c1455be45b615c04c",
         "ens/fidelity_hist.csv": "8eea233de1cc2d311b76f4a21f720126d3dc6519de993cfede53cdb74a7774c8",
         "ens/fidelity_hist.svg": "53326f7472d0d4b5aa9123a7adb486bac815755a222806be9d949c3fe6e9ba6b",
-        "ens/records.csv": "c96e050beb1b6cc4658d62598431a0c9e0c2fb192f3f2f211a4a374afbaff1fe",
+        "ens/records.csv": "db7a725173e8e1fcc521314aa0db76cffe528fee14d3028f0c0d1f7bc3424b4f",
         "ens/report.json": "593314e6fc0d23b0a4f1ae511f49460490e87a441e3f1610fde77600afb8f41e",
     },
     "report": {

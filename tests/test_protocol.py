@@ -122,6 +122,11 @@ def test_records_csv_layout(small_report):
     first = lines[1].split(",")
     assert first[0] == str(SMALL.base_seed)
     assert first[4] in ("robust", "fragile")
+    fidelity_col = RECORD_CSV_COLUMNS.index("fidelity")
+    for line, record in zip(lines[1:], small_report.records):
+        cell = line.split(",")[fidelity_col]
+        assert "np." not in cell
+        assert float(cell) == record.fidelity
 
 
 def test_sweep_grid_default_is_twelve_points():

@@ -115,6 +115,8 @@ def test_fidelity_examples():
     assert fidelity(zero, one) == 0.0
     phase_only = run(Circuit(1, (Rotation(Axis.Z, 0, 0.5),)))
     assert fidelity(phase_only, zero_state(1)) == pytest.approx(1.0, abs=1e-15)
+    assert type(fidelity(psi, psi)) is float
+    assert type(fidelity(zero, one)) is float
 
 
 def test_fidelity_symmetry_and_global_phase():
