@@ -278,7 +278,7 @@ class SweepConfig:
             raise InvalidParameterError(
                 f"kappa grid [{self.kappa_start}, {self.kappa_stop}] must lie inside (0, 1)"
             )
-        if self.kappa_step <= 0:
+        if not self.kappa_step > 0:  # also rejects NaN, which would never end the grid
             raise InvalidParameterError(f"kappa_step must be positive, got {self.kappa_step}")
         points = math.floor((self.kappa_stop - self.kappa_start) / self.kappa_step) + 1
         if points > MAX_SWEEP_POINTS:
