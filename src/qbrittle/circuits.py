@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import ClassVar, Iterable, Iterator, Union
 
 import numpy as np
 
+from .codec import decode, encode
 from .errors import CircuitFormatError, InvalidParameterError
 
 __all__ = [
@@ -58,6 +59,7 @@ class Axis(str, Enum):
 class Rotation:
     """Single-qubit rotation R_axis(theta) = exp(-i * theta * A / 2)."""
 
+    TAG: ClassVar[str] = "rot"
     axis: Axis
     qubit: int
     theta: float
@@ -69,12 +71,13 @@ class Rotation:
 class Cnot:
     """Controlled-NOT: flips `target` iff `control` is 1."""
 
+    TAG: ClassVar[str] = "cnot"
     control: int
     target: int
     layer: int = 0
 
 
-Gate = Union[Rotation, Cnot]
+Gate = Union[Rotation, Cnot]  # told apart in JSON by each class's TAG
 
 
 def floor_product(a: float, b: float) -> int:
@@ -237,94 +240,29 @@ def remove_gates(circuit: Circuit, indices: Iterable[int]) -> Circuit:
     return Circuit(circuit.n_qubits, kept, circuit.params)
 
 
-def _gate_to_obj(gate: Gate) -> dict:
-    if isinstance(gate, Rotation):
-        return {"type": "rot", **asdict(gate), "axis": gate.axis.value}
-    return {"type": "cnot", **asdict(gate)}
-
-
 def to_json(circuit: Circuit) -> str:
     """Serialize a circuit to the JSON schema used by the CLI.
 
     Angles are emitted in Python's shortest round-trip float form, so
     from_json(to_json(c)) reproduces every angle bit-exactly.
     """
-    doc = {
+    doc = {  # the schema's key order, not Circuit's field order
         "n_qubits": circuit.n_qubits,
-        "params": None if circuit.params is None else asdict(circuit.params),
-        "gates": [_gate_to_obj(g) for g in circuit.gates],
+        "params": encode(circuit.params),
+        "gates": encode(circuit.gates),
     }
     return json.dumps(doc, indent=1)
 
 
-def _require(obj: dict, field: str, kind: type, where: str):
-    if field not in obj:
-        raise CircuitFormatError(f"{where}: missing field {field!r}")
-    value = obj[field]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CircuitFormatError(f"{where}: field {field!r} must be a number, got {value!r}")
-        return float(value)
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise CircuitFormatError(f"{where}: field {field!r} must be an integer, got {value!r}")
-    if kind is str and not isinstance(value, str):
-        raise CircuitFormatError(f"{where}: field {field!r} must be a string, got {value!r}")
-    return value
-
-
-def _gate_from_obj(i: int, obj) -> Gate:
-    where = f"gate {i}"
-    if not isinstance(obj, dict):
-        raise CircuitFormatError(f"{where}: expected an object, got {obj!r}")
-    kind = _require(obj, "type", str, where)
-    if kind == "rot":
-        axis = _require(obj, "axis", str, where)
-        try:
-            axis = Axis(axis)
-        except ValueError:
-            raise CircuitFormatError(f"{where}: field 'axis' must be one of x|y|z, got {axis!r}") from None
-        return Rotation(
-            axis=axis,
-            qubit=_require(obj, "qubit", int, where),
-            theta=_require(obj, "theta", float, where),
-            provenance=_require(obj, "provenance", str, where),
-            layer=_require(obj, "layer", int, where),
-        )
-    if kind == "cnot":
-        return Cnot(
-            control=_require(obj, "control", int, where),
-            target=_require(obj, "target", int, where),
-            layer=_require(obj, "layer", int, where),
-        )
-    raise CircuitFormatError(f"{where}: field 'type' must be 'rot' or 'cnot', got {kind!r}")
-
-
 def from_json(text: str) -> Circuit:
-    """Parse a circuit document; raises CircuitFormatError naming the first
-    offending field, or InvalidParameterError if the parsed circuit is invalid."""
+    """Parse a circuit document; raises CircuitFormatError naming the JSON path
+    of the first offending value, or InvalidParameterError if the parsed
+    circuit is invalid."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitFormatError(f"document is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise CircuitFormatError("top-level document must be an object")
-    n_qubits = _require(doc, "n_qubits", int, "document")
-    gates_obj = _require(doc, "gates", list, "document")
-    if not isinstance(gates_obj, list):
-        raise CircuitFormatError("document: field 'gates' must be an array")
-    params = None
-    if doc.get("params") is not None:
-        pobj = doc["params"]
-        if not isinstance(pobj, dict):
-            raise CircuitFormatError("document: field 'params' must be an object or null")
-        params = GenerationParams(
-            n=_require(pobj, "n", int, "params"),
-            alpha=_require(pobj, "alpha", float, "params"),
-            rho=_require(pobj, "rho", float, "params"),
-            seed=_require(pobj, "seed", int, "params"),
-        )
-    gates = tuple(_gate_from_obj(i, g) for i, g in enumerate(gates_obj))
-    return Circuit(n_qubits, gates, params)
+    return decode(Circuit, doc, "circuit")
 
 
 def export_qasm(circuit: Circuit) -> str:

@@ -8,8 +8,6 @@ that produced it. Exit codes: 0 success, 2 invalid arguments or input,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -21,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .circuits import GenerationParams, circuit_depth, export_qasm, from_json, generate_uniform, to_json
+from .codec import write_csv
 from .errors import CircuitFormatError, InvalidParameterError, NoTransitionError, ResourceLimitError
 from .pruning import PRUNING_MODES, importance_profile, prune, write_importance_csv
 from .protocol import (
@@ -80,14 +79,6 @@ def histogram_rows(robust_vals, fragile_vals, lo: float, hi: float,
         (float(edges[i]), float(edges[i + 1]), int(robust_counts[i]), int(fragile_counts[i]))
         for i in range(bins)
     ]
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    path.write_text(buf.getvalue())
 
 
 def render_histogram_svg(rows, title: str, x_label: str) -> str:
@@ -171,23 +162,21 @@ def cmd_prune(args, max_qubits: int | None) -> int:
         out.write_text(to_json(result.compressed) + "\n")
         outputs.append(str(out))
     if args.importance_csv:
-        buf = io.StringIO()
-        write_importance_csv(buf, circuit, profile)
-        Path(args.importance_csv).write_text(buf.getvalue())
+        with open(args.importance_csv, "w") as stream:
+            write_importance_csv(stream, circuit, profile)
         outputs.append(args.importance_csv)
     if args.dump_state_csv:
-        _write_csv(Path(args.dump_state_csv), ["index", "re", "im"],
-                   [(i, repr(float(amp.real)), repr(float(amp.imag)))
-                    for i, amp in enumerate(profile.baseline_state.amplitudes)])
+        with open(args.dump_state_csv, "w") as stream:
+            write_csv(stream, ["index", "re", "im"],
+                      [(i, amp.real, amp.imag) for i, amp in enumerate(profile.baseline_state.amplitudes)])
         outputs.append(args.dump_state_csv)
 
     label = classify(result.fidelity, args.classify_threshold)
-    manifest_base = Path(args.out) if args.out else in_path
-    _write_manifest(manifest_base.with_suffix(manifest_base.suffix + ".manifest.json"), "prune",
-                    {"kappa": args.kappa, "mode": args.pruning_mode,
-                     "classify_threshold": args.classify_threshold,
-                     "small_angle_threshold": args.small_angle_threshold},
-                    [str(in_path)], outputs)
+    # Without --out, a name beside the input that leaves the input's own manifest alone.
+    manifest = Path(f"{args.out}.manifest.json" if args.out else f"{args.in_path}.prune.manifest.json")
+    config = {name: getattr(args, name)
+              for name in ("kappa", "pruning_mode", "classify_threshold", "small_angle_threshold")}
+    _write_manifest(manifest, "prune", config, [str(in_path)], outputs)
     print(
         f"removed {len(result.removed_indices)} of {len(circuit.gates)} gates; "
         f"fidelity={result.fidelity:.6f}; label={label.value}; "
@@ -216,9 +205,8 @@ def cmd_ensemble(args, max_qubits: int | None) -> int:
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report_to_dict(report), indent=1) + "\n")
     records_path = out_dir / "records.csv"
-    buf = io.StringIO()
-    write_records_csv(buf, report.records)
-    records_path.write_text(buf.getvalue())
+    with records_path.open("w") as stream:
+        write_records_csv(stream, report.records)
     outputs = [str(report_path), str(records_path)]
 
     robust = [r for r in report.records if r.label is ClassLabel.ROBUST]
@@ -233,8 +221,8 @@ def cmd_ensemble(args, max_qubits: int | None) -> int:
     ]
     for name, _, _, rows in histograms:
         hist_csv = out_dir / f"{name}_hist.csv"
-        _write_csv(hist_csv, ["bin_lo", "bin_hi", "robust_count", "fragile_count"],
-                   [(repr(lo), repr(hi), rc, fc) for lo, hi, rc, fc in rows])
+        with hist_csv.open("w") as stream:
+            write_csv(stream, ["bin_lo", "bin_hi", "robust_count", "fragile_count"], rows)
         outputs.append(str(hist_csv))
     if args.svg:
         for name, title, x_label, rows in histograms:
@@ -259,10 +247,9 @@ def cmd_sweep(args, max_qubits: int | None) -> int:
     if args.out_csv:
         out_csv = Path(args.out_csv)
         out_csv.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_csv, ["kappa", "gap", "robust_fraction", "valid"], [
-            (repr(p.kappa), "" if p.gap is None else repr(p.gap), repr(p.robust_fraction), int(p.valid))
-            for p in result.grid
-        ])
+        with out_csv.open("w") as stream:
+            write_csv(stream, ["kappa", "gap", "robust_fraction", "valid"],
+                      [(p.kappa, p.gap, p.robust_fraction, p.valid) for p in result.grid])
         _write_manifest(out_csv.with_suffix(out_csv.suffix + ".manifest.json"), "sweep",
                         asdict(config), [], [str(out_csv)])
 
@@ -282,10 +269,7 @@ def cmd_report(args, max_qubits: int | None) -> int:
         raise CircuitFormatError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CircuitFormatError(f"{path} is not valid JSON: {exc}") from None
-    try:
-        report = report_from_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CircuitFormatError(f"{path} is not an ensemble report: missing or bad field {exc}") from None
+    report = report_from_dict(obj)
 
     c = report.config
     print(f"ensemble: n={c.n} alpha={c.alpha} rho={c.rho} kappa={c.kappa} "
@@ -382,7 +366,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, inside the handler
+    except BrokenPipeError:
+        # The reader left (e.g. `| head`): send the interpreter's final flush to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

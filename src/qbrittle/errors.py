@@ -9,8 +9,8 @@ class InvalidParameterError(QbrittleError):
     """A parameter or input value violates a documented precondition."""
 
 
-class CircuitFormatError(QbrittleError):
-    """A serialized circuit document cannot be parsed."""
+class CircuitFormatError(QbrittleError, ValueError):
+    """A serialized circuit or report document cannot be parsed."""
 
 
 class ResourceLimitError(QbrittleError):

@@ -9,19 +9,17 @@ regardless of scheduling.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, is_dataclass
-from enum import Enum
-from functools import cache, partial
-from types import UnionType
-from typing import IO, Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field
+from functools import partial
+from typing import IO, Callable, Iterable, Sequence
 
 from . import stats as st
 from .circuits import Axis, GenerationParams, circuit_depth, generate_uniform
-from .errors import InvalidParameterError, NoTransitionError, UndefinedStatisticError
+from .codec import decode, encode, write_csv
+from .errors import CircuitFormatError, InvalidParameterError, NoTransitionError, UndefinedStatisticError
 from .pruning import PRUNING_MODES, importance_profile, prune
 from .stats import AngleStats, ClassLabel
 
@@ -50,6 +48,8 @@ SWEEP_SEED_OFFSET = 10_000
 SWEEP_SEED_STRIDE = 100
 # Largest kappa grid a sweep accepts (the default grid has 12 points).
 MAX_SWEEP_POINTS = 1000
+# The AngleStats fields the report compares between the classes.
+FINGERPRINT_STATS = ("mean_theta", "std_theta", "small_angle_ratio")
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ class ClassSummary:
 
 @dataclass(frozen=True)
 class FingerprintEntry:
-    robust_mean: float | None
-    fragile_mean: float | None
+    robust_mean: float | None = field(metadata={"key": "robust"})
+    fragile_mean: float | None = field(metadata={"key": "fragile"})
     p_value: float | None
 
 
@@ -208,10 +208,10 @@ def _aggregate(config: EnsembleConfig, records: Sequence[CircuitRecord]) -> Ense
         effect = None
 
     fingerprint = {}
-    for field in ("mean_theta", "std_theta", "small_angle_ratio"):
-        rv = [getattr(r.angle_stats, field) for r in robust]
-        fv = [getattr(r.angle_stats, field) for r in fragile]
-        fingerprint[field] = FingerprintEntry(
+    for stat in FINGERPRINT_STATS:
+        rv = [getattr(r.angle_stats, stat) for r in robust]
+        fv = [getattr(r.angle_stats, stat) for r in fragile]
+        fingerprint[stat] = FingerprintEntry(
             robust_mean=_mean_or_none(rv),
             fragile_mean=_mean_or_none(fv),
             p_value=_welch_p_or_none(rv, fv),
@@ -367,14 +367,10 @@ def compare_classes(report: EnsembleReport) -> str:
     """Render the three class-comparison tables (fingerprint, per-axis
     p-values, angle-importance correlation) as aligned text."""
     marker = "n/a (class too small)"
-    rows = [
-        ("mean angle", "mean_theta"),
-        ("angle std dev", "std_theta"),
-        ("small-angle ratio", "small_angle_ratio"),
-    ]
+    titles = ("mean angle", "angle std dev", "small-angle ratio")  # of FINGERPRINT_STATS, in order
     lines = ["Rotation-angle fingerprint by class"]
     lines.append(f"  {'statistic':<20}{'robust':>10}{'fragile':>10}  p-value")
-    for title, key in rows:
+    for title, key in zip(titles, FINGERPRINT_STATS):
         entry = report.angle_fingerprint[key]
         p = _fmt(entry.p_value, "0.4g", marker)
         lines.append(f"  {title:<20}{_fmt(entry.robust_mean):>10}{_fmt(entry.fragile_mean):>10}  {p}")
@@ -401,85 +397,34 @@ RECORD_CSV_COLUMNS = [
 ]
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_records_csv(stream: IO[str], records: Iterable[CircuitRecord]) -> None:
     """One CSV row per circuit, columns fixed by RECORD_CSV_COLUMNS."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(RECORD_CSV_COLUMNS)
-    for r in records:
-        writer.writerow([
-            r.seed, r.gate_count, r.depth, _cell(r.fidelity), r.label.value,
-            _cell(r.angle_stats.mean_theta), _cell(r.angle_stats.std_theta),
-            _cell(r.angle_stats.small_angle_ratio), _cell(r.angle_importance_r),
-            _cell(r.importance_entropy), _cell(r.importance_gini),
-        ])
+    write_csv(stream, RECORD_CSV_COLUMNS, (
+        (r.seed, r.gate_count, r.depth, r.fidelity, r.label, r.angle_stats.mean_theta,
+         r.angle_stats.std_theta, r.angle_stats.small_angle_ratio, r.angle_importance_r,
+         r.importance_entropy, r.importance_gini)
+        for r in records
+    ))
 
 
-# Fields serialized under another key: {class: {field name: JSON key}}.
-_RENAMED_KEYS = {FingerprintEntry: {"robust_mean": "robust", "fragile_mean": "fragile"}}
-
-
-@cache
-def _field_keys(cls) -> tuple[tuple[str, str], ...]:
-    renamed = _RENAMED_KEYS.get(cls, {})
-    return tuple((f.name, renamed.get(f.name, f.name)) for f in fields(cls))
-
-
-def _encode(value):
-    """Dataclasses to dicts in field order, enums to their values, tuples to lists."""
-    if value is None or isinstance(value, (int, float)):
-        return value
-    if is_dataclass(value):
-        return {key: _encode(getattr(value, name)) for name, key in _field_keys(type(value))}
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (tuple, list)):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {_encode(k): _encode(v) for k, v in value.items()}
-    return value
-
-
-def _as_dict(obj) -> dict:
-    if not isinstance(obj, dict):
-        raise TypeError(f"expected an object, got {type(obj).__name__}")
-    return obj
-
-
-@cache
-def _decoder(tp) -> Callable:
-    """Inverse of `_encode` for the annotated type `tp`, built once per type."""
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is UnionType:  # X | None
-        inner = _decoder(next(a for a in args if a is not type(None)))
-        return lambda obj: None if obj is None else inner(obj)
-    if origin is tuple:
-        item = _decoder(args[0])
-        return lambda obj: tuple(item(v) for v in obj)
-    if origin is dict:
-        key, val = _decoder(args[0]), _decoder(args[1])
-        return lambda obj: {key(k): val(v) for k, v in _as_dict(obj).items()}
-    if is_dataclass(tp):
-        hints = get_type_hints(tp)
-        parts = [(name, key, _decoder(hints[name])) for name, key in _field_keys(tp)]
-        return lambda obj: tp(**{name: dec(obj[key]) for name, key, dec in parts})
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return tp
-    return lambda obj: obj
+# The keys `_aggregate` writes into each keyed table; the report printers index them.
+_TABLE_KEYS = {
+    "class_summary": tuple(label.value for label in ClassLabel),
+    "angle_fingerprint": FINGERPRINT_STATS,
+    "per_axis_p": tuple(axis.value for axis in Axis),
+}
 
 
 def report_to_dict(report: EnsembleReport) -> dict:
-    return _encode(report)
+    return encode(report)
 
 
 def report_from_dict(obj: dict) -> EnsembleReport:
     """Rebuild a report from `report_to_dict` output; a malformed document
-    raises KeyError, TypeError or ValueError."""
-    return _decoder(EnsembleReport)(obj)
+    raises CircuitFormatError (a ValueError) naming the JSON path."""
+    report = decode(EnsembleReport, obj, "report")
+    for name, keys in _TABLE_KEYS.items():
+        table = getattr(report, name)
+        if sorted(table) != sorted(keys):
+            raise CircuitFormatError(f"report.{name}: keys must be {list(keys)}, got {list(table)}")
+    return report

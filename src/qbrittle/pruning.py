@@ -8,13 +8,13 @@ least important ones in one batch.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
 from .circuits import Circuit, Gate, Rotation, floor_product, remove_gates
+from .codec import write_csv
 from .errors import InvalidParameterError
 from .simulator import StateVector, apply_gate, fidelity, run, zero_state
 from .stats import DEFAULT_SMALL_ANGLE_THRESHOLD, angle_stats
@@ -106,8 +106,7 @@ def importance_profile(circuit: Circuit, max_qubits: int | None = None) -> Impor
         if i < n_gates - 1:
             apply_gate(forward, gates[i])
             apply_gate(backward, gates[i + 1])
-    importances = 1.0 - np.clip(overlaps, 0.0, 1.0)
-    return ImportanceProfile(np.clip(importances, 0.0, 1.0), baseline)
+    return ImportanceProfile(1.0 - np.clip(overlaps, 0.0, 1.0), baseline)
 
 
 def _removal_quota(kappa: float, n_gates: int) -> int:
@@ -229,11 +228,8 @@ def prune(
 
 def write_importance_csv(stream: IO[str], circuit: Circuit, profile: ImportanceProfile) -> None:
     """Emit rows of gate_index, gate_type, axis, qubits, theta, importance."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["gate_index", "gate_type", "axis", "qubits", "theta", "importance"])
-    for i, gate in enumerate(circuit.gates):
-        score = repr(float(profile.importances[i]))
-        if isinstance(gate, Rotation):
-            writer.writerow([i, "rot", gate.axis.value, gate.qubit, repr(gate.theta), score])
-        else:
-            writer.writerow([i, "cnot", "", f"{gate.control};{gate.target}", "", score])
+    write_csv(stream, ["gate_index", "gate_type", "axis", "qubits", "theta", "importance"], (
+        (i, gate.TAG, gate.axis, gate.qubit, gate.theta, score) if isinstance(gate, Rotation)
+        else (i, gate.TAG, None, f"{gate.control};{gate.target}", None, score)
+        for i, (gate, score) in enumerate(zip(circuit.gates, profile.importances))
+    ))

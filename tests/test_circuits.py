@@ -192,6 +192,10 @@ def test_json_parse_errors_name_the_field():
                                          "provenance": "layered", "layer": 0}]}))
     with pytest.raises(CircuitFormatError, match="type"):
         from_json(json.dumps({"n_qubits": 2, "params": None, "gates": [{"type": "swap"}]}))
+    with pytest.raises(CircuitFormatError, match=r"gates\[0\]\.qubit: must be an integer, got True"):
+        from_json(json.dumps({"n_qubits": 2, "params": None,
+                              "gates": [{"type": "rot", "axis": "x", "qubit": True,
+                                         "theta": 1.0, "provenance": "layered", "layer": 0}]}))
     with pytest.raises(CircuitFormatError):
         from_json("{not json")
 

@@ -1,13 +1,20 @@
 import dataclasses
+import errno
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from qbrittle import protocol
 from qbrittle.circuits import Axis, Circuit, GenerationParams, Rotation, from_json, to_json
-from qbrittle.cli import histogram_rows, main, render_histogram_svg
+from qbrittle.cli import entry, histogram_rows, main, render_histogram_svg
 from qbrittle.protocol import RECORD_CSV_COLUMNS, EnsembleConfig, SweepConfig
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*args):
@@ -183,6 +190,31 @@ def test_report_command_rejects_non_report(tmp_path, capsys):
     assert run_cli("report", "--in", path) == 2
 
 
+@pytest.mark.parametrize("table, key, bad, where", [
+    ("class_summary", "robust", {"count": 3, "fraction": "0.5", "mean_fidelity": None},
+     "report.class_summary.robust.fraction"),
+    ("per_axis_p", "x", "0.1", "report.per_axis_p.x"),
+    ("class_summary", "fragile", None, "report.class_summary"),  # None: the key is deleted
+])
+def test_report_command_names_the_bad_path_without_traceback(tmp_path, table, key, bad, where):
+    out_dir = tmp_path / "ens"
+    assert run_cli("ensemble", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--kappa", 0.15,
+                   "--count", 4, "--base-seed", 3, "--out-dir", out_dir, "--threads", 1) == 0
+    doc = json.loads((out_dir / "report.json").read_text())
+    if bad is None:
+        del doc[table][key]
+    else:
+        doc[table][key] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "qbrittle.cli", "report", "--in", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert f"error: {where}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sweep_outputs_and_selected_kappa(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code = run_cli("sweep", "--n", 6, "--alpha", 1.0, "--rho", 0.2, "--base-seed", 0,
@@ -236,6 +268,14 @@ def test_manifest_config_is_the_run_config(tmp_path):
     assert _manifest_config(tmp_path / "c.json.manifest.json") == dataclasses.asdict(
         GenerationParams(n=6, alpha=1.0, rho=0.3, seed=4))
 
+    # prune without --out writes its own manifest beside the input and keeps generate's
+    assert run_cli("prune", "--in", circuit, "--kappa", 0.3, "--importance-csv", tmp_path / "imp.csv") == 0
+    assert json.loads((tmp_path / "c.json.manifest.json").read_text())["command"] == "generate"
+    prune_manifest = json.loads((tmp_path / "c.json.prune.manifest.json").read_text())
+    assert prune_manifest["command"] == "prune"
+    assert prune_manifest["config"] == {"kappa": 0.3, "pruning_mode": "causal", "classify_threshold": 0.9,
+                                        "small_angle_threshold": 0.1}
+
     assert run_cli("ensemble", "--n", 6, "--alpha", 1.0, "--rho", 0.2, "--kappa", 0.3, "--count", 4,
                    "--base-seed", 2, "--mode", "aware", "--classify-threshold", 0.8,
                    "--small-angle-threshold", 0.05, "--out-dir", tmp_path / "ens", "--threads", 1) == 0
@@ -261,6 +301,30 @@ def test_histogram_rows_counts_both_classes():
     assert rows[-1][2] == 3  # the 1.0 edge lands in the final bin
     svg = render_histogram_svg(rows, "demo", "fidelity")
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+
+def test_entry_exits_quietly_on_broken_pipe(tmp_path, monkeypatch, capsys):
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)  # the reader is gone, as after `| head`
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def fileno(self):
+            return write_fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(sys, "argv", ["qbrittle", "generate", "--n", "4", "--alpha", "1.0", "--rho", "0.0",
+                                      "--seed", "1", "--out", str(tmp_path / "c.json")])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == ""
+        assert os.write(write_fd, b"x") == 1  # stdout's descriptor now leads to devnull
+    finally:
+        os.close(write_fd)
 
 
 def test_version_flag():

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -94,14 +95,30 @@ def test_report_json_roundtrip(small_report):
     assert report_from_dict(json.loads(text)) == small_report
 
 
+MISSING = object()  # deletes the field instead of replacing it
+
+
 @pytest.mark.parametrize("field, bad", [
     ("records", 5), ("class_summary", []), ("per_axis_p", "x"), ("config", None),
+    ("class_summary.robust.fraction", "0.5"), ("records.0.fidelity", True),
+    ("class_summary.robust.count", "3"), ("records.0.label", "medium"),
+    ("class_summary.fragile", MISSING),
 ])
 def test_report_from_dict_rejects_malformed_fields(small_report, field, bad):
     obj = json.loads(json.dumps(report_to_dict(small_report)))
-    obj[field] = bad
-    with pytest.raises((KeyError, TypeError, ValueError)):
+    *parents, last = field.split(".")
+    target = obj
+    for key in parents:
+        target = target[int(key)] if isinstance(target, list) else target[key]
+    if bad is MISSING:
+        del target[last]
+    else:
+        target[last] = bad
+    with pytest.raises((KeyError, TypeError, ValueError)) as excinfo:
         report_from_dict(obj)
+    # The message starts with the JSON path of the bad value (of its parent for a missing key).
+    where = ".".join(parents) if bad is MISSING else field
+    assert str(excinfo.value).startswith("report." + re.sub(r"\.(\d+)", r"[\1]", where) + ":")
 
 
 def test_records_csv_layout(small_report):
