@@ -64,6 +64,14 @@ def _write_manifest(path: Path, command: str, config: dict, inputs: list[str], o
     path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def _make_parents(*paths) -> None:
+    """Create the directories the given output paths (None skipped) will be
+    written into, so an unwritable location fails before any compute."""
+    for path in paths:
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _config_from_args(cls, args):
     """Build the config dataclass `cls` from the flags whose dests name its fields."""
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
@@ -132,9 +140,9 @@ def render_histogram_svg(rows, title: str, x_label: str) -> str:
 
 def cmd_generate(args, max_qubits: int | None) -> int:
     params = _config_from_args(GenerationParams, args)
-    circuit = generate_uniform(params)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_parents(out, args.qasm)
+    circuit = generate_uniform(params)
     out.write_text(to_json(circuit) + "\n")
     outputs = [str(out)]
     if args.qasm:
@@ -152,13 +160,13 @@ def cmd_prune(args, max_qubits: int | None) -> int:
         circuit = from_json(in_path.read_text())
     except OSError as exc:
         raise CircuitFormatError(f"cannot read {in_path}: {exc}") from None
+    _make_parents(args.out, args.importance_csv, args.dump_state_csv)
     profile = importance_profile(circuit, max_qubits)
     result = prune(circuit, args.kappa, args.pruning_mode, args.small_angle_threshold, profile, max_qubits)
 
     outputs = []
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(to_json(result.compressed) + "\n")
         outputs.append(str(out))
     if args.importance_csv:
@@ -198,9 +206,9 @@ def cmd_ensemble(args, max_qubits: int | None) -> int:
     if args.bins < 1:
         raise InvalidParameterError(f"--bins must be at least 1, got {args.bins}")
     config = _config_from_args(EnsembleConfig, args)
-    report = run_ensemble(config, threads=args.threads, max_qubits=max_qubits)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    report = run_ensemble(config, threads=args.threads, max_qubits=max_qubits)
 
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report_to_dict(report), indent=1) + "\n")
@@ -242,11 +250,11 @@ def cmd_ensemble(args, max_qubits: int | None) -> int:
 
 def cmd_sweep(args, max_qubits: int | None) -> int:
     config = _config_from_args(SweepConfig, args)
+    _make_parents(args.out_csv)
     result = kappa_sweep(config, threads=args.threads, max_qubits=max_qubits)
 
     if args.out_csv:
         out_csv = Path(args.out_csv)
-        out_csv.parent.mkdir(parents=True, exist_ok=True)
         with out_csv.open("w") as stream:
             write_csv(stream, ["kappa", "gap", "robust_fraction", "valid"],
                       [(p.kappa, p.gap, p.robust_fraction, p.valid) for p in result.grid])
@@ -363,6 +371,14 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        raise  # stdout's reader left; entry() handles it
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # Inputs are read under their own handlers, so this is an output path.
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -2,9 +2,17 @@
 
 The importance of gate i is the fidelity loss from deleting it alone:
 I_i = 1 - |<psi|psi_without_i>|^2, always measured against the intact circuit
-(single pass, no iterative recomputation). Causal pruning ranks gates by
-ascending importance (ties broken by gate index) and deletes the floor(kappa*N)
-least important ones in one batch.
+(no iterative recomputation). Deleting G_i from C = A_i G_i B_i leaves A_i B_i,
+and A_i cancels in the overlap: <psi|psi_without_i> = <f_i|G_i^dagger|f_i>
+with f_i = B_i|0> the state before gate i. So I_i = 1 - |<f_i|G_i|f_i>|^2 is a
+one-gate expectation value on a state that one forward pass visits anyway:
+    rotation R_A(theta):  I_i = sin^2(theta/2) * (1 - <A>^2)
+    CNOT:                 I_i = 1 - <CX>^2
+Both are evaluated directly on f_i (not as 1 minus an overlap, which would
+cancel), so a phase gate on a basis state scores exactly 0 and a rotation
+never exceeds sin^2(theta/2). Causal pruning ranks gates by ascending
+importance (ties broken by gate index) and deletes the floor(kappa*N) least
+important ones in one batch.
 """
 from __future__ import annotations
 
@@ -13,11 +21,11 @@ from typing import IO
 
 import numpy as np
 
-from .circuits import Circuit, Gate, Rotation, floor_product, remove_gates
+from .circuits import Circuit, Rotation, floor_product, remove_gates
 from .codec import write_csv
 from .errors import InvalidParameterError
-from .simulator import StateVector, apply_gate, fidelity, run, zero_state
-from .stats import DEFAULT_SMALL_ANGLE_THRESHOLD, angle_stats
+from .simulator import StateVector, fidelity, run
+from .stats import DEFAULT_SMALL_ANGLE_THRESHOLD, angle_stats, identity_distance
 
 __all__ = [
     "ImportanceProfile",
@@ -74,39 +82,20 @@ class BrittlenessReport:
     brittle: bool
 
 
-def _inverse(gate: Gate) -> Gate:
-    if isinstance(gate, Rotation):
-        return Rotation(gate.axis, gate.qubit, -gate.theta, gate.provenance, gate.layer)
-    return gate  # CNOT is self-inverse
-
-
 def importance_profile(circuit: Circuit, max_qubits: int | None = None) -> ImportanceProfile:
     """Leave-one-out importance of every gate against the intact circuit.
 
-    Uses a forward/backward state sweep so the full profile costs about four
-    circuit executions instead of one per gate: with psi the intact final
-    state, f_i the state after the first i gates and b_{i+1} = (G_{i+1} ...
-    G_{N-1})^dagger psi, the overlap <psi|C_without_i|0> equals <b_{i+1}|f_i>.
-    The result is identical (to rounding) to re-simulating each deletion.
+    The gates after gate i cancel, <psi|C_without_i|0> = <f_i|G_i^dagger|f_i>
+    with f_i the state before gate i, so the profile costs one `run`: it
+    writes each gate's closed-form loss (sin^2(theta/2) * (1 - <A>^2) for a
+    rotation, 1 - <CX>^2 for a CNOT) before applying the gate. The final
+    state of that pass is the baseline, bit-identical to `run(circuit)`.
     """
-    gates = circuit.gates
-    n_gates = len(gates)
-    if n_gates == 0:
+    if not circuit.gates:
         raise InvalidParameterError("importance profile of an empty circuit is undefined")
-    baseline = run(circuit, max_qubits)
-
-    backward = baseline.copy()
-    for gate in gates[:0:-1]:  # peel gates N-1 .. 1 to reach b_1
-        apply_gate(backward, _inverse(gate))
-    forward = zero_state(circuit.n_qubits, max_qubits)
-
-    overlaps = np.empty(n_gates)
-    for i in range(n_gates):
-        overlaps[i] = abs(np.vdot(backward.amplitudes, forward.amplitudes)) ** 2
-        if i < n_gates - 1:
-            apply_gate(forward, gates[i])
-            apply_gate(backward, gates[i + 1])
-    return ImportanceProfile(1.0 - np.clip(overlaps, 0.0, 1.0), baseline)
+    importances = np.empty(len(circuit.gates))
+    state = run(circuit, max_qubits, importances)
+    return ImportanceProfile(importances, state)
 
 
 def _removal_quota(kappa: float, n_gates: int) -> int:
@@ -191,9 +180,10 @@ def aware_prune(
     """Causal pruning that protects small-angle rotations of brittle circuits.
 
     If the risk assessment does not flag the circuit, the result is identical
-    to causal_prune. Otherwise rotations with theta < thresholds.small_angle
-    are excluded from the candidate pool; when the pool cannot cover the
-    quota, every candidate is removed and kappa_effective ends up below kappa.
+    to causal_prune. Otherwise rotations whose `identity_distance` is below
+    thresholds.small_angle are excluded from the candidate pool; when the pool
+    cannot cover the quota, every candidate is removed and kappa_effective
+    ends up below kappa.
     """
     quota = _removal_quota(kappa, len(circuit.gates))
     profile = _resolve_profile(circuit, profile, max_qubits)
@@ -201,7 +191,7 @@ def aware_prune(
         return causal_prune(circuit, kappa, profile=profile, max_qubits=max_qubits)
     protected = {
         i for i, gate in enumerate(circuit.gates)
-        if isinstance(gate, Rotation) and gate.theta < thresholds.small_angle
+        if isinstance(gate, Rotation) and identity_distance(gate.theta) < thresholds.small_angle
     }
     ranked = [int(i) for i in _ranked_indices(profile.importances) if int(i) not in protected]
     removed = ranked[:quota]

@@ -5,6 +5,8 @@ amplitude index. Rotations follow the convention R_a(theta) = exp(-i*theta*A/2)
 for A in {X, Y, Z}. Gates act in place through stride-based views of the
 amplitude array: a single-qubit gate on qubit q pairs amplitudes 2^q apart,
 and CNOT swaps the target-bit pair on the control=1 half of the state.
+`run` can also record each gate's deletion loss on the same views as it goes,
+which is how the leave-one-out importance profile costs a single pass.
 """
 from __future__ import annotations
 
@@ -49,10 +51,14 @@ def zero_state(n: int, max_qubits: int | None = None) -> StateVector:
     return StateVector(n, amplitudes)
 
 
+def _halves(amps: np.ndarray, n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes with `qubit` clear and set, as views paired element-wise."""
+    view = amps.reshape(1 << (n - qubit - 1), 2, 1 << qubit)
+    return view[:, 0, :], view[:, 1, :]
+
+
 def _apply_rotation(amps: np.ndarray, n: int, gate: Rotation) -> None:
-    view = amps.reshape(1 << (n - gate.qubit - 1), 2, 1 << gate.qubit)
-    a = view[:, 0, :]
-    b = view[:, 1, :]
+    a, b = _halves(amps, n, gate.qubit)
     half = 0.5 * gate.theta
     if gate.axis is Axis.Z:
         a *= complex(math.cos(half), -math.sin(half))
@@ -71,43 +77,80 @@ def _apply_rotation(amps: np.ndarray, n: int, gate: Rotation) -> None:
     a[:] = new_a
 
 
-def _apply_cnot(amps: np.ndarray, n: int, gate: Cnot) -> None:
+def _rotation_loss(amps: np.ndarray, n: int, gate: Rotation) -> float:
+    # <R> = cos(t/2) - i sin(t/2) <A> with <A> real, so 1 - |<R>|^2 = sin^2(t/2) (1 - <A>^2).
+    # The min() absorbs rounding that pushes |<A>| past 1.
+    a, b = _halves(amps, n, gate.qubit)
+    if gate.axis is Axis.Z:
+        expectation = np.vdot(a, a).real - np.vdot(b, b).real
+    else:
+        overlap = np.vdot(a, b)
+        expectation = 2.0 * (overlap.real if gate.axis is Axis.X else overlap.imag)
+    s = math.sin(0.5 * gate.theta)
+    return s * s * (1.0 - min(expectation * expectation, 1.0))
+
+
+def _cnot_blocks(amps: np.ndarray, n: int, gate: Cnot) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of the control=0 block and of the control=1 block with target clear and set."""
     hi = max(gate.control, gate.target)
     lo = min(gate.control, gate.target)
     view = amps.reshape(1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
     if gate.control == hi:
-        block = view[:, 1]  # control bit set; target is now axis 2
-        tmp = block[:, :, 0].copy()
-        block[:, :, 0] = block[:, :, 1]
-        block[:, :, 1] = tmp
-    else:
-        block = view[:, :, :, 1]  # control bit set; target is now axis 1
-        tmp = block[:, 0].copy()
-        block[:, 0] = block[:, 1]
-        block[:, 1] = tmp
+        return view[:, 0], view[:, 1, :, 0], view[:, 1, :, 1]
+    return view[:, :, :, 0], view[:, 0, :, 1], view[:, 1, :, 1]
+
+
+def _apply_cnot(amps: np.ndarray, n: int, gate: Cnot) -> None:
+    _, t0, t1 = _cnot_blocks(amps, n, gate)
+    tmp = t0.copy()
+    t0[...] = t1
+    t1[...] = tmp
+
+
+def _cnot_loss(amps: np.ndarray, n: int, gate: Cnot) -> float:
+    # <CX> = |control=0 block|^2 + <X_target> on the control=1 block; it is real.
+    c0, t0, t1 = _cnot_blocks(amps, n, gate)
+    expectation = np.vdot(c0, c0).real + 2.0 * np.vdot(t0, t1).real
+    return 1.0 - min(expectation * expectation, 1.0)
+
+
+def _kernels(gate: Gate, n: int):
+    """Check the gate against an n-qubit state; return its (apply, loss) kernels."""
+    if isinstance(gate, Rotation):
+        if not 0 <= gate.qubit < n:
+            raise InvalidParameterError(f"rotation qubit {gate.qubit} out of range for {n} qubits")
+        return _apply_rotation, _rotation_loss
+    if isinstance(gate, Cnot):
+        if not 0 <= gate.control < n or not 0 <= gate.target < n:
+            raise InvalidParameterError(f"CNOT qubits ({gate.control}, {gate.target}) out of range for {n} qubits")
+        return _apply_cnot, _cnot_loss
+    raise InvalidParameterError(f"unsupported gate object {gate!r}")
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place and return the mutated state."""
-    n = state.n_qubits
-    if isinstance(gate, Rotation):
-        if not 0 <= gate.qubit < n:
-            raise InvalidParameterError(f"rotation qubit {gate.qubit} out of range for {n} qubits")
-        _apply_rotation(state.amplitudes, n, gate)
-    elif isinstance(gate, Cnot):
-        if not 0 <= gate.control < n or not 0 <= gate.target < n:
-            raise InvalidParameterError(f"CNOT qubits ({gate.control}, {gate.target}) out of range for {n} qubits")
-        _apply_cnot(state.amplitudes, n, gate)
-    else:
-        raise InvalidParameterError(f"unsupported gate object {gate!r}")
+    apply, _ = _kernels(gate, state.n_qubits)
+    apply(state.amplitudes, state.n_qubits, gate)
     return state
 
 
-def run(circuit: Circuit, max_qubits: int | None = None) -> StateVector:
-    """Apply the circuit's gates in order to the all-zeros state."""
+def run(circuit: Circuit, max_qubits: int | None = None, losses: np.ndarray | None = None) -> StateVector:
+    """Apply the circuit's gates in order to the all-zeros state.
+
+    If `losses` (a float array with one entry per gate) is given, losses[i]
+    receives gate i's deletion loss 1 - |<f_i|G_i|f_i>|^2, evaluated on the
+    state f_i just before gate i is applied. The returned state is the same
+    either way.
+    """
+    if losses is not None and len(losses) != len(circuit.gates):
+        raise InvalidParameterError(f"losses has {len(losses)} entries for a {len(circuit.gates)}-gate circuit")
     state = zero_state(circuit.n_qubits, max_qubits)
-    for gate in circuit.gates:
-        apply_gate(state, gate)
+    n, amps = state.n_qubits, state.amplitudes
+    for i, gate in enumerate(circuit.gates):
+        apply, loss = _kernels(gate, n)
+        if losses is not None:
+            losses[i] = loss(amps, n, gate)
+        apply(amps, n, gate)
     return state
 
 

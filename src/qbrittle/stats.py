@@ -24,6 +24,7 @@ __all__ = [
     "ClassLabel",
     "TestResult",
     "angle_stats",
+    "identity_distance",
     "shannon_entropy",
     "gini",
     "pearson_r",
@@ -79,19 +80,36 @@ def _as_scores(values) -> np.ndarray:
     return np.asarray(getattr(values, "importances", values), dtype=float)
 
 
+def identity_distance(theta):
+    """Distance of the rotation angle theta from the identity, wrapped into [0, pi].
+
+    d = |((theta + pi) mod 2pi) - pi|, since R(theta + 2pi) = -R(theta) is the
+    same gate up to a global phase. Apart from the float constant 2pi, nothing
+    rounds: fmod is exact, and so is 2pi - r for r in [pi, 2pi]. Hence
+    d == |theta| whenever |theta| <= pi. Accepts a float or an array.
+    """
+    r = np.abs(np.fmod(theta, 2 * math.pi))
+    return np.minimum(r, 2 * math.pi - r)
+
+
+def _small_angle_ratio(thetas: np.ndarray, threshold: float) -> float:
+    return float(np.count_nonzero(identity_distance(thetas) < threshold) / thetas.size)
+
+
 def _axis_stats(thetas: np.ndarray, threshold: float) -> AxisAngleStats:
     count = int(thetas.size)
     if count == 0:
         return AxisAngleStats(None, None, None, 0)
     mean = float(np.mean(thetas))
     std = float(np.std(thetas, ddof=1)) if count >= 2 else None
-    ratio = float(np.count_nonzero(thetas < threshold) / count)
+    ratio = _small_angle_ratio(thetas, threshold)
     return AxisAngleStats(mean, std, ratio, count)
 
 
 def angle_stats(circuit: Circuit, small_angle_threshold: float = DEFAULT_SMALL_ANGLE_THRESHOLD) -> AngleStats:
     """Mean/std/small-angle ratio over all rotation angles, plus a per-axis
-    breakdown. Requires at least two rotation gates."""
+    breakdown. Requires at least two rotation gates. An angle is small when
+    its `identity_distance` is below the threshold."""
     by_axis: dict[Axis, list[float]] = {axis: [] for axis in Axis}
     thetas: list[float] = []
     for _, gate in circuit.rotations():
@@ -105,7 +123,7 @@ def angle_stats(circuit: Circuit, small_angle_threshold: float = DEFAULT_SMALL_A
     return AngleStats(
         mean_theta=float(np.mean(arr)),
         std_theta=float(np.std(arr, ddof=1)),
-        small_angle_ratio=float(np.count_nonzero(arr < small_angle_threshold) / arr.size),
+        small_angle_ratio=_small_angle_ratio(arr, small_angle_threshold),
         per_axis={axis: _axis_stats(np.asarray(vals), small_angle_threshold) for axis, vals in by_axis.items()},
     )
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qbrittle import protocol
+from qbrittle import cli, protocol
 from qbrittle.circuits import Axis, Circuit, GenerationParams, Rotation, from_json, to_json
 from qbrittle.cli import entry, histogram_rows, main, render_histogram_svg
 from qbrittle.protocol import RECORD_CSV_COLUMNS, EnsembleConfig, SweepConfig
@@ -256,6 +256,32 @@ def test_sweep_rejects_oversized_grid_before_building_it(tmp_path, capsys, monke
                    "--threads", 1)
     assert code == 2
     assert "kappa grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, compute, out_flag", [
+    ("ensemble", "run_ensemble", ["--out-dir", "{blocker}/ens", "--n", 6, "--alpha", 1.0, "--rho", 0.2,
+                                  "--kappa", 0.3, "--count", 4, "--threads", 1]),
+    ("sweep", "kappa_sweep", ["--out-csv", "{blocker}/s.csv", "--n", 6, "--alpha", 1.0, "--rho", 0.2,
+                              "--threads", 1]),
+    ("prune", "importance_profile", ["--out", "{blocker}/p.json", "--in", "{circuit}", "--kappa", 0.2]),
+])
+def test_unwritable_output_fails_before_compute(tmp_path, capsys, monkeypatch, command, compute, out_flag):
+    # a regular file where an output directory should go
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    circuit = tmp_path / "c.json"
+    assert run_cli("generate", "--n", 6, "--alpha", 1.0, "--rho", 0.2, "--seed", 1, "--out", circuit) == 0
+    capsys.readouterr()
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("nothing may be computed")
+
+    monkeypatch.setattr(cli, compute, no_compute)
+    flags = [str(a).format(blocker=blocker, circuit=circuit) for a in out_flag]
+    assert run_cli(command, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {blocker}")  # the path that cannot be written
+    assert "Traceback" not in err
 
 
 def _manifest_config(path):

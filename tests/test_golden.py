@@ -21,13 +21,13 @@ GOLDEN = {
     },
     "prune-causal": {
         "stdout": "55d27d76c2b5802081c5a655b09b18a5544bf2966fff6357455a4e4e6aecbf41",
-        "causal-importance.csv": "423c0a5978a9694a10fa31bf1ff6ea05ac4293eb392e8013dab7f17aa517a689",
+        "causal-importance.csv": "8627c22c189c5d029476e434587b34eb2c3fe955c60b130e363e2d3f99e86246",
         "causal-state.csv": "48b9ecf4127fe43f4402252f2f06ab7caa4d61c143b41606e868bc518c25fbd2",
         "causal.json": "4cefa07935588e616ecc35e6d97cb937ecfba9b1746d8db8dd2cff4e00f37592",
     },
     "prune-aware": {
         "stdout": "6f1ed7a10e3c028154b129cbe5cf9d9895432e8bb28de2e95d38ded0e5051bdc",
-        "aware-importance.csv": "423c0a5978a9694a10fa31bf1ff6ea05ac4293eb392e8013dab7f17aa517a689",
+        "aware-importance.csv": "8627c22c189c5d029476e434587b34eb2c3fe955c60b130e363e2d3f99e86246",
         "aware-state.csv": "48b9ecf4127fe43f4402252f2f06ab7caa4d61c143b41606e868bc518c25fbd2",
         "aware.json": "034b24744e0e35e7e247a0f377ba6271eb16c762fa4e946e38c50cd62801c116",
     },
@@ -37,8 +37,8 @@ GOLDEN = {
         "ens/correlation_hist.svg": "29f312b7c78e61bbfae662ec92573529dfb3bad0d755a71c1455be45b615c04c",
         "ens/fidelity_hist.csv": "8eea233de1cc2d311b76f4a21f720126d3dc6519de993cfede53cdb74a7774c8",
         "ens/fidelity_hist.svg": "53326f7472d0d4b5aa9123a7adb486bac815755a222806be9d949c3fe6e9ba6b",
-        "ens/records.csv": "db7a725173e8e1fcc521314aa0db76cffe528fee14d3028f0c0d1f7bc3424b4f",
-        "ens/report.json": "593314e6fc0d23b0a4f1ae511f49460490e87a441e3f1610fde77600afb8f41e",
+        "ens/records.csv": "dc962cf223664ef08050653d26dbeecddc71194478fad19ba2a8d1c48e307608",
+        "ens/report.json": "5dc3365f2e840a886c499b8ae529bc02211423251fcb943306c5aae2497688bf",
     },
     "report": {
         "stdout": "3a34141b17237fd03f3598b93381f07a113b72a4e9494d2a8adaddf8fc24db50",

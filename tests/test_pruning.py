@@ -38,11 +38,15 @@ def test_single_ry_importance_is_half():
 
 def test_importance_matches_naive_leave_one_out():
     rng = np.random.default_rng(11)
-    for _ in range(30):
-        n = int(rng.integers(1, 4))
-        circuit = random_circuit(rng, n, int(rng.integers(1, 25)))
-        swept = importance_profile(circuit).importances
-        assert np.max(np.abs(swept - naive_importances(circuit))) < 1e-12
+    circuits = [random_circuit(rng, int(rng.integers(1, 4)), int(rng.integers(1, 25))) for _ in range(30)]
+    circuits += [generate_uniform(GenerationParams(n, 1.0, 0.3, seed=n)) for n in (6, 8)]
+    for circuit in circuits:
+        profile = importance_profile(circuit)
+        assert np.max(np.abs(profile.importances - naive_importances(circuit))) < 1e-12
+        # the pass that records the losses applies the same gates, bit for bit
+        intact = run(circuit).amplitudes
+        assert np.array_equal(profile.baseline_state.amplitudes, intact)
+        assert np.array_equal(run(circuit, losses=np.empty(len(circuit.gates))).amplitudes, intact)
 
 
 def test_rotation_importance_respects_analytic_bound():
@@ -52,7 +56,7 @@ def test_rotation_importance_respects_analytic_bound():
     for circuit in circuits:
         importances = importance_profile(circuit).importances
         for i, gate in circuit.rotations():
-            assert 0.0 <= importances[i] <= math.sin(gate.theta / 2) ** 2 + 1e-9
+            assert 0.0 <= importances[i] <= math.sin(gate.theta / 2) ** 2
 
 
 def test_empty_circuit_has_no_profile():
@@ -193,6 +197,19 @@ def test_aware_prune_exhaustion_reports_lower_kappa():
     assert result.kappa_effective == 0.0
     assert result.fidelity == pytest.approx(1.0, abs=1e-12)
     assert result.compressed == circuit
+
+
+def test_aware_prune_protects_by_wrapped_angle():
+    # 2pi - 0.01 is a near-identity gate and is protected; -3.0 is not small
+    near, far = 2 * math.pi - 0.01, -3.0
+    gates = (Rotation(Axis.X, 0, near), Rotation(Axis.X, 0, far), Rotation(Axis.Y, 0, 0.9), Rotation(Axis.Y, 0, 0.9))
+    circuit = Circuit(1, gates)
+    report = risk_assess(circuit)
+    assert report.small_angle_ratio == 0.25 and report.brittle
+    assert causal_prune(circuit, 0.25).removed_indices == (0,)  # least important
+    result = aware_prune(circuit, 0.25)
+    assert 0 not in result.removed_indices
+    assert len(result.removed_indices) == 1
 
 
 def test_importance_csv_layout():

@@ -138,3 +138,9 @@ def test_run_respects_cap():
     circuit = generate_uniform(GenerationParams(6, 1.0, 0.2, seed=0))
     with pytest.raises(ResourceLimitError):
         run(circuit, max_qubits=5)
+
+
+def test_run_losses_must_match_gate_count():
+    circuit = Circuit(1, (Rotation(Axis.X, 0, 0.3), Rotation(Axis.Y, 0, 0.4)))
+    with pytest.raises(InvalidParameterError):
+        run(circuit, losses=np.empty(3))

@@ -16,6 +16,7 @@ from qbrittle.stats import (
     cohens_d,
     fidelity_gap,
     gini,
+    identity_distance,
     pearson_r,
     regularized_incomplete_beta,
     shannon_entropy,
@@ -55,6 +56,22 @@ def test_angle_stats_per_axis_breakdown():
     assert stats.per_axis[Axis.Y].std is None  # single sample
     assert stats.per_axis[Axis.Z].count == 0
     assert stats.per_axis[Axis.Z].mean is None
+
+
+def test_small_angle_means_near_identity():
+    # theta = -3.0 is far from the identity (importance 0.995 on |0>), while
+    # theta = 2pi - 0.01 is 0.01 away from it (importance 2.5e-5)
+    far, near = -3.0, 2 * math.pi - 0.01
+    assert identity_distance(far) == 3.0
+    assert identity_distance(near) == pytest.approx(0.01, abs=1e-15)
+    assert identity_distance(math.pi / 2) == math.pi / 2  # exact inside [-pi, pi]
+    assert np.array_equal(identity_distance(np.array([far, 0.5])), [3.0, 0.5])
+    stats = angle_stats(_rotations([far, 1.0]))
+    assert stats.small_angle_ratio == 0.0
+    assert stats.per_axis[Axis.Y].small_angle_ratio == 0.0
+    stats = angle_stats(_rotations([near, 1.0]))
+    assert stats.small_angle_ratio == 0.5
+    assert stats.per_axis[Axis.Y].small_angle_ratio == 0.5
 
 
 def test_angle_stats_needs_two_rotations():
