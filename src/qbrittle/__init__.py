@@ -3,117 +3,21 @@
 The package generates structurally-uniform layered circuits, compresses them
 by leave-one-out causal importance, classifies robust vs. fragile outcomes,
 and computes the angle-statistics signatures that predict fragility.
+
+The public API is the union of the submodules' `__all__` lists, each
+re-exported here; `codec` and `cli` stay internal.
 """
 
 __version__ = "0.1.0"
 
-from .circuits import (
-    Axis,
-    Circuit,
-    Cnot,
-    GenerationParams,
-    Rotation,
-    circuit_depth,
-    export_qasm,
-    from_json,
-    generate_uniform,
-    remove_gates,
-    to_json,
-)
-from .errors import (
-    CircuitFormatError,
-    InvalidParameterError,
-    NoTransitionError,
-    QbrittleError,
-    ResourceLimitError,
-    UndefinedStatisticError,
-)
-from .pruning import (
-    BrittlenessReport,
-    CompressionResult,
-    ImportanceProfile,
-    RiskThresholds,
-    aware_prune,
-    causal_prune,
-    importance_profile,
-    risk_assess,
-)
-from .protocol import (
-    CircuitRecord,
-    EnsembleConfig,
-    EnsembleReport,
-    SweepConfig,
-    SweepResult,
-    compare_classes,
-    kappa_sweep,
-    run_ensemble,
-)
-from .simulator import StateVector, apply_gate, fidelity, run, zero_state
-from .stats import (
-    AngleStats,
-    ClassLabel,
-    TestResult,
-    angle_importance_r,
-    angle_stats,
-    classify,
-    cohens_d,
-    fidelity_gap,
-    gini,
-    pearson_r,
-    shannon_entropy,
-    welch_t_test,
-)
+from . import circuits, errors, protocol, pruning, simulator, stats
+from .circuits import *
+from .errors import *
+from .simulator import *
+from .pruning import *
+from .stats import *
+from .protocol import *
 
-__all__ = [
-    "__version__",
-    "Axis",
-    "Rotation",
-    "Cnot",
-    "Circuit",
-    "GenerationParams",
-    "generate_uniform",
-    "circuit_depth",
-    "remove_gates",
-    "to_json",
-    "from_json",
-    "export_qasm",
-    "StateVector",
-    "zero_state",
-    "apply_gate",
-    "run",
-    "fidelity",
-    "ImportanceProfile",
-    "CompressionResult",
-    "BrittlenessReport",
-    "RiskThresholds",
-    "importance_profile",
-    "causal_prune",
-    "risk_assess",
-    "aware_prune",
-    "AngleStats",
-    "ClassLabel",
-    "TestResult",
-    "angle_stats",
-    "shannon_entropy",
-    "gini",
-    "pearson_r",
-    "angle_importance_r",
-    "welch_t_test",
-    "cohens_d",
-    "classify",
-    "fidelity_gap",
-    "EnsembleConfig",
-    "EnsembleReport",
-    "CircuitRecord",
-    "SweepConfig",
-    "SweepResult",
-    "run_ensemble",
-    "kappa_sweep",
-    "compare_classes",
-    "QbrittleError",
-    "InvalidParameterError",
-    "CircuitFormatError",
-    "ResourceLimitError",
-    "UndefinedStatisticError",
-    "NoTransitionError",
+__all__ = ["__version__"] + [
+    name for module in (circuits, errors, simulator, pruning, stats, protocol) for name in module.__all__
 ]

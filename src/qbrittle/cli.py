@@ -21,7 +21,7 @@ from . import __version__
 from .circuits import GenerationParams, circuit_depth, export_qasm, from_json, generate_uniform, to_json
 from .codec import write_csv
 from .errors import CircuitFormatError, InvalidParameterError, NoTransitionError, ResourceLimitError
-from .pruning import PRUNING_MODES, importance_profile, prune, write_importance_csv
+from .pruning import PRUNING_MODES, importance_profile, prune, removal_quota, write_importance_csv
 from .protocol import (
     EnsembleConfig,
     SweepConfig,
@@ -32,19 +32,10 @@ from .protocol import (
     run_ensemble,
     write_records_csv,
 )
+from .simulator import qubit_cap
 from .stats import DEFAULT_CLASSIFY_THRESHOLD, DEFAULT_SMALL_ANGLE_THRESHOLD, ClassLabel, classify
 
 HISTOGRAM_BINS = 40
-
-
-def _env_max_qubits() -> int | None:
-    raw = os.environ.get("QBRITTLE_MAX_QUBITS")
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParameterError(f"QBRITTLE_MAX_QUBITS must be an integer, got {raw!r}") from None
 
 
 def _timestamp() -> str:
@@ -138,7 +129,7 @@ def render_histogram_svg(rows, title: str, x_label: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_generate(args, max_qubits: int | None) -> int:
+def cmd_generate(args) -> int:
     params = _config_from_args(GenerationParams, args)
     out = Path(args.out)
     _make_parents(out, args.qasm)
@@ -154,15 +145,16 @@ def cmd_generate(args, max_qubits: int | None) -> int:
     return 0
 
 
-def cmd_prune(args, max_qubits: int | None) -> int:
+def cmd_prune(args) -> int:
     in_path = Path(args.in_path)
     try:
         circuit = from_json(in_path.read_text())
     except OSError as exc:
         raise CircuitFormatError(f"cannot read {in_path}: {exc}") from None
+    removal_quota(args.kappa, len(circuit.gates))
     _make_parents(args.out, args.importance_csv, args.dump_state_csv)
-    profile = importance_profile(circuit, max_qubits)
-    result = prune(circuit, args.kappa, args.pruning_mode, args.small_angle_threshold, profile, max_qubits)
+    profile = importance_profile(circuit)
+    result = prune(circuit, args.kappa, args.pruning_mode, args.small_angle_threshold, profile)
 
     outputs = []
     if args.out:
@@ -202,13 +194,13 @@ def _print_summary(report) -> None:
     print(f"fidelity gap: {gap}; cohens d: {effect}")
 
 
-def cmd_ensemble(args, max_qubits: int | None) -> int:
+def cmd_ensemble(args) -> int:
     if args.bins < 1:
         raise InvalidParameterError(f"--bins must be at least 1, got {args.bins}")
     config = _config_from_args(EnsembleConfig, args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = run_ensemble(config, threads=args.threads, max_qubits=max_qubits)
+    report = run_ensemble(config, threads=args.threads)
 
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report_to_dict(report), indent=1) + "\n")
@@ -248,10 +240,10 @@ def cmd_ensemble(args, max_qubits: int | None) -> int:
     return 0
 
 
-def cmd_sweep(args, max_qubits: int | None) -> int:
+def cmd_sweep(args) -> int:
     config = _config_from_args(SweepConfig, args)
     _make_parents(args.out_csv)
-    result = kappa_sweep(config, threads=args.threads, max_qubits=max_qubits)
+    result = kappa_sweep(config, threads=args.threads)
 
     if args.out_csv:
         out_csv = Path(args.out_csv)
@@ -269,7 +261,7 @@ def cmd_sweep(args, max_qubits: int | None) -> int:
     return 0
 
 
-def cmd_report(args, max_qubits: int | None) -> int:
+def cmd_report(args) -> int:
     path = Path(args.in_path)
     try:
         obj = json.loads(path.read_text())
@@ -360,8 +352,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        max_qubits = _env_max_qubits()
-        return args.func(args, max_qubits)
+        qubit_cap()  # a malformed QBRITTLE_MAX_QUBITS exits 2 before any work
+        return args.func(args)
     except (InvalidParameterError, CircuitFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,14 @@
 """Exception hierarchy shared by all qbrittle modules."""
 
+__all__ = [
+    "QbrittleError",
+    "InvalidParameterError",
+    "CircuitFormatError",
+    "ResourceLimitError",
+    "UndefinedStatisticError",
+    "NoTransitionError",
+]
+
 
 class QbrittleError(Exception):
     """Base class for all qbrittle errors."""

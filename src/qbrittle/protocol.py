@@ -125,12 +125,11 @@ class EnsembleReport:
     correlation_summary: CorrelationSummary
 
 
-def _build_record(config: EnsembleConfig, max_qubits: int | None, k: int) -> CircuitRecord:
+def _build_record(config: EnsembleConfig, k: int) -> CircuitRecord:
     seed = config.seed_for(k)
     circuit = generate_uniform(GenerationParams(config.n, config.alpha, config.rho, seed))
-    profile = importance_profile(circuit, max_qubits)
-    result = prune(circuit, config.kappa, config.pruning_mode, config.small_angle_threshold,
-                   profile, max_qubits)
+    profile = importance_profile(circuit)
+    result = prune(circuit, config.kappa, config.pruning_mode, config.small_angle_threshold, profile)
     angle_summary = st.angle_stats(circuit, config.small_angle_threshold)
     try:
         correlation = st.angle_importance_r(circuit, profile)
@@ -243,16 +242,14 @@ def _aggregate(config: EnsembleConfig, records: Sequence[CircuitRecord]) -> Ense
     )
 
 
-def run_ensemble(config: EnsembleConfig, threads: int | None = None,
-                 max_qubits: int | None = None) -> EnsembleReport:
+def run_ensemble(config: EnsembleConfig, threads: int | None = None) -> EnsembleReport:
     """Generate, compress, classify and analyze a full circuit ensemble.
 
     Deterministic given the config; `threads` only changes the schedule.
     Aggregate fields involving an empty class are reported as None rather
     than fabricated.
     """
-    worker = partial(_build_record, config, max_qubits)
-    records = _parallel_map(worker, range(config.circuit_count), threads)
+    records = _parallel_map(partial(_build_record, config), range(config.circuit_count), threads)
     return _aggregate(config, records)
 
 
@@ -316,18 +313,14 @@ def sweep_grid(config: SweepConfig) -> list[float]:
     return grid
 
 
-def _probe_fidelity(config: SweepConfig, max_qubits: int | None,
-                    task: tuple[int, float, int]) -> float:
+def _probe_fidelity(config: SweepConfig, task: tuple[int, float, int]) -> float:
     grid_index, kappa, k = task
     seed = config.base_seed + SWEEP_SEED_OFFSET + grid_index * SWEEP_SEED_STRIDE + k
     circuit = generate_uniform(GenerationParams(config.n, config.alpha, config.rho, seed))
-    result = prune(circuit, kappa, config.pruning_mode, config.small_angle_threshold,
-                   max_qubits=max_qubits)
-    return result.fidelity
+    return prune(circuit, kappa, config.pruning_mode, config.small_angle_threshold).fidelity
 
 
-def kappa_sweep(config: SweepConfig, threads: int | None = None,
-                max_qubits: int | None = None) -> SweepResult:
+def kappa_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
     """Probe every grid kappa with a fresh probe ensemble and select the one
     maximizing the robust/fragile fidelity gap (ties go to the smaller kappa).
 
@@ -337,13 +330,15 @@ def kappa_sweep(config: SweepConfig, threads: int | None = None,
     """
     grid = sweep_grid(config)
     tasks = [(gi, kappa, k) for gi, kappa in enumerate(grid) for k in range(config.probe_count)]
-    fidelities = _parallel_map(partial(_probe_fidelity, config, max_qubits), tasks, threads)
+    fidelities = _parallel_map(partial(_probe_fidelity, config), tasks, threads)
 
     points = []
     for gi, kappa in enumerate(grid):
         fids = fidelities[gi * config.probe_count:(gi + 1) * config.probe_count]
-        robust = [f for f in fids if st.classify(f, config.classify_threshold) is ClassLabel.ROBUST]
-        fragile = [f for f in fids if st.classify(f, config.classify_threshold) is ClassLabel.FRAGILE]
+        split = {label: [] for label in ClassLabel}
+        for f in fids:
+            split[st.classify(f, config.classify_threshold)].append(f)
+        robust, fragile = split[ClassLabel.ROBUST], split[ClassLabel.FRAGILE]
         valid = bool(robust) and bool(fragile)
         gap = st.fidelity_gap(robust, fragile) if valid else None
         points.append(SweepPoint(kappa=kappa, gap=gap, robust_fraction=len(robust) / len(fids), valid=valid))

@@ -37,6 +37,7 @@ __all__ = [
     "risk_assess",
     "aware_prune",
     "prune",
+    "removal_quota",
     "PRUNING_MODES",
     "write_importance_csv",
 ]
@@ -82,7 +83,7 @@ class BrittlenessReport:
     brittle: bool
 
 
-def importance_profile(circuit: Circuit, max_qubits: int | None = None) -> ImportanceProfile:
+def importance_profile(circuit: Circuit) -> ImportanceProfile:
     """Leave-one-out importance of every gate against the intact circuit.
 
     The gates after gate i cancel, <psi|C_without_i|0> = <f_i|G_i^dagger|f_i>
@@ -94,11 +95,12 @@ def importance_profile(circuit: Circuit, max_qubits: int | None = None) -> Impor
     if not circuit.gates:
         raise InvalidParameterError("importance profile of an empty circuit is undefined")
     importances = np.empty(len(circuit.gates))
-    state = run(circuit, max_qubits, importances)
+    state = run(circuit, importances)
     return ImportanceProfile(importances, state)
 
 
-def _removal_quota(kappa: float, n_gates: int) -> int:
+def removal_quota(kappa: float, n_gates: int) -> int:
+    """floor(kappa*N) for a kappa in (0, 1) that removes at least one gate; needs no simulation."""
     if not 0.0 < kappa < 1.0:
         raise InvalidParameterError(f"compression ratio kappa must lie in (0, 1), got {kappa}")
     quota = floor_product(kappa, n_gates)
@@ -114,10 +116,9 @@ def _ranked_indices(importances: np.ndarray) -> np.ndarray:
     return np.argsort(importances, kind="stable")
 
 
-def _resolve_profile(circuit: Circuit, profile: ImportanceProfile | None,
-                     max_qubits: int | None) -> ImportanceProfile:
+def _resolve_profile(circuit: Circuit, profile: ImportanceProfile | None) -> ImportanceProfile:
     if profile is None:
-        return importance_profile(circuit, max_qubits)
+        return importance_profile(circuit)
     if len(profile) != len(circuit.gates):
         raise InvalidParameterError(
             f"importance profile has {len(profile)} entries for a {len(circuit.gates)}-gate circuit"
@@ -125,10 +126,9 @@ def _resolve_profile(circuit: Circuit, profile: ImportanceProfile | None,
     return profile
 
 
-def _finish(circuit: Circuit, profile: ImportanceProfile, removed: list[int],
-            max_qubits: int | None) -> CompressionResult:
+def _finish(circuit: Circuit, profile: ImportanceProfile, removed: list[int]) -> CompressionResult:
     compressed = remove_gates(circuit, removed)
-    final_fidelity = fidelity(profile.baseline_state, run(compressed, max_qubits))
+    final_fidelity = fidelity(profile.baseline_state, run(compressed))
     return CompressionResult(
         compressed=compressed,
         removed_indices=tuple(removed),
@@ -141,18 +141,17 @@ def causal_prune(
     circuit: Circuit,
     kappa: float,
     profile: ImportanceProfile | None = None,
-    max_qubits: int | None = None,
 ) -> CompressionResult:
     """Remove the floor(kappa*N) least important gates in one batch.
 
     `profile` may be passed to reuse a precomputed importance profile.
     removed_indices are reported in removal (ascending-importance) order.
     """
-    quota = _removal_quota(kappa, len(circuit.gates))
-    profile = _resolve_profile(circuit, profile, max_qubits)
+    quota = removal_quota(kappa, len(circuit.gates))
+    profile = _resolve_profile(circuit, profile)
     ranked = _ranked_indices(profile.importances)
     removed = [int(i) for i in ranked[:quota]]
-    return _finish(circuit, profile, removed, max_qubits)
+    return _finish(circuit, profile, removed)
 
 
 def risk_assess(circuit: Circuit, thresholds: RiskThresholds = RiskThresholds()) -> BrittlenessReport:
@@ -175,7 +174,6 @@ def aware_prune(
     kappa: float,
     thresholds: RiskThresholds = RiskThresholds(),
     profile: ImportanceProfile | None = None,
-    max_qubits: int | None = None,
 ) -> CompressionResult:
     """Causal pruning that protects small-angle rotations of brittle circuits.
 
@@ -185,17 +183,17 @@ def aware_prune(
     cannot cover the quota, every candidate is removed and kappa_effective
     ends up below kappa.
     """
-    quota = _removal_quota(kappa, len(circuit.gates))
-    profile = _resolve_profile(circuit, profile, max_qubits)
+    quota = removal_quota(kappa, len(circuit.gates))
+    profile = _resolve_profile(circuit, profile)
     if not risk_assess(circuit, thresholds).brittle:
-        return causal_prune(circuit, kappa, profile=profile, max_qubits=max_qubits)
+        return causal_prune(circuit, kappa, profile=profile)
     protected = {
         i for i, gate in enumerate(circuit.gates)
         if isinstance(gate, Rotation) and identity_distance(gate.theta) < thresholds.small_angle
     }
     ranked = [int(i) for i in _ranked_indices(profile.importances) if int(i) not in protected]
     removed = ranked[:quota]
-    return _finish(circuit, profile, removed, max_qubits)
+    return _finish(circuit, profile, removed)
 
 
 def prune(
@@ -204,15 +202,14 @@ def prune(
     mode: str = "causal",
     small_angle_threshold: float = DEFAULT_SMALL_ANGLE_THRESHOLD,
     profile: ImportanceProfile | None = None,
-    max_qubits: int | None = None,
 ) -> CompressionResult:
     """Prune with the named mode: `causal_prune`, or `aware_prune` with the
     given small-angle threshold and the default risk thresholds otherwise."""
     if mode == "causal":
-        return causal_prune(circuit, kappa, profile=profile, max_qubits=max_qubits)
+        return causal_prune(circuit, kappa, profile=profile)
     if mode == "aware":
         thresholds = RiskThresholds(small_angle=small_angle_threshold)
-        return aware_prune(circuit, kappa, thresholds=thresholds, profile=profile, max_qubits=max_qubits)
+        return aware_prune(circuit, kappa, thresholds=thresholds, profile=profile)
     raise InvalidParameterError(f"pruning mode must be one of {PRUNING_MODES}, got {mode!r}")
 
 

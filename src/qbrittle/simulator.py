@@ -11,6 +11,7 @@ which is how the leave-one-out importance profile costs a single pass.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +19,10 @@ import numpy as np
 from .circuits import Axis, Circuit, Cnot, Gate, Rotation
 from .errors import InvalidParameterError, ResourceLimitError
 
-__all__ = ["StateVector", "zero_state", "apply_gate", "run", "fidelity", "DEFAULT_MAX_QUBITS"]
+__all__ = ["StateVector", "zero_state", "apply_gate", "run", "fidelity", "qubit_cap", "DEFAULT_MAX_QUBITS"]
 
-# Dense simulation above this many qubits is refused unless the caller raises
-# the cap explicitly (2^24 complex doubles is already 256 MiB).
+# Dense simulation above this many qubits is refused unless QBRITTLE_MAX_QUBITS
+# raises the cap (2^24 complex doubles is already 256 MiB).
 DEFAULT_MAX_QUBITS = 24
 
 
@@ -32,18 +33,28 @@ class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
-def zero_state(n: int, max_qubits: int | None = None) -> StateVector:
+def qubit_cap() -> int:
+    """The largest qubit count the simulator accepts: QBRITTLE_MAX_QUBITS if
+    set, DEFAULT_MAX_QUBITS otherwise. It is read on every call, so library
+    callers and worker processes obey the same cap as the CLI."""
+    raw = os.environ.get("QBRITTLE_MAX_QUBITS")
+    if not raw:
+        return DEFAULT_MAX_QUBITS
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidParameterError(f"QBRITTLE_MAX_QUBITS must be an integer, got {raw!r}") from None
+
+
+def zero_state(n: int) -> StateVector:
     """The all-zeros computational basis state |0...0> on n qubits."""
-    cap = DEFAULT_MAX_QUBITS if max_qubits is None else max_qubits
     if not isinstance(n, int) or n < 1:
         raise InvalidParameterError(f"qubit count must be a positive integer, got {n}")
+    cap = qubit_cap()
     if n > cap:
         raise ResourceLimitError(f"{n} qubits exceeds the simulator cap of {cap}")
     amplitudes = np.zeros(1 << n, dtype=np.complex128)
@@ -134,7 +145,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return state
 
 
-def run(circuit: Circuit, max_qubits: int | None = None, losses: np.ndarray | None = None) -> StateVector:
+def run(circuit: Circuit, losses: np.ndarray | None = None) -> StateVector:
     """Apply the circuit's gates in order to the all-zeros state.
 
     If `losses` (a float array with one entry per gate) is given, losses[i]
@@ -144,7 +155,7 @@ def run(circuit: Circuit, max_qubits: int | None = None, losses: np.ndarray | No
     """
     if losses is not None and len(losses) != len(circuit.gates):
         raise InvalidParameterError(f"losses has {len(losses)} entries for a {len(circuit.gates)}-gate circuit")
-    state = zero_state(circuit.n_qubits, max_qubits)
+    state = zero_state(circuit.n_qubits)
     n, amps = state.n_qubits, state.amplitudes
     for i, gate in enumerate(circuit.gates):
         apply, loss = _kernels(gate, n)

@@ -21,6 +21,10 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def no_compute(*args, **kwargs):
+    raise AssertionError("nothing may be computed")
+
+
 def test_generate_writes_reference_circuit(tmp_path, capsys):
     out = tmp_path / "circuit.json"
     code = run_cli("generate", "--n", 12, "--alpha", 2.5, "--rho", 0.25, "--seed", 7, "--out", out)
@@ -116,6 +120,36 @@ def test_prune_honors_qubit_cap_env(tmp_path, small_circuit_file, monkeypatch, c
                    "--out", tmp_path / "o.json")
     assert code == 4
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa, message", [(1.5, "must lie in (0, 1)"), (0.01, "removes no gates")])
+def test_prune_rejects_kappa_before_any_work(tmp_path, small_circuit_file, monkeypatch, capsys, kappa, message):
+    monkeypatch.setattr(cli, "importance_profile", no_compute)
+    code = run_cli("prune", "--in", small_circuit_file, "--kappa", kappa, "--out", tmp_path / "new" / "p.json")
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_ensemble_workers_honor_qubit_cap_env(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC, QBRITTLE_MAX_QUBITS="4")
+    proc = subprocess.run([sys.executable, "-m", "qbrittle.cli", "ensemble", "--n", "6", "--alpha", "1.0",
+                           "--rho", "0.2", "--kappa", "0.3", "--count", "4", "--threads", "2",
+                           "--out-dir", str(tmp_path / "ens")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 4
+    assert "exceeds the simulator cap of 4" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_malformed_qubit_cap_env_fails_before_any_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QBRITTLE_MAX_QUBITS", "x")
+    monkeypatch.setattr(cli, "kappa_sweep", no_compute)
+    code = run_cli("sweep", "--n", 6, "--alpha", 1.0, "--rho", 0.2, "--threads", 1,
+                   "--out-csv", tmp_path / "new" / "s.csv")
+    assert code == 2
+    assert "QBRITTLE_MAX_QUBITS must be an integer, got 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
 
 
 def test_prune_aware_equals_causal_for_non_brittle(tmp_path):
@@ -272,9 +306,6 @@ def test_unwritable_output_fails_before_compute(tmp_path, capsys, monkeypatch, c
     circuit = tmp_path / "c.json"
     assert run_cli("generate", "--n", 6, "--alpha", 1.0, "--rho", 0.2, "--seed", 1, "--out", circuit) == 0
     capsys.readouterr()
-
-    def no_compute(*args, **kwargs):
-        raise AssertionError("nothing may be computed")
 
     monkeypatch.setattr(cli, compute, no_compute)
     flags = [str(a).format(blocker=blocker, circuit=circuit) for a in out_flag]

@@ -1,9 +1,12 @@
 """Property tests on random small circuits, with angles anywhere in [-4pi, 4pi].
 
 The importance profile, its analytic bound and the simulator are checked
-against the independent oracles in `helpers`. Examples are derandomized and
-capped, so the file runs in a few seconds and the same way every time.
+against the independent oracles in `helpers`; the JSON and QASM formats and
+the concentration statistics against their definitions. Examples are
+derandomized and capped, so the file runs in a few seconds and the same way
+every time.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -13,10 +16,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from helpers import dense_reference_state, naive_importances
-from qbrittle.circuits import Axis, Circuit, Cnot, Rotation
+from qbrittle.circuits import Axis, Circuit, Cnot, GenerationParams, Rotation, export_qasm, from_json, to_json
 from qbrittle.pruning import importance_profile
 from qbrittle.simulator import run
-from qbrittle.stats import identity_distance
+from qbrittle.stats import gini, identity_distance, shannon_entropy
 
 EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True)
 ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
@@ -72,3 +75,46 @@ def test_identity_distance_is_the_wrapped_angle(theta):
 @given(circuits())
 def test_run_matches_dense_oracle(circuit):
     assert np.max(np.abs(run(circuit).amplitudes - dense_reference_state(circuit))) <= 1e-10
+
+
+PARAMS = st.one_of(st.none(), st.builds(
+    GenerationParams, st.sampled_from([4, 6, 8, 10]), st.floats(0.1, 4.0), st.floats(0.0, 1.0),
+    st.integers(0, 2**64 - 1)))
+# Scores as an importance profile holds them: non-negative, not all zero, none
+# so small that scaling by SCALES underflows.
+SCORES = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=30).filter(any)
+SCALES = st.floats(1e-3, 1e3)
+
+
+@EXAMPLES
+@given(circuits(), PARAMS)
+def test_json_roundtrip_is_bit_exact(circuit, params):
+    circuit = dataclasses.replace(circuit, params=params)
+    back = from_json(to_json(circuit))
+    assert back == circuit
+    assert [g.theta.hex() for _, g in back.rotations()] == [g.theta.hex() for _, g in circuit.rotations()]
+
+
+@EXAMPLES
+@given(circuits())
+def test_qasm_has_a_line_per_gate_after_the_header(circuit):
+    text = export_qasm(circuit)
+    assert text.endswith("\n")
+    assert len(text.splitlines()) == 3 + len(circuit.gates)
+
+
+@EXAMPLES
+@given(SCORES)
+def test_gini_and_entropy_lie_in_their_ranges(scores):
+    n = len(scores)
+    assert -1e-12 <= gini(scores) <= 1.0 - 1.0 / n + 1e-12
+    assert -1e-12 <= shannon_entropy(scores) <= math.log(n) + 1e-12
+
+
+@EXAMPLES
+@given(SCORES, SCALES, st.data())
+def test_gini_and_entropy_ignore_scale_and_order(scores, scale, data):
+    permuted = data.draw(st.permutations(scores))
+    for changed in ([scale * x for x in scores], permuted):
+        assert gini(changed) == pytest.approx(gini(scores), rel=1e-9, abs=1e-12)
+        assert shannon_entropy(changed) == pytest.approx(shannon_entropy(scores), rel=1e-9, abs=1e-12)

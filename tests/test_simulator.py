@@ -6,7 +6,7 @@ import pytest
 from helpers import dense_reference_state, random_circuit
 from qbrittle.circuits import Axis, Circuit, Cnot, GenerationParams, Rotation, generate_uniform
 from qbrittle.errors import InvalidParameterError, ResourceLimitError
-from qbrittle.simulator import StateVector, apply_gate, fidelity, run, zero_state
+from qbrittle.simulator import DEFAULT_MAX_QUBITS, StateVector, apply_gate, fidelity, qubit_cap, run, zero_state
 
 
 def test_zero_state_small():
@@ -16,12 +16,21 @@ def test_zero_state_small():
         assert zero_state(n).norm_squared() == pytest.approx(1.0, abs=1e-15)
 
 
-def test_zero_state_respects_cap():
+def test_zero_state_respects_cap(monkeypatch):
+    monkeypatch.setenv("QBRITTLE_MAX_QUBITS", "4")
     with pytest.raises(ResourceLimitError):
-        zero_state(5, max_qubits=4)
-    assert zero_state(4, max_qubits=4).n_qubits == 4
+        zero_state(5)
+    assert zero_state(4).n_qubits == 4
     with pytest.raises(InvalidParameterError):
         zero_state(0)
+
+
+def test_qubit_cap_reads_the_environment(monkeypatch):
+    monkeypatch.delenv("QBRITTLE_MAX_QUBITS", raising=False)
+    assert qubit_cap() == DEFAULT_MAX_QUBITS == 24
+    monkeypatch.setenv("QBRITTLE_MAX_QUBITS", "x")
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        zero_state(2)
 
 
 def test_rz_changes_phase_only():
@@ -134,10 +143,11 @@ def test_fidelity_rejects_mismatched_sizes():
         fidelity(zero_state(2), zero_state(3))
 
 
-def test_run_respects_cap():
+def test_run_respects_cap(monkeypatch):
     circuit = generate_uniform(GenerationParams(6, 1.0, 0.2, seed=0))
+    monkeypatch.setenv("QBRITTLE_MAX_QUBITS", "5")
     with pytest.raises(ResourceLimitError):
-        run(circuit, max_qubits=5)
+        run(circuit)
 
 
 def test_run_losses_must_match_gate_count():
