@@ -5,14 +5,12 @@ I_i = 1 - |<psi|psi_without_i>|^2, always measured against the intact circuit
 (no iterative recomputation). Deleting G_i from C = A_i G_i B_i leaves A_i B_i,
 and A_i cancels in the overlap: <psi|psi_without_i> = <f_i|G_i^dagger|f_i>
 with f_i = B_i|0> the state before gate i. So I_i = 1 - |<f_i|G_i|f_i>|^2 is a
-one-gate expectation value on a state that one forward pass visits anyway:
-    rotation R_A(theta):  I_i = sin^2(theta/2) * (1 - <A>^2)
-    CNOT:                 I_i = 1 - <CX>^2
-Both are evaluated directly on f_i (not as 1 minus an overlap, which would
-cancel), so a phase gate on a basis state scores exactly 0 and a rotation
-never exceeds sin^2(theta/2). Causal pruning ranks gates by ascending
-importance (ties broken by gate index) and deletes the floor(kappa*N) least
-important ones in one batch.
+one-gate expectation value on a state that one forward pass visits anyway;
+`simulator.run` evaluates it in closed form (see its module docstring): a
+rotation never exceeds sin^2(theta/2), and a phase gate on a basis state
+scores exactly 0. Causal pruning ranks gates by ascending importance (ties
+broken by gate index) and deletes the floor(kappa*N) least important ones in
+one batch.
 """
 from __future__ import annotations
 
@@ -87,10 +85,9 @@ def importance_profile(circuit: Circuit) -> ImportanceProfile:
     """Leave-one-out importance of every gate against the intact circuit.
 
     The gates after gate i cancel, <psi|C_without_i|0> = <f_i|G_i^dagger|f_i>
-    with f_i the state before gate i, so the profile costs one `run`: it
-    writes each gate's closed-form loss (sin^2(theta/2) * (1 - <A>^2) for a
-    rotation, 1 - <CX>^2 for a CNOT) before applying the gate. The final
-    state of that pass is the baseline, bit-identical to `run(circuit)`.
+    with f_i the state before gate i, so the profile costs one `run` that
+    records each gate's closed-form loss. The final state of that pass is the
+    baseline, bit-identical to `run(circuit)`.
     """
     if not circuit.gates:
         raise InvalidParameterError("importance profile of an empty circuit is undefined")

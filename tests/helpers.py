@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here deliberately avoids the package's fast paths: states are built
-by multiplying explicit 2^n x 2^n gate matrices, and leave-one-out importance
-re-simulates each deletion from scratch.
+by multiplying explicit 2^n x 2^n gate matrices or by applying one gate at a
+time on stride views, and leave-one-out importance re-simulates each deletion
+from scratch.
 """
 import math
 
@@ -46,6 +47,52 @@ def dense_reference_state(circuit: Circuit) -> np.ndarray:
     for gate in circuit.gates:
         state = dense_gate_matrix(circuit.n_qubits, gate) @ state
     return state
+
+
+def _halves(amps: np.ndarray, n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes with `qubit` clear and set, as views paired element-wise."""
+    view = amps.reshape(1 << (n - qubit - 1), 2, 1 << qubit)
+    return view[:, 0, :], view[:, 1, :]
+
+
+def _cnot_blocks(amps: np.ndarray, n: int, gate: Cnot) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of the control=0 block and of the control=1 block with target clear and set."""
+    hi, lo = max(gate.control, gate.target), min(gate.control, gate.target)
+    view = amps.reshape(1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    if gate.control == hi:
+        return view[:, 0], view[:, 1, :, 0], view[:, 1, :, 1]
+    return view[:, :, :, 0], view[:, 0, :, 1], view[:, 1, :, 1]
+
+
+def reference_run(circuit: Circuit, losses: np.ndarray | None = None) -> np.ndarray:
+    """The final amplitudes, one gate at a time on stride views of the state.
+
+    If `losses` is given, losses[i] receives gate i's deletion loss from the
+    state just before it: sin^2(theta/2) * (1 - <A>^2) for a rotation and
+    1 - <CX>^2 for a CNOT, each expectation a vdot of two half-state views.
+    """
+    n = circuit.n_qubits
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = 1.0
+    for i, gate in enumerate(circuit.gates):
+        if isinstance(gate, Cnot):
+            c0, t0, t1 = _cnot_blocks(amps, n, gate)
+            if losses is not None:
+                expectation = np.vdot(c0, c0).real + 2.0 * np.vdot(t0, t1).real
+                losses[i] = 1.0 - min(expectation * expectation, 1.0)
+            t0[...], t1[...] = t1.copy(), t0.copy()
+            continue
+        a, b = _halves(amps, n, gate.qubit)
+        if losses is not None:
+            if gate.axis is Axis.Z:
+                expectation = np.vdot(a, a).real - np.vdot(b, b).real
+            else:
+                overlap = np.vdot(a, b)
+                expectation = 2.0 * (overlap.real if gate.axis is Axis.X else overlap.imag)
+            losses[i] = math.sin(0.5 * gate.theta) ** 2 * (1.0 - min(expectation * expectation, 1.0))
+        m = rotation_matrix(gate.axis, gate.theta)
+        a[...], b[...] = m[0, 0] * a + m[0, 1] * b, m[1, 0] * a + m[1, 1] * b
+    return amps
 
 
 def random_circuit(rng: np.random.Generator, n: int, n_gates: int,

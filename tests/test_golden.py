@@ -21,14 +21,14 @@ GOLDEN = {
     },
     "prune-causal": {
         "stdout": "55d27d76c2b5802081c5a655b09b18a5544bf2966fff6357455a4e4e6aecbf41",
-        "causal-importance.csv": "8627c22c189c5d029476e434587b34eb2c3fe955c60b130e363e2d3f99e86246",
-        "causal-state.csv": "48b9ecf4127fe43f4402252f2f06ab7caa4d61c143b41606e868bc518c25fbd2",
+        "causal-importance.csv": "471da24395e4fe4a50e2c1b99658f929fee2c9ff000115c6420d18355c3b6805",
+        "causal-state.csv": "e9db7fe23d9ac48ba0ace85d62442b2ac611df126f00119aab443f5d5dc231e8",
         "causal.json": "4cefa07935588e616ecc35e6d97cb937ecfba9b1746d8db8dd2cff4e00f37592",
     },
     "prune-aware": {
         "stdout": "6f1ed7a10e3c028154b129cbe5cf9d9895432e8bb28de2e95d38ded0e5051bdc",
-        "aware-importance.csv": "8627c22c189c5d029476e434587b34eb2c3fe955c60b130e363e2d3f99e86246",
-        "aware-state.csv": "48b9ecf4127fe43f4402252f2f06ab7caa4d61c143b41606e868bc518c25fbd2",
+        "aware-importance.csv": "471da24395e4fe4a50e2c1b99658f929fee2c9ff000115c6420d18355c3b6805",
+        "aware-state.csv": "e9db7fe23d9ac48ba0ace85d62442b2ac611df126f00119aab443f5d5dc231e8",
         "aware.json": "034b24744e0e35e7e247a0f377ba6271eb16c762fa4e946e38c50cd62801c116",
     },
     "ensemble": {
@@ -37,15 +37,15 @@ GOLDEN = {
         "ens/correlation_hist.svg": "29f312b7c78e61bbfae662ec92573529dfb3bad0d755a71c1455be45b615c04c",
         "ens/fidelity_hist.csv": "8eea233de1cc2d311b76f4a21f720126d3dc6519de993cfede53cdb74a7774c8",
         "ens/fidelity_hist.svg": "53326f7472d0d4b5aa9123a7adb486bac815755a222806be9d949c3fe6e9ba6b",
-        "ens/records.csv": "dc962cf223664ef08050653d26dbeecddc71194478fad19ba2a8d1c48e307608",
-        "ens/report.json": "5dc3365f2e840a886c499b8ae529bc02211423251fcb943306c5aae2497688bf",
+        "ens/records.csv": "823dd2f1c9405b3e92726a2e47304d370d634afead954c5cdf7afc3f7522a7db",
+        "ens/report.json": "06ebc70afcf1f57ce6f1dfd91efbdfd4f4aa5253457facc14b22ac9197fa4af4",
     },
     "report": {
         "stdout": "3a34141b17237fd03f3598b93381f07a113b72a4e9494d2a8adaddf8fc24db50",
     },
     "sweep": {
         "stdout": "b59c31ec2adc9b594b61f84d64d9cc700b11ee11f86b495eeea2418a0ecda34b",
-        "sweep.csv": "1af67e5b98493a40f2c23ed54a907ad52bb0894cb3bc247e213400d86502195e",
+        "sweep.csv": "8655b643103af542fe587f712cf9512e5169842ba324a4466b53e0f0f7cb0537",
     },
 }
 

@@ -1,10 +1,11 @@
 """Property tests on random small circuits, with angles anywhere in [-4pi, 4pi].
 
 The importance profile, its analytic bound and the simulator are checked
-against the independent oracles in `helpers`; the JSON and QASM formats and
-the concentration statistics against their definitions. Examples are
-derandomized and capped, so the file runs in a few seconds and the same way
-every time.
+against the independent oracles in `helpers`, the block splitter of `run`
+against the per-gate `reference_run` on circuits no generator would make;
+the JSON and QASM formats and the concentration statistics against their
+definitions. Examples are derandomized and capped, so the file runs in a few
+seconds and the same way every time.
 """
 import dataclasses
 import math
@@ -15,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_reference_state, naive_importances
+from helpers import dense_reference_state, naive_importances, reference_run
 from qbrittle.circuits import Axis, Circuit, Cnot, GenerationParams, Rotation, export_qasm, from_json, to_json
 from qbrittle.pruning import importance_profile
 from qbrittle.simulator import run
@@ -26,14 +27,37 @@ ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
 
 
 @st.composite
-def circuits(draw, max_qubits=4, max_gates=16):
+def circuits(draw, max_qubits=4, max_gates=16, axes=tuple(Axis)):
     n = draw(st.integers(1, max_qubits))
     qubit = st.integers(0, n - 1)
-    gate = st.builds(Rotation, st.sampled_from(Axis), qubit, ANGLES)
+    gate = st.builds(Rotation, st.sampled_from(axes), qubit, ANGLES)
     if n > 1:
         pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
         gate = st.one_of(gate, pair.map(lambda q: Cnot(*q)))
     return Circuit(n, tuple(draw(st.lists(gate, min_size=1, max_size=max_gates))))
+
+
+@st.composite
+def unstructured_circuits(draw, max_qubits=6, max_pieces=12):
+    """Gate lists that exercise the block splitter, no generator's skeleton:
+    pieces in any order, each a few rotations on any qubits (repeats allowed),
+    a rotation on every qubit in shuffled order, one CNOT on any pair, or a
+    brick of CNOTs on ring neighbours in either direction, wraparound included."""
+    n = draw(st.integers(1, max_qubits))
+    gates = []
+    for _ in range(draw(st.integers(1, max_pieces))):
+        piece = draw(st.sampled_from(["rotations", "layer", "cnot", "brick"] if n > 1 else ["rotations", "layer"]))
+        if piece in ("rotations", "layer"):
+            qubits = draw(st.permutations(range(n)) if piece == "layer"
+                          else st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+            gates += [Rotation(draw(st.sampled_from(Axis)), q, draw(ANGLES)) for q in qubits]
+        elif piece == "cnot":
+            gates.append(Cnot(*draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))))
+        else:
+            offset, reverse = draw(st.integers(0, 1)), draw(st.booleans())
+            pairs = [(q, (q + 1) % n) for q in range(offset, n, 2)]
+            gates += [Cnot(t, c) if reverse else Cnot(c, t) for c, t in pairs]
+    return Circuit(n, tuple(gates))
 
 
 def _wrapped(theta: float) -> float:
@@ -69,6 +93,27 @@ def test_identity_distance_is_the_wrapped_angle(theta):
     assert d == pytest.approx(_wrapped(theta), abs=1e-14)
     if abs(theta) <= math.pi:
         assert d == abs(theta)
+
+
+@EXAMPLES
+@given(unstructured_circuits())
+def test_blocks_match_per_gate_reference(circuit):
+    expected_losses = np.empty(len(circuit.gates))
+    expected = reference_run(circuit, expected_losses)
+    losses = np.empty(len(circuit.gates))
+    state = run(circuit, losses)
+    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
+    assert np.max(np.abs(losses - expected_losses), initial=0.0) <= 1e-12
+    assert np.array_equal(state.amplitudes, run(circuit).amplitudes)
+
+
+@EXAMPLES
+@given(circuits(max_qubits=6, max_gates=24, axes=[Axis.Z]))
+def test_phase_circuits_score_exactly_zero(circuit):
+    # Rz and CNOT keep |0...0> a basis state up to phase: no gate changes the overlap,
+    # so every importance is exactly +0.0, bit for bit.
+    importances = importance_profile(circuit).importances
+    assert importances.tobytes() == np.zeros(len(circuit.gates)).tobytes()
 
 
 @EXAMPLES
