@@ -87,8 +87,11 @@ def floor_product(a: float, b: float) -> int:
 
 
 def layer_count(n: int, alpha: float) -> int:
-    """Number of rotation layers, floor(n * alpha)."""
-    return floor_product(n, alpha)
+    """Number of rotation layers, floor(n * alpha); zero layers is an error."""
+    layers = floor_product(n, alpha)
+    if layers < 1:
+        raise InvalidParameterError(f"alpha={alpha} yields zero layers for n={n}; need floor(n * alpha) >= 1")
+    return layers
 
 
 def appended_count(n: int, rho: float) -> int:
@@ -195,10 +198,6 @@ def generate_uniform(params: GenerationParams) -> Circuit:
     """
     n = params.n
     layers = layer_count(n, params.alpha)
-    if layers < 1:
-        raise InvalidParameterError(
-            f"alpha={params.alpha} yields zero layers for n={n}; need floor(n * alpha) >= 1"
-        )
     rng = np.random.default_rng(params.seed)
     axes = (Axis.X, Axis.Y, Axis.Z)
     gates: list[Gate] = []

@@ -8,11 +8,13 @@ that produced it. Exit codes: 0 success, 2 invalid arguments or input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,8 @@ from .pruning import PRUNING_MODES, importance_profile, prune, removal_quota, wr
 from .protocol import (
     EnsembleConfig,
     SweepConfig,
+    _by_class,
+    _fmt,
     compare_classes,
     kappa_sweep,
     report_from_dict,
@@ -33,26 +37,45 @@ from .protocol import (
     write_records_csv,
 )
 from .simulator import qubit_cap
-from .stats import DEFAULT_CLASSIFY_THRESHOLD, DEFAULT_SMALL_ANGLE_THRESHOLD, ClassLabel, classify
+from .stats import DEFAULT_CLASSIFY_THRESHOLD, DEFAULT_SMALL_ANGLE_THRESHOLD, classify
 
 HISTOGRAM_BINS = 40
+# The exit code of each error a command reports as one line on stderr.
+EXIT_CODES = {InvalidParameterError: 2, CircuitFormatError: 2, NoTransitionError: 3, ResourceLimitError: 4}
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _write_outputs(manifest: Path, command: str, config: dict, inputs: list[str], outputs: dict) -> None:
+    """Write `outputs`, {path: text or a function that writes to a stream}, then
+    the run manifest that lists them; None and empty paths are skipped.
 
-
-def _write_manifest(path: Path, command: str, config: dict, inputs: list[str], outputs: list[str]) -> None:
+    All or nothing: each file is written under a temporary name in its own
+    directory, and the files are renamed into place, the manifest last, only
+    once every one is complete. On failure the temporary files are removed.
+    """
+    outputs = {str(path): body for path, body in outputs.items() if path}
     doc = {
         "tool": "qbrittle",
         "version": __version__,
         "command": command,
-        "timestamp": _timestamp(),
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "config": config,
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": list(outputs),
     }
-    path.write_text(json.dumps(doc, indent=1) + "\n")
+    staged = {}
+    try:
+        for path, body in {**outputs, str(manifest): json.dumps(doc, indent=1) + "\n"}.items():
+            staged[path] = f"{path}.{os.getpid()}-{len(staged)}.tmp"  # distinct if two spellings name one file
+            with open(staged[path], "w") as stream:
+                body(stream) if callable(body) else stream.write(body)
+        for path, temporary in staged.items():
+            os.replace(temporary, path)
+    except OSError as exc:  # name the output, not its temporary file; a failed write names neither
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        for temporary in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)
 
 
 def _make_parents(*paths) -> None:
@@ -134,13 +157,10 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     _make_parents(out, args.qasm)
     circuit = generate_uniform(params)
-    out.write_text(to_json(circuit) + "\n")
-    outputs = [str(out)]
+    outputs = {out: to_json(circuit) + "\n"}
     if args.qasm:
-        qasm_path = Path(args.qasm)
-        qasm_path.write_text(export_qasm(circuit))
-        outputs.append(str(qasm_path))
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "generate", asdict(params), [], outputs)
+        outputs[Path(args.qasm)] = export_qasm(circuit)
+    _write_outputs(out.with_suffix(out.suffix + ".manifest.json"), "generate", asdict(params), [], outputs)
     print(f"wrote {out}: {len(circuit.gates)} gates, depth {circuit_depth(circuit)}")
     return 0
 
@@ -156,27 +176,18 @@ def cmd_prune(args) -> int:
     profile = importance_profile(circuit)
     result = prune(circuit, args.kappa, args.pruning_mode, args.small_angle_threshold, profile)
 
-    outputs = []
-    if args.out:
-        out = Path(args.out)
-        out.write_text(to_json(result.compressed) + "\n")
-        outputs.append(str(out))
-    if args.importance_csv:
-        with open(args.importance_csv, "w") as stream:
-            write_importance_csv(stream, circuit, profile)
-        outputs.append(args.importance_csv)
-    if args.dump_state_csv:
-        with open(args.dump_state_csv, "w") as stream:
-            write_csv(stream, ["index", "re", "im"],
-                      [(i, amp.real, amp.imag) for i, amp in enumerate(profile.baseline_state.amplitudes)])
-        outputs.append(args.dump_state_csv)
-
     label = classify(result.fidelity, args.classify_threshold)
     # Without --out, a name beside the input that leaves the input's own manifest alone.
     manifest = Path(f"{args.out}.manifest.json" if args.out else f"{args.in_path}.prune.manifest.json")
     config = {name: getattr(args, name)
               for name in ("kappa", "pruning_mode", "classify_threshold", "small_angle_threshold")}
-    _write_manifest(manifest, "prune", config, [str(in_path)], outputs)
+    amplitudes = profile.baseline_state.amplitudes
+    _write_outputs(manifest, "prune", config, [str(in_path)], {
+        args.out and Path(args.out): lambda stream: stream.write(to_json(result.compressed) + "\n"),
+        args.importance_csv: partial(write_importance_csv, circuit=circuit, profile=profile),
+        args.dump_state_csv: partial(write_csv, header=["index", "re", "im"],
+                                     rows=((i, amp.real, amp.imag) for i, amp in enumerate(amplitudes))),
+    })
     print(
         f"removed {len(result.removed_indices)} of {len(circuit.gates)} gates; "
         f"fidelity={result.fidelity:.6f}; label={label.value}; "
@@ -189,9 +200,8 @@ def _print_summary(report) -> None:
     summary = report.class_summary
     print(f"robust: {summary['robust'].count} ({summary['robust'].fraction:.2f}), "
           f"fragile: {summary['fragile'].count} ({summary['fragile'].fraction:.2f})")
-    gap = "absent" if report.fidelity_gap is None else f"{report.fidelity_gap:.6f}"
-    effect = "absent" if report.cohens_d_fidelity is None else f"{report.cohens_d_fidelity:.4f}"
-    print(f"fidelity gap: {gap}; cohens d: {effect}")
+    print(f"fidelity gap: {_fmt(report.fidelity_gap, '0.6f', 'absent')}; "
+          f"cohens d: {_fmt(report.cohens_d_fidelity, '0.4f', 'absent')}")
 
 
 def cmd_ensemble(args) -> int:
@@ -202,39 +212,27 @@ def cmd_ensemble(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report = run_ensemble(config, threads=args.threads)
 
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report_to_dict(report), indent=1) + "\n")
-    records_path = out_dir / "records.csv"
-    with records_path.open("w") as stream:
-        write_records_csv(stream, report.records)
-    outputs = [str(report_path), str(records_path)]
-
-    robust = [r for r in report.records if r.label is ClassLabel.ROBUST]
-    fragile = [r for r in report.records if r.label is ClassLabel.FRAGILE]
+    outputs = {
+        out_dir / "report.json": json.dumps(report_to_dict(report), indent=1) + "\n",
+        out_dir / "records.csv": partial(write_records_csv, records=report.records),
+    }
+    fidelities = _by_class((r.label, r.fidelity) for r in report.records)
+    correlations = _by_class((r.label, r.angle_importance_r) for r in report.records)
     histograms = [
-        ("fidelity", "Post-compression fidelity", "fidelity",
-         histogram_rows([r.fidelity for r in robust], [r.fidelity for r in fragile], 0.0, 1.0, args.bins)),
-        ("correlation", "Angle-importance correlation", "r",
-         histogram_rows([r.angle_importance_r for r in robust if r.angle_importance_r is not None],
-                        [r.angle_importance_r for r in fragile if r.angle_importance_r is not None],
-                        -1.0, 1.0, args.bins)),
+        ("fidelity", "Post-compression fidelity", "fidelity", histogram_rows(*fidelities, 0.0, 1.0, args.bins)),
+        ("correlation", "Angle-importance correlation", "r", histogram_rows(*correlations, -1.0, 1.0, args.bins)),
     ]
     for name, _, _, rows in histograms:
-        hist_csv = out_dir / f"{name}_hist.csv"
-        with hist_csv.open("w") as stream:
-            write_csv(stream, ["bin_lo", "bin_hi", "robust_count", "fragile_count"], rows)
-        outputs.append(str(hist_csv))
+        outputs[out_dir / f"{name}_hist.csv"] = partial(
+            write_csv, header=["bin_lo", "bin_hi", "robust_count", "fragile_count"], rows=rows)
     if args.svg:
         for name, title, x_label, rows in histograms:
-            hist_svg = out_dir / f"{name}_hist.svg"
-            hist_svg.write_text(render_histogram_svg(rows, title, x_label))
-            outputs.append(str(hist_svg))
-
-    _write_manifest(out_dir / "manifest.json", "ensemble", asdict(config), [], outputs)
+            outputs[out_dir / f"{name}_hist.svg"] = render_histogram_svg(rows, title, x_label)
+    _write_outputs(out_dir / "manifest.json", "ensemble", asdict(config), [], outputs)
 
     _print_summary(report)
     print(f"wrote {out_dir}")
-    if not robust or not fragile:
+    if not all(fidelities):
         print("warning: one outcome class is empty; gap and class comparisons are reported as null",
               file=sys.stderr)
     return 0
@@ -247,16 +245,13 @@ def cmd_sweep(args) -> int:
 
     if args.out_csv:
         out_csv = Path(args.out_csv)
-        with out_csv.open("w") as stream:
-            write_csv(stream, ["kappa", "gap", "robust_fraction", "valid"],
-                      [(p.kappa, p.gap, p.robust_fraction, p.valid) for p in result.grid])
-        _write_manifest(out_csv.with_suffix(out_csv.suffix + ".manifest.json"), "sweep",
-                        asdict(config), [], [str(out_csv)])
+        rows = [(p.kappa, p.gap, p.robust_fraction, p.valid) for p in result.grid]
+        _write_outputs(out_csv.with_suffix(out_csv.suffix + ".manifest.json"), "sweep", asdict(config), [], {
+            out_csv: partial(write_csv, header=["kappa", "gap", "robust_fraction", "valid"], rows=rows)})
 
     for point in result.grid:
-        gap = "absent" if point.gap is None else f"{point.gap:.6f}"
         print(f"kappa={point.kappa:.2f} robust_fraction={point.robust_fraction:.3f} "
-              f"gap={gap} valid={int(point.valid)}")
+              f"gap={_fmt(point.gap, '0.6f', 'absent')} valid={int(point.valid)}")
     print(f"selected_kappa={result.selected_kappa!r}")
     return 0
 
@@ -281,17 +276,17 @@ def cmd_report(args) -> int:
 
 
 def _add_pruning_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", dest="pruning_mode", choices=PRUNING_MODES, default="causal")
+    parser.add_argument("--mode", dest="pruning_mode", choices=PRUNING_MODES, default=EnsembleConfig.pruning_mode)
     parser.add_argument("--classify-threshold", type=float, default=DEFAULT_CLASSIFY_THRESHOLD)
     parser.add_argument("--small-angle-threshold", type=float, default=DEFAULT_SMALL_ANGLE_THRESHOLD)
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by `ensemble` and `sweep`."""
+def _add_run_flags(parser: argparse.ArgumentParser, config: type[EnsembleConfig | SweepConfig]) -> None:
+    """Flags shared by `ensemble` and `sweep`, defaults from their `config` class."""
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--alpha", type=float, required=True)
     parser.add_argument("--rho", type=float, required=True)
-    parser.add_argument("--base-seed", type=int, default=0)
+    parser.add_argument("--base-seed", type=int, default=config.base_seed)
     parser.add_argument("--threads", type=int, default=None, help="parallel workers (default: all cores)")
     _add_pruning_flags(parser)
 
@@ -323,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     prn.set_defaults(func=cmd_prune)
 
     ens = sub.add_parser("ensemble", help="run a full ensemble experiment")
-    _add_run_flags(ens)
+    _add_run_flags(ens, EnsembleConfig)
     ens.add_argument("--kappa", type=float, required=True)
-    ens.add_argument("--count", dest="circuit_count", metavar="COUNT", type=int, default=100,
+    ens.add_argument("--count", dest="circuit_count", metavar="COUNT", type=int, default=EnsembleConfig.circuit_count,
                      help="number of circuits")
     ens.add_argument("--out-dir", required=True)
     ens.add_argument("--bins", type=int, default=HISTOGRAM_BINS, help="histogram bin count")
@@ -333,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     ens.set_defaults(func=cmd_ensemble)
 
     swp = sub.add_parser("sweep", help="search the kappa grid for the clearest transition")
-    _add_run_flags(swp)
-    swp.add_argument("--probes", dest="probe_count", metavar="PROBES", type=int, default=30,
+    _add_run_flags(swp, SweepConfig)
+    swp.add_argument("--probes", dest="probe_count", metavar="PROBES", type=int, default=SweepConfig.probe_count,
                      help="probe circuits per grid point")
-    swp.add_argument("--kappa-start", type=float, default=0.05)
-    swp.add_argument("--kappa-stop", type=float, default=0.40)
-    swp.add_argument("--kappa-step", type=float, default=0.03)
+    swp.add_argument("--kappa-start", type=float, default=SweepConfig.kappa_start)
+    swp.add_argument("--kappa-stop", type=float, default=SweepConfig.kappa_stop)
+    swp.add_argument("--kappa-step", type=float, default=SweepConfig.kappa_step)
     swp.add_argument("--out-csv", default=None, help="sweep table CSV path")
     swp.set_defaults(func=cmd_sweep)
 
@@ -354,15 +349,9 @@ def main(argv=None) -> int:
     try:
         qubit_cap()  # a malformed QBRITTLE_MAX_QUBITS exits 2 before any work
         return args.func(args)
-    except (InvalidParameterError, CircuitFormatError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoTransitionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return EXIT_CODES[type(exc)]
     except BrokenPipeError:
         raise  # stdout's reader left; entry() handles it
     except OSError as exc:

@@ -17,10 +17,10 @@ from functools import partial
 from typing import IO, Callable, Iterable, Sequence
 
 from . import stats as st
-from .circuits import Axis, GenerationParams, circuit_depth, generate_uniform
+from .circuits import Axis, GenerationParams, circuit_depth, expected_gate_count, generate_uniform
 from .codec import decode, encode, write_csv
 from .errors import CircuitFormatError, InvalidParameterError, NoTransitionError, UndefinedStatisticError
-from .pruning import PRUNING_MODES, importance_profile, prune
+from .pruning import PRUNING_MODES, importance_profile, prune, removal_quota
 from .stats import AngleStats, ClassLabel
 
 __all__ = [
@@ -52,6 +52,15 @@ MAX_SWEEP_POINTS = 1000
 FINGERPRINT_STATS = ("mean_theta", "std_theta", "small_angle_ratio")
 
 
+def _validate_run(config: EnsembleConfig | SweepConfig, kappa: float) -> None:
+    """The checks both run configs share: the generator parameters, the pruning
+    mode, and a kappa that removes at least one gate of every circuit."""
+    GenerationParams(config.n, config.alpha, config.rho, config.base_seed)
+    if config.pruning_mode not in PRUNING_MODES:
+        raise InvalidParameterError(f"pruning_mode must be one of {PRUNING_MODES}, got {config.pruning_mode!r}")
+    removal_quota(kappa, expected_gate_count(config.n, config.alpha, config.rho))
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     n: int
@@ -65,13 +74,9 @@ class EnsembleConfig:
     pruning_mode: str = "causal"
 
     def __post_init__(self) -> None:
-        GenerationParams(self.n, self.alpha, self.rho, self.base_seed)  # validates n/alpha/rho/seed
+        _validate_run(self, self.kappa)
         if self.circuit_count < 2:
             raise InvalidParameterError(f"circuit_count must be >= 2, got {self.circuit_count}")
-        if not 0.0 < self.kappa < 1.0:
-            raise InvalidParameterError(f"kappa must lie in (0, 1), got {self.kappa}")
-        if self.pruning_mode not in PRUNING_MODES:
-            raise InvalidParameterError(f"pruning_mode must be one of {PRUNING_MODES}, got {self.pruning_mode!r}")
 
     def seed_for(self, k: int) -> int:
         return self.base_seed + k
@@ -130,27 +135,16 @@ def _build_record(config: EnsembleConfig, k: int) -> CircuitRecord:
     circuit = generate_uniform(GenerationParams(config.n, config.alpha, config.rho, seed))
     profile = importance_profile(circuit)
     result = prune(circuit, config.kappa, config.pruning_mode, config.small_angle_threshold, profile)
-    angle_summary = st.angle_stats(circuit, config.small_angle_threshold)
-    try:
-        correlation = st.angle_importance_r(circuit, profile)
-    except UndefinedStatisticError:
-        correlation = None
-    try:
-        entropy = st.shannon_entropy(profile)
-        concentration = st.gini(profile)
-    except UndefinedStatisticError:
-        entropy = None
-        concentration = None
     return CircuitRecord(
         seed=seed,
         gate_count=len(circuit.gates),
         depth=circuit_depth(circuit),
         fidelity=result.fidelity,
         label=st.classify(result.fidelity, config.classify_threshold),
-        angle_stats=angle_summary,
-        angle_importance_r=correlation,
-        importance_entropy=entropy,
-        importance_gini=concentration,
+        angle_stats=st.angle_stats(circuit, config.small_angle_threshold),
+        angle_importance_r=_defined(st.angle_importance_r, circuit, profile),
+        importance_entropy=_defined(st.shannon_entropy, profile),
+        importance_gini=_defined(st.gini, profile),
     )
 
 
@@ -166,79 +160,54 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int | None) -> list:
         return list(pool.map(fn, items, chunksize=chunksize))
 
 
-def _mean_or_none(values: Sequence[float]) -> float | None:
-    values = [v for v in values if v is not None]
-    if not values:
-        return None
-    return float(sum(values)) / len(values)
-
-
-def _welch_p_or_none(a: Sequence[float], b: Sequence[float]) -> float | None:
-    a = [v for v in a if v is not None]
-    b = [v for v in b if v is not None]
-    if len(a) < 2 or len(b) < 2:
-        return None
+def _defined(stat: Callable, *args):
+    """stat(*args), or None where the statistic is undefined for the data."""
     try:
-        return st.welch_t_test(a, b).p_value
+        return stat(*args)
     except UndefinedStatisticError:
         return None
+
+
+def _by_class(labelled: Iterable[tuple[ClassLabel, float | None]]) -> tuple[list, list]:
+    """The values of (label, value) pairs, robust then fragile; None values are dropped."""
+    split = {label: [] for label in ClassLabel}
+    for label, value in labelled:
+        if value is not None:
+            split[label].append(value)
+    return split[ClassLabel.ROBUST], split[ClassLabel.FRAGILE]
+
+
+def _mean_or_none(values: Sequence[float]) -> float | None:
+    return float(sum(values)) / len(values) if values else None
+
+
+def _compare(records: Sequence[CircuitRecord], value: Callable) -> tuple[float | None, float | None, float | None]:
+    """The robust and fragile means of value(record) and the Welch p-value between them."""
+    robust, fragile = _by_class((r.label, value(r)) for r in records)
+    test = _defined(st.welch_t_test, robust, fragile)
+    return _mean_or_none(robust), _mean_or_none(fragile), None if test is None else test.p_value
 
 
 def _aggregate(config: EnsembleConfig, records: Sequence[CircuitRecord]) -> EnsembleReport:
-    robust = [r for r in records if r.label is ClassLabel.ROBUST]
-    fragile = [r for r in records if r.label is ClassLabel.FRAGILE]
-    total = len(records)
-
-    class_summary = {}
-    for name, group in (("robust", robust), ("fragile", fragile)):
-        class_summary[name] = ClassSummary(
-            count=len(group),
-            fraction=len(group) / total,
-            mean_fidelity=_mean_or_none([r.fidelity for r in group]),
-        )
-
-    gap = None
-    if robust and fragile:
-        gap = st.fidelity_gap([r.fidelity for r in robust], [r.fidelity for r in fragile])
-    try:
-        effect = st.cohens_d([r.fidelity for r in robust], [r.fidelity for r in fragile]) \
-            if len(robust) >= 2 and len(fragile) >= 2 else None
-    except UndefinedStatisticError:
-        effect = None
-
-    fingerprint = {}
-    for stat in FINGERPRINT_STATS:
-        rv = [getattr(r.angle_stats, stat) for r in robust]
-        fv = [getattr(r.angle_stats, stat) for r in fragile]
-        fingerprint[stat] = FingerprintEntry(
-            robust_mean=_mean_or_none(rv),
-            fragile_mean=_mean_or_none(fv),
-            p_value=_welch_p_or_none(rv, fv),
-        )
-
-    per_axis_p = {}
-    for axis in Axis:
-        rv = [r.angle_stats.per_axis[axis].mean for r in robust]
-        fv = [r.angle_stats.per_axis[axis].mean for r in fragile]
-        per_axis_p[axis.value] = _welch_p_or_none(rv, fv)
-
-    rr = [r.angle_importance_r for r in robust]
-    fr = [r.angle_importance_r for r in fragile]
-    correlation = CorrelationSummary(
-        robust_mean_r=_mean_or_none(rr),
-        fragile_mean_r=_mean_or_none(fr),
-        p_value=_welch_p_or_none(rr, fr),
-    )
-
+    fidelities = _by_class((r.label, r.fidelity) for r in records)
     return EnsembleReport(
         config=config,
         records=tuple(records),
-        class_summary=class_summary,
-        fidelity_gap=gap,
-        cohens_d_fidelity=effect,
-        angle_fingerprint=fingerprint,
-        per_axis_p=per_axis_p,
-        correlation_summary=correlation,
+        class_summary={
+            label.value: ClassSummary(count=len(group), fraction=len(group) / len(records),
+                                      mean_fidelity=_mean_or_none(group))
+            for label, group in zip(ClassLabel, fidelities)
+        },
+        fidelity_gap=_defined(st.fidelity_gap, *fidelities),
+        cohens_d_fidelity=_defined(st.cohens_d, *fidelities),
+        angle_fingerprint={
+            stat: FingerprintEntry(*_compare(records, lambda r: getattr(r.angle_stats, stat)))
+            for stat in FINGERPRINT_STATS
+        },
+        per_axis_p={
+            axis.value: _compare(records, lambda r: r.angle_stats.per_axis[axis].mean)[2] for axis in Axis
+        },
+        correlation_summary=CorrelationSummary(*_compare(records, lambda r: r.angle_importance_r)),
     )
 
 
@@ -268,22 +237,20 @@ class SweepConfig:
     pruning_mode: str = "causal"
 
     def __post_init__(self) -> None:
-        GenerationParams(self.n, self.alpha, self.rho, self.base_seed)
         if self.probe_count < 2:
             raise InvalidParameterError(f"probe_count must be >= 2, got {self.probe_count}")
         if not 0.0 < self.kappa_start <= self.kappa_stop < 1.0:
             raise InvalidParameterError(
                 f"kappa grid [{self.kappa_start}, {self.kappa_stop}] must lie inside (0, 1)"
             )
-        if not self.kappa_step > 0:  # also rejects NaN, which would never end the grid
+        if not self.kappa_step > 0:  # also rejects NaN, which has no point count
             raise InvalidParameterError(f"kappa_step must be positive, got {self.kappa_step}")
-        points = math.floor((self.kappa_stop - self.kappa_start) / self.kappa_step) + 1
+        points = _grid_size(self)
         if points > MAX_SWEEP_POINTS:
             raise InvalidParameterError(
                 f"kappa grid would have {points} points; at most {MAX_SWEEP_POINTS} are allowed"
             )
-        if self.pruning_mode not in PRUNING_MODES:
-            raise InvalidParameterError(f"pruning_mode must be one of {PRUNING_MODES}, got {self.pruning_mode!r}")
+        _validate_run(self, round(self.kappa_start, 9))  # the first grid point: the quota grows with kappa
 
 
 @dataclass(frozen=True)
@@ -300,17 +267,17 @@ class SweepResult:
     selected_kappa: float
 
 
+def _grid_size(config: SweepConfig) -> int | float:
+    """Points of the kappa grid: floor((stop - start) / step) + 1, the quotient
+    rounded to 9 decimals so that a decimal step lands on kappa_stop. A step
+    too small for the quotient to be finite counts as math.inf points."""
+    steps = round((config.kappa_stop - config.kappa_start) / config.kappa_step, 9)
+    return math.floor(steps) + 1 if math.isfinite(steps) else math.inf
+
+
 def sweep_grid(config: SweepConfig) -> list[float]:
-    """Grid values kappa_start, kappa_start + step, ... up to kappa_stop."""
-    grid = []
-    i = 0
-    while True:
-        kappa = round(config.kappa_start + i * config.kappa_step, 9)
-        if kappa > config.kappa_stop + 1e-12:
-            break
-        grid.append(kappa)
-        i += 1
-    return grid
+    """Grid values kappa_start, kappa_start + step, ... up to kappa_stop, each rounded to 9 decimals."""
+    return [round(config.kappa_start + i * config.kappa_step, 9) for i in range(_grid_size(config))]
 
 
 def _probe_fidelity(config: SweepConfig, task: tuple[int, float, int]) -> float:
@@ -335,13 +302,9 @@ def kappa_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
     points = []
     for gi, kappa in enumerate(grid):
         fids = fidelities[gi * config.probe_count:(gi + 1) * config.probe_count]
-        split = {label: [] for label in ClassLabel}
-        for f in fids:
-            split[st.classify(f, config.classify_threshold)].append(f)
-        robust, fragile = split[ClassLabel.ROBUST], split[ClassLabel.FRAGILE]
-        valid = bool(robust) and bool(fragile)
-        gap = st.fidelity_gap(robust, fragile) if valid else None
-        points.append(SweepPoint(kappa=kappa, gap=gap, robust_fraction=len(robust) / len(fids), valid=valid))
+        robust, fragile = _by_class((st.classify(f, config.classify_threshold), f) for f in fids)
+        gap = _defined(st.fidelity_gap, robust, fragile)
+        points.append(SweepPoint(kappa=kappa, gap=gap, robust_fraction=len(robust) / len(fids), valid=gap is not None))
     valid_points = [p for p in points if p.valid]
     if not valid_points:
         raise NoTransitionError(
@@ -353,9 +316,7 @@ def kappa_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
 
 
 def _fmt(value: float | None, fmt: str = "0.4f", absent: str = "n/a") -> str:
-    if value is None:
-        return absent
-    return format(value, fmt)
+    return absent if value is None else format(value, fmt)
 
 
 def compare_classes(report: EnsembleReport) -> str:

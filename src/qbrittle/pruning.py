@@ -15,7 +15,7 @@ one batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -108,28 +108,26 @@ def removal_quota(kappa: float, n_gates: int) -> int:
     return quota
 
 
-def _ranked_indices(importances: np.ndarray) -> np.ndarray:
-    # Ascending importance; stable sort makes ties resolve by gate index.
-    return np.argsort(importances, kind="stable")
-
-
-def _resolve_profile(circuit: Circuit, profile: ImportanceProfile | None) -> ImportanceProfile:
+def _prune(circuit: Circuit, kappa: float, profile: ImportanceProfile | None,
+           protected: Sequence[int]) -> CompressionResult:
+    """Delete the floor(kappa*N) least important gates outside `protected` in one batch."""
+    quota = removal_quota(kappa, len(circuit.gates))
     if profile is None:
-        return importance_profile(circuit)
-    if len(profile) != len(circuit.gates):
+        profile = importance_profile(circuit)
+    elif len(profile) != len(circuit.gates):
         raise InvalidParameterError(
             f"importance profile has {len(profile)} entries for a {len(circuit.gates)}-gate circuit"
         )
-    return profile
-
-
-def _finish(circuit: Circuit, profile: ImportanceProfile, removed: list[int]) -> CompressionResult:
+    # Ascending importance; stable sort makes ties resolve by gate index.
+    ranked = np.argsort(profile.importances, kind="stable")
+    if protected:
+        ranked = ranked[np.isin(ranked, protected, invert=True)]
+    removed = ranked[:quota].tolist()
     compressed = remove_gates(circuit, removed)
-    final_fidelity = fidelity(profile.baseline_state, run(compressed))
     return CompressionResult(
         compressed=compressed,
         removed_indices=tuple(removed),
-        fidelity=final_fidelity,
+        fidelity=fidelity(profile.baseline_state, run(compressed)),
         kappa_effective=len(removed) / len(circuit.gates),
     )
 
@@ -144,11 +142,7 @@ def causal_prune(
     `profile` may be passed to reuse a precomputed importance profile.
     removed_indices are reported in removal (ascending-importance) order.
     """
-    quota = removal_quota(kappa, len(circuit.gates))
-    profile = _resolve_profile(circuit, profile)
-    ranked = _ranked_indices(profile.importances)
-    removed = [int(i) for i in ranked[:quota]]
-    return _finish(circuit, profile, removed)
+    return _prune(circuit, kappa, profile, ())
 
 
 def risk_assess(circuit: Circuit, thresholds: RiskThresholds = RiskThresholds()) -> BrittlenessReport:
@@ -180,17 +174,13 @@ def aware_prune(
     cannot cover the quota, every candidate is removed and kappa_effective
     ends up below kappa.
     """
-    quota = removal_quota(kappa, len(circuit.gates))
-    profile = _resolve_profile(circuit, profile)
-    if not risk_assess(circuit, thresholds).brittle:
-        return causal_prune(circuit, kappa, profile=profile)
-    protected = {
-        i for i, gate in enumerate(circuit.gates)
-        if isinstance(gate, Rotation) and identity_distance(gate.theta) < thresholds.small_angle
-    }
-    ranked = [int(i) for i in _ranked_indices(profile.importances) if int(i) not in protected]
-    removed = ranked[:quota]
-    return _finish(circuit, profile, removed)
+    protected = ()
+    if risk_assess(circuit, thresholds).brittle:
+        protected = [
+            i for i, gate in enumerate(circuit.gates)
+            if isinstance(gate, Rotation) and identity_distance(gate.theta) < thresholds.small_angle
+        ]
+    return _prune(circuit, kappa, profile, protected)
 
 
 def prune(
@@ -205,8 +195,7 @@ def prune(
     if mode == "causal":
         return causal_prune(circuit, kappa, profile=profile)
     if mode == "aware":
-        thresholds = RiskThresholds(small_angle=small_angle_threshold)
-        return aware_prune(circuit, kappa, thresholds=thresholds, profile=profile)
+        return aware_prune(circuit, kappa, RiskThresholds(small_angle=small_angle_threshold), profile)
     raise InvalidParameterError(f"pruning mode must be one of {PRUNING_MODES}, got {mode!r}")
 
 

@@ -2,13 +2,17 @@
 README's import block uses only exported names, and the functions the
 benchmark tracer wraps still exist."""
 import ast
+import collections
+import functools
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import qbrittle
+from qbrittle import cli
 from qbrittle.circuits import Axis, Cnot, Rotation
 from qbrittle.simulator import StateVector, apply_gate
 
@@ -60,3 +64,46 @@ def test_benchmark_kernel_rows_calls_still_work():
     assert apply_gate(state, Rotation(Axis.X, 0, np.pi)) is state
     assert apply_gate(state, Cnot(0, 1)) is state
     assert np.isclose(abs(state.amplitudes[0b011]), 1.0)  # X on qubit 0, then CNOT 0 -> 1
+
+
+# The traced functions whose spans the benchmark's layer metrics read.
+TRACE_PATH = {"pruning": ("causal_prune", "importance_profile"), "simulator": ("run",),
+              "protocol": ("_build_record", "_probe_fidelity")}
+
+
+def test_benchmark_trace_reaches_every_layer(tmp_path, monkeypatch, capsys):
+    # Wrap each function wherever a qbrittle module binds it, as perfbench/tracing.py does.
+    calls = collections.Counter()
+    stack = []
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            calls[name] += 1
+            if name == "simulator.run" and "pruning.importance_profile" in stack:
+                calls["simulator.run inside pruning.importance_profile"] += 1
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return traced
+
+    modules = [m for name, m in list(sys.modules.items()) if name == "qbrittle" or name.startswith("qbrittle.")]
+    for layer, names in TRACE_PATH.items():
+        owner = importlib.import_module(f"qbrittle.{layer}")
+        for fn_name in names:
+            original = getattr(owner, fn_name)
+            wrapped = wrap(f"{layer}.{fn_name}", original)
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapped)
+
+    assert cli.main(["ensemble", "--n", "6", "--alpha", "1.0", "--rho", "0.3", "--kappa", "0.15", "--count", "4",
+                     "--out-dir", str(tmp_path / "ens"), "--threads", "1"]) == 0
+    assert cli.main(["sweep", "--n", "6", "--alpha", "1.0", "--rho", "0.2", "--probes", "6", "--kappa-start", "0.25",
+                     "--kappa-stop", "0.35", "--kappa-step", "0.05", "--threads", "1"]) == 0
+    names = [f"{layer}.{name}" for layer, names in TRACE_PATH.items() for name in names]
+    for name in names + ["simulator.run inside pruning.importance_profile"]:
+        assert calls[name] >= 2, (name, dict(calls))

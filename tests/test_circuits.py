@@ -233,3 +233,11 @@ def test_qasm_roundtrips_full_precision_angles():
     emitted = text.splitlines()[3]
     value = float(emitted[emitted.index("(") + 1:emitted.index(")")])
     assert value == theta
+
+
+def test_zero_layers_is_rejected_by_the_gate_count_too():
+    message = "alpha=0.1 yields zero layers for n=4"
+    with pytest.raises(InvalidParameterError, match=message):
+        expected_gate_count(4, 0.1, 0.2)  # once returned -2
+    with pytest.raises(InvalidParameterError, match=message):
+        generate_uniform(GenerationParams(4, 0.1, 0.2, seed=0))

@@ -388,3 +388,39 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _disk_full(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("writer, failing, flags", [
+    ("write_records_csv", "records.csv", ["ensemble", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--kappa", 0.15,
+                                          "--count", 4, "--threads", 1, "--svg", "--out-dir", "{out}"]),
+    ("write_importance_csv", "imp.csv", ["prune", "--in", "{circuit}", "--kappa", 0.2, "--out", "{out}/p.json",
+                                         "--importance-csv", "{out}/imp.csv", "--dump-state-csv", "{out}/s.csv"]),
+])
+def test_failed_write_leaves_no_output_and_no_temporary_file(tmp_path, capsys, monkeypatch, writer, failing, flags):
+    circuit = tmp_path / "c.json"
+    assert run_cli("generate", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--seed", 2, "--out", circuit) == 0
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, writer, _disk_full)
+    assert run_cli(*[str(a).format(out=out, circuit=circuit) for a in flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / failing}: No space left on device")
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "c.json.manifest.json", "out"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--kappa", 0.001], "removes no gates"),
+    (["--kappa", 0.2, "--alpha", 0.1], "yields zero layers"),
+])
+def test_ensemble_that_cannot_run_exits_before_making_its_directory(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.setattr(cli, "run_ensemble", no_compute)
+    code = run_cli("ensemble", "--n", 4, "--alpha", 1.0, "--rho", 0.3, "--count", 4, "--threads", 1,
+                   "--out-dir", tmp_path / "ens", *flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ens").exists()

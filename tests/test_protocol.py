@@ -1,9 +1,11 @@
 import io
 import json
+import random
 import re
 
 import pytest
 
+from qbrittle import protocol
 from qbrittle.circuits import expected_gate_count
 from qbrittle.errors import InvalidParameterError, NoTransitionError
 from qbrittle.protocol import (
@@ -231,3 +233,62 @@ def test_compare_classes_renders_tables():
 def test_compare_classes_marks_missing_p_values():
     text = compare_classes(_synthetic_report(None))
     assert "n/a (class too small)" in text
+
+
+def _reference_grid(start, stop, step):
+    # The grid as a loop that walks until it passes kappa_stop.
+    grid = []
+    while (kappa := round(start + len(grid) * step, 9)) <= stop + 1e-12:
+        grid.append(kappa)
+    return grid
+
+
+def test_sweep_grid_matches_the_reference_loop():
+    rng = random.Random(5)
+    for trial in range(500):
+        if trial % 2:  # decimal grids, as typed on the command line
+            digits = rng.choice((2, 3))
+            start = round(rng.uniform(0.01, 0.9), digits)
+            stop = round(rng.uniform(start, 0.99), digits)
+            step = round(rng.uniform(10 ** -digits, 0.3), digits)
+        else:
+            start = rng.uniform(0.01, 0.9)
+            stop = rng.uniform(start, 0.99)
+            step = rng.uniform(1e-3, 0.3)
+        config = SweepConfig(n=10, alpha=2.3, rho=0.28, kappa_start=start, kappa_stop=stop, kappa_step=step)
+        assert sweep_grid(config) == _reference_grid(start, stop, step), (start, stop, step)
+
+
+def test_sweep_grid_size_is_the_validated_size(monkeypatch):
+    # (stop - start) / step reads 999.9999999999998 here; the grid has 1,001 points.
+    with pytest.raises(InvalidParameterError, match="1001 points; at most 1000"):
+        SweepConfig(n=10, alpha=2.3, rho=0.28, kappa_start=0.2, kappa_stop=0.3, kappa_step=1e-4)
+    # (stop - start) / step reads 1.9999999999999998 here; the grid has 3 points.
+    three = dict(n=10, alpha=2.3, rho=0.28, kappa_start=0.1, kappa_stop=0.3, kappa_step=0.1)
+    assert sweep_grid(SweepConfig(**three)) == [0.1, 0.2, 0.3]
+    monkeypatch.setattr(protocol, "MAX_SWEEP_POINTS", 3)
+    SweepConfig(**three)
+    monkeypatch.setattr(protocol, "MAX_SWEEP_POINTS", 2)
+    with pytest.raises(InvalidParameterError, match="3 points; at most 2"):
+        SweepConfig(**three)
+
+
+def test_sweep_step_too_small_to_count_is_rejected():
+    with pytest.raises(InvalidParameterError, match="at most 1000"):
+        SweepConfig(n=10, alpha=2.3, rho=0.28, kappa_step=1e-320)  # (stop - start) / step overflows
+
+
+@pytest.mark.parametrize("make", [
+    lambda kappa: EnsembleConfig(n=10, alpha=2.3, rho=0.28, kappa=kappa),
+    lambda kappa: SweepConfig(n=10, alpha=2.3, rho=0.28, kappa_start=kappa),
+])
+def test_configs_reject_a_kappa_that_removes_no_gate(make):
+    make(0.003)  # floor(0.003 * 342) = 1
+    with pytest.raises(InvalidParameterError, match="removes no gates from a 342-gate circuit"):
+        make(0.001)
+
+
+@pytest.mark.parametrize("cls, extra", [(EnsembleConfig, {"kappa": 0.2}), (SweepConfig, {})])
+def test_configs_reject_zero_layers(cls, extra):
+    with pytest.raises(InvalidParameterError, match="yields zero layers"):
+        cls(n=4, alpha=0.1, rho=0.2, **extra)
