@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import repeat
 from typing import ClassVar, Iterable, Iterator, Union
 
 import numpy as np
@@ -43,6 +45,9 @@ __all__ = [
 SMALL_ANGLE_RANGE = (0.001, 0.05)
 LARGE_ANGLE_RANGE = (math.pi / 6, math.pi / 2)
 APPENDED_ANGLE_RANGE = (0.001, 0.01)
+# Most gates a generated circuit may have. The generator draws all of a
+# circuit's random words at once, so the count is checked before any draw.
+MAX_GATES = 1_000_000
 
 PROVENANCES = ("layered", "appended")
 
@@ -53,6 +58,9 @@ class Axis(str, Enum):
     X = "x"
     Y = "y"
     Z = "z"
+
+
+_AXES = (Axis.X, Axis.Y, Axis.Z)  # the generator's axis draw indexes this
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +95,10 @@ def floor_product(a: float, b: float) -> int:
 
 
 def layer_count(n: int, alpha: float) -> int:
-    """Number of rotation layers, floor(n * alpha); zero layers is an error."""
+    """Number of rotation layers, floor(n * alpha); zero layers is an error,
+    and so is an infinite, NaN or oversized n * alpha (see MAX_GATES)."""
+    if not n * alpha <= MAX_GATES:
+        raise InvalidParameterError(f"alpha={alpha} yields more than {MAX_GATES} gates for n={n}")
     layers = floor_product(n, alpha)
     if layers < 1:
         raise InvalidParameterError(f"alpha={alpha} yields zero layers for n={n}; need floor(n * alpha) >= 1")
@@ -100,9 +111,13 @@ def appended_count(n: int, rho: float) -> int:
 
 
 def expected_gate_count(n: int, alpha: float, rho: float) -> int:
-    """Closed-form gate count of a generated circuit: L*n + (L-1)*n/2 + floor(n*rho)."""
+    """Closed-form gate count of a generated circuit: L*n + (L-1)*n/2 + floor(n*rho).
+    A count above MAX_GATES is an error."""
     layers = layer_count(n, alpha)
-    return layers * n + (layers - 1) * (n // 2) + appended_count(n, rho)
+    count = layers * n + (layers - 1) * (n // 2) + appended_count(n, rho)
+    if count > MAX_GATES:
+        raise InvalidParameterError(f"n={n}, alpha={alpha}, rho={rho} yield {count} gates, more than {MAX_GATES}")
+    return count
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +135,13 @@ class GenerationParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 4:
+        # The types the JSON decoder reads back, so every accepted value round-trips.
+        for name, kinds, expected in (("n", int, "an integer"), ("alpha", (int, float), "a number"),
+                                      ("rho", (int, float), "a number"), ("seed", int, "an integer")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise InvalidParameterError(f"{name} must be {expected}, got {value!r}")
+        if self.n < 4:
             raise InvalidParameterError(f"qubit count must be an integer >= 4, got {self.n}")
         if self.n % 2 != 0:
             raise InvalidParameterError(f"qubit count must be even for the ring entangler, got {self.n}")
@@ -128,7 +149,7 @@ class GenerationParams:
             raise InvalidParameterError(f"depth factor alpha must be positive, got {self.alpha}")
         if not 0.0 <= self.rho <= 1.0:
             raise InvalidParameterError(f"redundancy rate rho must lie in [0, 1], got {self.rho}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
@@ -179,12 +200,105 @@ class Circuit:
                 yield i, gate
 
 
-def _entangler(n: int, layer: int) -> list[Cnot]:
+@lru_cache(maxsize=256)
+def _entangler(n: int, layer: int) -> tuple[Cnot, ...]:
     """Brick-wall CNOT sub-layer on a ring: even layers pair (2k, 2k+1), odd
-    layers pair (2k+1, (2k+2) mod n) including the wraparound (n-1, 0)."""
+    layers pair (2k+1, (2k+2) mod n) including the wraparound (n-1, 0).
+    Cached: the gates are immutable, so circuits on n qubits share them."""
     if layer % 2 == 0:
-        return [Cnot(2 * k, 2 * k + 1, layer) for k in range(n // 2)]
-    return [Cnot(2 * k + 1, (2 * k + 2) % n, layer) for k in range(n // 2)]
+        return tuple(Cnot(2 * k, 2 * k + 1, layer) for k in range(n // 2))
+    return tuple(Cnot(2 * k + 1, (2 * k + 2) % n, layer) for k in range(n // 2))
+
+
+class _RawDraws:
+    """The draws numpy's Generator makes from PCG64, decoded from raw 64-bit words.
+
+    A double (`random`, `uniform`) takes one whole word w as (w >> 11) * 2**-53.
+    A bounded integer (`integers(bound)`, bound < 2**32) takes a 32-bit draw x:
+    the low half of a fresh word, whose high half is kept for the next 32-bit
+    draw. Lemire's method maps x to (x * bound) >> 32 and rejects it, drawing
+    again, while (x * bound) mod 2**32 < (2**32 - bound) mod bound.
+    """
+
+    def __init__(self, bit_generator: np.random.PCG64, count: int) -> None:
+        self._bit_generator = bit_generator
+        self._words = bit_generator.random_raw(count)
+        self._cursor = 0  # next unread word
+        self._half: int | None = None  # high half kept for the next 32-bit draw
+
+    def _peek(self, count: int) -> np.ndarray:
+        """The next `count` words, not yet consumed. After a rejected draw the
+        words first taken can run short; the rest of the stream follows them."""
+        missing = self._cursor + count - len(self._words)
+        if missing > 0:
+            self._words = np.concatenate((self._words, self._bit_generator.random_raw(missing)))
+        return self._words[self._cursor:self._cursor + count]
+
+    def _take(self, count: int) -> np.ndarray:
+        words = self._peek(count)
+        self._cursor += count
+        return words
+
+    def _uint32(self) -> int:
+        if self._half is not None:
+            x, self._half = self._half, None
+            return x
+        word = int(self._take(1)[0])
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def draws(self, count: int, bound: int, doubles: int) -> tuple[np.ndarray, np.ndarray]:
+        """What `count` rounds of one integers(bound) call and then `doubles`
+        random() calls return: the integers, shape (count,), and the doubles,
+        shape (count, doubles).
+
+        With no half kept, rounds 2j and 2j+1 read 1 + 2 * doubles words: the
+        first holds both 32-bit draws, low half first, then come the doubles
+        of each round. Rounds are decoded this way in bulk up to the first
+        rejected draw; that round, and a round that starts on a kept half, are
+        decoded one draw at a time, and the bulk decode resumes after them.
+        """
+        values = np.empty(count, dtype=np.int64)
+        units = np.empty((count, doubles))
+        threshold = (2**32 - bound) % bound
+        stride = 1 + 2 * doubles
+        done = 0
+        while done < count:
+            if self._half is None:
+                rest = np.arange(count - done)
+                first = rest // 2 * stride  # the word of each round's 32-bit draw
+                second = rest % 2
+                words = self._peek(_word_count(len(rest), doubles))
+                products = ((words[first] >> (32 * second).astype(np.uint64)) & 0xFFFFFFFF) * np.uint64(bound)
+                rejected = np.flatnonzero((products & 0xFFFFFFFF) < threshold)
+                good = int(rejected[0]) if len(rejected) else len(rest)
+                values[done:done + good] = products[:good] >> 32
+                own = first[:good, None] + 1 + second[:good, None] * doubles + np.arange(doubles)
+                units[done:done + good] = (words[own] >> 11) * 2.0**-53
+                self._cursor += good // 2 * stride
+                if good % 2:
+                    self._half = int(words[first[good - 1]] >> 32)
+                    self._cursor += 1 + doubles
+                done += good
+                if done == count:
+                    break
+            product = self._uint32() * bound
+            while (product & 0xFFFFFFFF) < threshold:
+                product = self._uint32() * bound
+            values[done] = product >> 32
+            units[done] = (self._take(doubles) >> 11) * 2.0**-53
+            done += 1
+        return values, units
+
+
+def _word_count(count: int, doubles: int) -> int:
+    """Words `_RawDraws.draws(count, _, doubles)` reads when no draw is rejected."""
+    return (count // 2) * (1 + 2 * doubles) + (count % 2) * (1 + doubles)
+
+
+def _uniform(low: float, high: float, units: np.ndarray) -> np.ndarray:
+    """Generator.uniform(low, high) from its doubles, to the bit."""
+    return low + (high - low) * units
 
 
 def generate_uniform(params: GenerationParams) -> Circuit:
@@ -192,27 +306,38 @@ def generate_uniform(params: GenerationParams) -> Circuit:
 
     All circuits with the same (n, alpha, rho) share the exact gate count and
     CNOT skeleton; the seed varies only rotation axes, angles and the qubits
-    of the appended Rz gates. The PCG64 stream is consumed in a fixed order
-    (per layered gate: axis, angle branch, angle; per appended gate: qubit,
-    angle) so a seed pins the circuit bit-exactly.
+    of the appended Rz gates. The circuit is what numpy's Generator on
+    PCG64(seed) gives when called per layered gate as integers(3) for the
+    axis, random() < rho for the angle branch and uniform(low, high) for the
+    angle, then per appended gate as integers(n) for the qubit and
+    uniform(low, high) for the angle, so a seed pins the circuit bit-exactly.
+
+    All words are taken in one `random_raw` call. Layered gates read five per
+    pair: both axis draws (low 32 bits, then high), then each gate's branch
+    and angle words. Appended gates read three per pair: both qubit draws,
+    then each gate's angle word. A 32-bit draw that Lemire's method rejects
+    (for bound 3 only x = 0, about 2**-32 per draw) is redrawn from the next
+    32 bits of the stream, and every later draw shifts with it, as in the
+    Generator; see `_RawDraws`.
     """
     n = params.n
+    expected_gate_count(n, params.alpha, params.rho)  # the cap, before any draw
     layers = layer_count(n, params.alpha)
-    rng = np.random.default_rng(params.seed)
-    axes = (Axis.X, Axis.Y, Axis.Z)
+    appended = appended_count(n, params.rho)
+    stream = _RawDraws(np.random.PCG64(params.seed), _word_count(layers * n, 2) + _word_count(appended, 1))
+    axes, units = stream.draws(layers * n, 3, 2)
+    small = units[:, 0] < params.rho
+    thetas = np.where(small, _uniform(*SMALL_ANGLE_RANGE, units[:, 1]), _uniform(*LARGE_ANGLE_RANGE, units[:, 1]))
+    axes, layer_of = map(_AXES.__getitem__, axes.tolist()), (np.arange(layers * n) // n).tolist()
+    rotations = list(map(Rotation, axes, list(range(n)) * layers, thetas.tolist(), repeat("layered"), layer_of))
     gates: list[Gate] = []
     for layer in range(layers):
-        for qubit in range(n):
-            axis = axes[rng.integers(3)]
-            small = rng.random() < params.rho
-            low, high = SMALL_ANGLE_RANGE if small else LARGE_ANGLE_RANGE
-            gates.append(Rotation(axis, qubit, float(rng.uniform(low, high)), "layered", layer))
+        gates += rotations[layer * n:(layer + 1) * n]
         if layer != layers - 1:
-            gates.extend(_entangler(n, layer))
-    low, high = APPENDED_ANGLE_RANGE
-    for _ in range(appended_count(n, params.rho)):
-        qubit = int(rng.integers(n))  # with replacement
-        gates.append(Rotation(Axis.Z, qubit, float(rng.uniform(low, high)), "appended", layers))
+            gates += _entangler(n, layer)
+    qubits, units = stream.draws(appended, n, 1)  # with replacement
+    thetas = _uniform(*APPENDED_ANGLE_RANGE, units[:, 0])
+    gates.extend(Rotation(Axis.Z, q, t, "appended", layers) for q, t in zip(qubits.tolist(), thetas.tolist()))
     return Circuit(n, tuple(gates), params)
 
 

@@ -20,9 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuits import GenerationParams, circuit_depth, export_qasm, from_json, generate_uniform, to_json
+from .circuits import (GenerationParams, circuit_depth, expected_gate_count, export_qasm, from_json,
+                       generate_uniform, to_json)
 from .codec import write_csv
-from .errors import CircuitFormatError, InvalidParameterError, NoTransitionError, ResourceLimitError
+from .errors import (CircuitFormatError, InvalidParameterError, NoTransitionError, ResourceLimitError,
+                     UndefinedStatisticError)
 from .pruning import PRUNING_MODES, importance_profile, prune, removal_quota, write_importance_csv
 from .protocol import (
     EnsembleConfig,
@@ -41,7 +43,8 @@ from .stats import DEFAULT_CLASSIFY_THRESHOLD, DEFAULT_SMALL_ANGLE_THRESHOLD, cl
 
 HISTOGRAM_BINS = 40
 # The exit code of each error a command reports as one line on stderr.
-EXIT_CODES = {InvalidParameterError: 2, CircuitFormatError: 2, NoTransitionError: 3, ResourceLimitError: 4}
+EXIT_CODES = {InvalidParameterError: 2, CircuitFormatError: 2, UndefinedStatisticError: 2,
+              NoTransitionError: 3, ResourceLimitError: 4}
 
 
 def _write_outputs(manifest: Path, command: str, config: dict, inputs: list[str], outputs: dict) -> None:
@@ -154,6 +157,7 @@ def render_histogram_svg(rows, title: str, x_label: str) -> str:
 
 def cmd_generate(args) -> int:
     params = _config_from_args(GenerationParams, args)
+    expected_gate_count(params.n, params.alpha, params.rho)  # no layer or too many gates: exit 2 before any directory
     out = Path(args.out)
     _make_parents(out, args.qasm)
     circuit = generate_uniform(params)

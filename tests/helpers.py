@@ -2,14 +2,27 @@
 
 Everything here deliberately avoids the package's fast paths: states are built
 by multiplying explicit 2^n x 2^n gate matrices or by applying one gate at a
-time on stride views, and leave-one-out importance re-simulates each deletion
-from scratch.
+time on stride views, leave-one-out importance re-simulates each deletion
+from scratch, and circuits are generated with one Generator call per draw.
 """
 import math
 
 import numpy as np
 
-from qbrittle.circuits import Axis, Circuit, Cnot, Rotation, remove_gates
+from qbrittle.circuits import (
+    APPENDED_ANGLE_RANGE,
+    LARGE_ANGLE_RANGE,
+    SMALL_ANGLE_RANGE,
+    Axis,
+    Circuit,
+    Cnot,
+    GenerationParams,
+    Rotation,
+    _entangler,
+    appended_count,
+    layer_count,
+    remove_gates,
+)
 from qbrittle.simulator import fidelity, run
 
 
@@ -93,6 +106,30 @@ def reference_run(circuit: Circuit, losses: np.ndarray | None = None) -> np.ndar
         m = rotation_matrix(gate.axis, gate.theta)
         a[...], b[...] = m[0, 0] * a + m[0, 1] * b, m[1, 0] * a + m[1, 1] * b
     return amps
+
+
+def reference_generate(params: GenerationParams, rng: np.random.Generator | None = None) -> Circuit:
+    """`generate_uniform` one Generator call at a time: per layered gate its
+    axis, angle branch and angle; per appended gate its qubit and angle.
+    `rng` defaults to default_rng(params.seed)."""
+    n = params.n
+    layers = layer_count(n, params.alpha)
+    rng = np.random.default_rng(params.seed) if rng is None else rng
+    axes = (Axis.X, Axis.Y, Axis.Z)
+    gates = []
+    for layer in range(layers):
+        for qubit in range(n):
+            axis = axes[rng.integers(3)]
+            small = rng.random() < params.rho
+            low, high = SMALL_ANGLE_RANGE if small else LARGE_ANGLE_RANGE
+            gates.append(Rotation(axis, qubit, float(rng.uniform(low, high)), "layered", layer))
+        if layer != layers - 1:
+            gates.extend(_entangler(n, layer))
+    low, high = APPENDED_ANGLE_RANGE
+    for _ in range(appended_count(n, params.rho)):
+        qubit = int(rng.integers(n))  # with replacement
+        gates.append(Rotation(Axis.Z, qubit, float(rng.uniform(low, high)), "appended", layers))
+    return Circuit(n, tuple(gates), params)
 
 
 def random_circuit(rng: np.random.Generator, n: int, n_gates: int,

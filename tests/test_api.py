@@ -67,8 +67,8 @@ def test_benchmark_kernel_rows_calls_still_work():
 
 
 # The traced functions whose spans the benchmark's layer metrics read.
-TRACE_PATH = {"pruning": ("causal_prune", "importance_profile"), "simulator": ("run",),
-              "protocol": ("_build_record", "_probe_fidelity")}
+TRACE_PATH = {"circuits": ("generate_uniform",), "pruning": ("causal_prune", "importance_profile"),
+              "simulator": ("run",), "protocol": ("_build_record", "_probe_fidelity")}
 
 
 def test_benchmark_trace_reaches_every_layer(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from qbrittle import cli, protocol
-from qbrittle.circuits import Axis, Circuit, GenerationParams, Rotation, from_json, to_json
+from qbrittle.circuits import Axis, Circuit, Cnot, GenerationParams, Rotation, from_json, to_json
 from qbrittle.cli import entry, histogram_rows, main, render_histogram_svg
 from qbrittle.protocol import RECORD_CSV_COLUMNS, EnsembleConfig, SweepConfig
 
@@ -165,6 +165,18 @@ def test_prune_aware_equals_causal_for_non_brittle(tmp_path):
     assert run_cli("prune", "--in", path, "--kappa", 0.25, "--out", causal_out) == 0
     assert run_cli("prune", "--in", path, "--kappa", 0.25, "--mode", "aware", "--out", aware_out) == 0
     assert causal_out.read_bytes() == aware_out.read_bytes()
+
+
+def test_prune_aware_without_angle_statistics_exits_2(tmp_path):
+    # one rotation: the risk assessment's angle statistics are undefined
+    gates = (Rotation(Axis.X, 0, 0.3),) + tuple(Cnot(i % 4, (i + 1) % 4) for i in range(6))
+    path = tmp_path / "one.json"
+    path.write_text(to_json(Circuit(4, gates)) + "\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "qbrittle.cli", "prune", "--in", str(path), "--kappa", "0.5",
+                           "--mode", "aware"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: angle statistics need at least 2 rotation gates, found 1\n"
 
 
 def test_ensemble_outputs(tmp_path, capsys):

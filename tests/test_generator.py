@@ -1,0 +1,149 @@
+"""The circuit generator: pinned bytes, the per-draw oracle, rejected draws, the gate cap.
+
+`generate_uniform` decodes one bulk PCG64 draw; `helpers.reference_generate`
+makes one Generator call per draw. The hash below was taken from the per-draw
+generator, so it pins the bytes every seed gave before the bulk decode.
+"""
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from helpers import reference_generate
+from qbrittle import cli
+from qbrittle.circuits import (
+    MAX_GATES,
+    Circuit,
+    GenerationParams,
+    expected_gate_count,
+    from_json,
+    generate_uniform,
+    layer_count,
+    to_json,
+)
+from qbrittle.errors import InvalidParameterError
+
+GENERATED_SHA256 = "59599e629014d7b79ab6a7740746a8afce2548f1b4a1707dec53a70fa0053c6d"
+GENERATED_CASES = [(n, alpha, rho) for n in (4, 6, 10, 14, 16)
+                   for alpha, rho in ((1.0, 0.0), (2.3, 0.28), (1.5, 1.0), (0.5, 0.5), (3.0, 0.2))]
+GENERATED_SEEDS = (0, 1, 12345, 2**63, 2**64 - 1)
+
+PCG64 = np.random.PCG64
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def test_generated_circuits_are_pinned():
+    digest = hashlib.sha256()
+    for n, alpha, rho in GENERATED_CASES:
+        for seed in GENERATED_SEEDS:
+            digest.update(to_json(generate_uniform(GenerationParams(n, alpha, rho, seed))).encode())
+    assert digest.hexdigest() == GENERATED_SHA256
+
+
+def pcg64_with_word(index: int, word: int, seed: int = 0) -> np.random.PCG64:
+    """A PCG64 whose output word number `index` (from 0) is `word`.
+
+    PCG64 steps its 128-bit state s -> s * M + inc, then outputs the XOR of the
+    new state's halves rotated right by its top 6 bits. Choose the high half,
+    solve for the low half, and step the LCG back index + 1 times.
+    """
+    bit_generator = PCG64(seed)
+    state = bit_generator.state
+    inc = state["state"]["inc"]
+    high = 0x0123456789ABCDEF
+    rotation = high >> 58
+    low = high ^ ((word << rotation | word >> (64 - rotation)) & (2**64 - 1))
+    s = high << 64 | low
+    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
+    for _ in range(index + 1):
+        s = (s - inc) * inverse % 2**128
+    state["state"]["state"] = s
+    bit_generator.state = state
+    return bit_generator
+
+
+def test_pcg64_with_word_sets_the_word():
+    assert int(pcg64_with_word(7, 0xDEADBEEF00000000).random_raw(8)[7]) == 0xDEADBEEF00000000
+
+
+# (params, word index, word): layered pairs read 5 words (both axis draws, then
+# branch and angle of each gate); appended pairs 3 (both qubit draws, then angles).
+# A zero low or high half is a 32-bit draw of 0, which Lemire's method rejects
+# for bound 3 and for bound 6.
+REJECTIONS = {
+    "first axis draw": (GenerationParams(6, 1.0, 0.5, 7), 0, 0xDEADBEEF00000000),
+    "second axis draw": (GenerationParams(6, 1.0, 0.5, 7), 10, 0x00000000DEADBEEF),
+    "both halves, then the next word": (GenerationParams(6, 1.0, 0.5, 7), 5, 0),
+    "last axis draw": (GenerationParams(6, 1.0, 0.5, 7), 85, 0x00000000DEADBEEF),
+    "first appended qubit draw": (GenerationParams(6, 1.0, 0.5, 7), 90, 0xDEADBEEF00000000),
+    "last appended qubit draw, odd count": (GenerationParams(6, 1.0, 0.5, 7), 93, 0xDEADBEEF00000000),
+}
+
+
+@pytest.mark.parametrize("params, index, word", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_rejected_draw_gives_the_generator_circuit(params, index, word, monkeypatch):
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: pcg64_with_word(index, word, seed))
+    expected = reference_generate(params, np.random.Generator(pcg64_with_word(index, word, params.seed)))
+    assert generate_uniform(params) == expected
+
+
+def test_gate_cap_admits_max_gates():
+    assert expected_gate_count(4, 41666.75, 0.0) == MAX_GATES  # 166,667 layers
+
+
+@pytest.mark.parametrize("alpha", [math.inf, 1e300, 41666.75])
+def test_gate_count_is_capped_before_any_draw(alpha, monkeypatch):
+    monkeypatch.setattr(np.random, "PCG64", None)  # a draw would fail with a TypeError
+    params = GenerationParams(4, alpha, 0.25, 0)  # 41666.75 with rho 0.25: MAX_GATES + 1
+    with pytest.raises(InvalidParameterError, match=f"more than {MAX_GATES}"):
+        expected_gate_count(params.n, params.alpha, params.rho)
+    with pytest.raises(InvalidParameterError, match=f"more than {MAX_GATES}"):
+        generate_uniform(params)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, 1e300])
+def test_layer_count_rejects_an_unbounded_product(alpha):
+    with pytest.raises(InvalidParameterError, match=f"more than {MAX_GATES}"):
+        layer_count(10, alpha)
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("nothing may be generated")
+
+
+@pytest.mark.parametrize("alpha", ["inf", "1e300", "41666.75"])
+@pytest.mark.parametrize("command", [
+    ["generate", "--seed", "0", "--out", "{out}/c.json"],
+    ["ensemble", "--kappa", "0.1", "--out-dir", "{out}"],
+    ["sweep", "--out-csv", "{out}/s.csv"],
+])
+def test_oversized_circuits_exit_2_before_any_directory(tmp_path, capsys, monkeypatch, command, alpha):
+    for name in ("generate_uniform", "run_ensemble", "kappa_sweep"):
+        monkeypatch.setattr(cli, name, _fail)
+    out = tmp_path / "out"
+    argv = [arg.format(out=out) for arg in command] + ["--n", "4", "--alpha", alpha, "--rho", "0.25"]
+    assert cli.main(argv) == 2
+    assert f"more than {MAX_GATES}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["n", "alpha", "rho", "seed"])
+def test_generation_params_reject_bools(field):
+    values = dict(n=4, alpha=1.0, rho=0.25, seed=3)
+    with pytest.raises(InvalidParameterError, match=f"{field} must be"):
+        GenerationParams(**{**values, field: True})
+
+
+@pytest.mark.parametrize("params", [GenerationParams(4, 1, 0, 0), GenerationParams(4, 1.0, 1, 2**64 - 1),
+                                    GenerationParams(4, 0.1, 0.25, 5)])
+def test_accepted_generation_params_round_trip(params):
+    circuit = Circuit(4, (), params)
+    assert from_json(to_json(circuit)) == circuit
+
+
+def test_non_numbers_are_rejected_as_parameters():
+    with pytest.raises(InvalidParameterError, match="alpha must be a number"):
+        GenerationParams(4, "1.0", 0.25, 0)
+    with pytest.raises(InvalidParameterError, match="rho must be a number"):
+        GenerationParams(4, 1.0, np.float32(0.25), 0)

@@ -2,7 +2,8 @@
 
 The importance profile, its analytic bound and the simulator are checked
 against the independent oracles in `helpers`, the block splitter of `run`
-against the per-gate `reference_run` on circuits no generator would make;
+against the per-gate `reference_run` on circuits no generator would make,
+the bulk-draw generator against the per-draw `reference_generate`;
 the JSON and QASM formats and the concentration statistics against their
 definitions. Examples are derandomized and capped, so the file runs in a few
 seconds and the same way every time.
@@ -16,8 +17,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_reference_state, naive_importances, reference_run
-from qbrittle.circuits import Axis, Circuit, Cnot, GenerationParams, Rotation, export_qasm, from_json, to_json
+from helpers import dense_reference_state, naive_importances, reference_generate, reference_run
+from qbrittle.circuits import (Axis, Circuit, Cnot, GenerationParams, Rotation, export_qasm, from_json,
+                               generate_uniform, to_json)
 from qbrittle.pruning import importance_profile
 from qbrittle.simulator import run
 from qbrittle.stats import gini, identity_distance, shannon_entropy
@@ -120,6 +122,13 @@ def test_phase_circuits_score_exactly_zero(circuit):
 @given(circuits())
 def test_run_matches_dense_oracle(circuit):
     assert np.max(np.abs(run(circuit).amplitudes - dense_reference_state(circuit))) <= 1e-10
+
+
+@EXAMPLES
+@given(st.builds(GenerationParams, st.sampled_from([4, 6, 8, 10]), st.floats(0.25, 3.0), st.floats(0.0, 1.0),
+                 st.integers(0, 2**64 - 1)))
+def test_generator_matches_per_draw_oracle(params):
+    assert generate_uniform(params) == reference_generate(params)
 
 
 PARAMS = st.one_of(st.none(), st.builds(
