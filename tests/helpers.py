@@ -77,6 +77,58 @@ def _cnot_blocks(amps: np.ndarray, n: int, gate: Cnot) -> tuple[np.ndarray, np.n
     return view[:, :, :, 0], view[:, 0, :, 1], view[:, 1, :, 1]
 
 
+def _target_halves(a: np.ndarray, n: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the entries of `a` with the control set and the target clear, and set."""
+    hi, lo = max(control, target), min(control, target)
+    view = a.reshape(1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    return (view[:, 1, :, 0], view[:, 1, :, 1]) if control == hi else (view[:, 0, :, 1], view[:, 1, :, 1])
+
+
+def cnot_gaps(amps: np.ndarray, n: int, pairs) -> list[float]:
+    """|t0 - t1|^2 of each CNOT, one subtract and one sum per pair: the control=1
+    amplitudes with the target clear minus set, summed as squares of the float
+    view in the order of the views above."""
+    diff = np.empty(1 << (n - 2), dtype=complex)
+    flat = diff.view(np.float64)
+    gaps = []
+    for control, target in pairs:
+        t0, t1 = _target_halves(amps, n, control, target)
+        np.subtract(t0, t1, out=diff.reshape(t0.shape))
+        gaps.append(np.einsum("i,i->", flat, flat))
+    return gaps
+
+
+def cnot_block_losses(circuit: Circuit) -> dict[int, float]:
+    """Each CNOT's loss g * (2 - g), g = min(|t0 - t1|^2, 2), with the gaps of
+    a block of consecutive CNOTs on disjoint qubits read pair by pair by
+    `cnot_gaps` from `run`'s own state at the block's start (the run of the
+    gates before it, which splits into the same blocks). Keyed by gate index."""
+    n, gates = circuit.n_qubits, circuit.gates
+    losses, block, used = {}, [], 0
+
+    def flush():
+        if block:
+            state = run(Circuit(n, gates[:block[0]])).amplitudes
+            gaps = cnot_gaps(state, n, [(gates[i].control, gates[i].target) for i in block])
+            for i, gap in zip(block, gaps):
+                gap = min(gap, 2.0)
+                losses[i] = gap * (2.0 - gap)
+
+    for i, gate in enumerate(gates):
+        if isinstance(gate, Rotation):
+            flush()
+            block, used = [], 0
+            continue
+        mask = (1 << gate.control) | (1 << gate.target)
+        if used & mask:
+            flush()
+            block, used = [], 0
+        block.append(i)
+        used |= mask
+    flush()
+    return losses
+
+
 def reference_run(circuit: Circuit, losses: np.ndarray | None = None) -> np.ndarray:
     """The final amplitudes, one gate at a time on stride views of the state.
 

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import dense_reference_state, random_circuit
+from helpers import cnot_block_losses, dense_reference_state, random_circuit, reference_run
 from qbrittle.circuits import Axis, Circuit, Cnot, GenerationParams, Rotation, generate_uniform
 from qbrittle.errors import InvalidParameterError, ResourceLimitError
 from qbrittle.simulator import DEFAULT_MAX_QUBITS, StateVector, apply_gate, fidelity, qubit_cap, run, zero_state
@@ -154,3 +157,96 @@ def test_run_losses_must_match_gate_count():
     circuit = Circuit(1, (Rotation(Axis.X, 0, 0.3), Rotation(Axis.Y, 0, 0.4)))
     with pytest.raises(InvalidParameterError):
         run(circuit, losses=np.empty(3))
+
+
+def _pairings(n: int) -> list[list[tuple[int, int]]]:
+    """CNOT layers with controls below and above their targets, the ring
+    wraparound, an unpaired qubit where n is odd, and a one-pair block."""
+    return [
+        [(2 * k, 2 * k + 1) for k in range(n // 2)],
+        [(2 * k + 1, 2 * k) for k in range(n // 2)],
+        [(n - 1, 0)] + [(2 * k + 2, 2 * k + 1) for k in range((n - 2) // 2)],
+        [(2 * k + 1, (2 * k + 2) % n) for k in range(n // 2)],
+        [(3, n - 2)],
+        [(0, n - 1), (n - 2, 1)],
+    ]
+
+
+def _layered_circuit(n: int, seed: int) -> Circuit:
+    """A rotation layer on every qubit before each CNOT layer of `_pairings`."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for pairs in _pairings(n) * 2:
+        gates += [Rotation((Axis.X, Axis.Y, Axis.Z)[rng.integers(3)], q, float(rng.uniform(-math.pi, math.pi)))
+                  for q in range(n)]
+        gates += [Cnot(control, target) for control, target in pairs]
+    return Circuit(n, tuple(gates))
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_cnot_losses_match_per_pair_gaps(n):
+    circuit = _layered_circuit(n, seed=n)
+    losses = np.empty(len(circuit.gates))
+    amplitudes = run(circuit, losses).amplitudes
+    expected = cnot_block_losses(circuit)
+    cnots = sorted(expected)
+    assert len(cnots) == sum(len(pairs) for pairs in _pairings(n)) * 2
+    assert np.array_equal(losses[cnots], [expected[i] for i in cnots])
+    assert losses[cnots].max() > 0.0
+    reference = np.empty(len(circuit.gates))
+    assert np.max(np.abs(amplitudes - reference_run(circuit, reference))) < 1e-12
+    assert np.max(np.abs(losses - reference)) < 1e-12
+
+
+def test_generated_cnot_losses_match_per_pair_gaps():
+    circuit = generate_uniform(GenerationParams(10, 1.0, 0.28, seed=5))
+    losses = np.empty(len(circuit.gates))
+    run(circuit, losses)
+    expected = cnot_block_losses(circuit)
+    assert np.array_equal(losses[sorted(expected)], [expected[i] for i in sorted(expected)])
+
+
+def test_warm_16q_run_peak_memory():
+    # 4.32 states was the peak of the simulator before its CNOT gaps were
+    # read through a cached gather; the state-sized transients must not grow.
+    circuit = generate_uniform(GenerationParams(16, 1.0, 0.28, seed=1))
+    losses = np.empty(len(circuit.gates))
+    run(circuit, losses)  # fills the caches, which are not a run's own cost
+    tracemalloc.start()
+    try:
+        run(circuit, losses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.32 * (16 << 16)
+
+
+def test_concurrent_runs_match_serial_runs():
+    circuits = [generate_uniform(GenerationParams(n, 1.0, 0.28, seed=n)) for n in (10, 14, 10, 14)]
+    serial = []
+    for circuit in circuits:
+        losses = np.empty(len(circuit.gates))
+        serial.append((run(circuit, losses).amplitudes, losses))
+    results = [[] for _ in circuits]
+
+    def work(k):
+        for _ in range(3):
+            losses = np.empty(len(circuits[k].gates))
+            results[k].append((run(circuits[k], losses).amplitudes, losses))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(circuits))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for (amplitudes, losses), runs in zip(serial, results):
+        assert len(runs) == 3
+        for got_amplitudes, got_losses in runs:
+            assert np.array_equal(got_amplitudes, amplitudes)
+            assert np.array_equal(got_losses, losses)
