@@ -25,7 +25,8 @@ from .circuits import (GenerationParams, circuit_depth, expected_gate_count, exp
 from .codec import write_csv
 from .errors import (CircuitFormatError, InvalidParameterError, NoTransitionError, ResourceLimitError,
                      UndefinedStatisticError)
-from .pruning import PRUNING_MODES, importance_profile, prune, removal_quota, write_importance_csv
+from .pruning import (PRUNING_MODES, RiskThresholds, importance_profile, prune, removal_quota, risk_assess,
+                      write_importance_csv)
 from .protocol import (
     EnsembleConfig,
     SweepConfig,
@@ -176,6 +177,8 @@ def cmd_prune(args) -> int:
     except OSError as exc:
         raise CircuitFormatError(f"cannot read {in_path}: {exc}") from None
     removal_quota(args.kappa, len(circuit.gates))
+    if args.pruning_mode == "aware":  # needs no simulation: fail before any directory is made
+        risk_assess(circuit, RiskThresholds(small_angle=args.small_angle_threshold))
     _make_parents(args.out, args.importance_csv, args.dump_state_csv)
     profile = importance_profile(circuit)
     result = prune(circuit, args.kappa, args.pruning_mode, args.small_angle_threshold, profile)

@@ -179,6 +179,19 @@ def test_prune_aware_without_angle_statistics_exits_2(tmp_path):
     assert proc.stderr == "error: angle statistics need at least 2 rotation gates, found 1\n"
 
 
+def test_prune_aware_without_angle_statistics_makes_no_directory(tmp_path):
+    gates = (Rotation(Axis.X, 0, 0.3),) + tuple(Cnot(i % 4, (i + 1) % 4) for i in range(6))
+    path = tmp_path / "one.json"
+    path.write_text(to_json(Circuit(4, gates)) + "\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "qbrittle.cli", "prune", "--in", str(path), "--kappa", "0.5",
+                           "--mode", "aware", "--out", str(tmp_path / "new" / "p.json")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: angle statistics need at least 2 rotation gates, found 1\n"
+    assert not (tmp_path / "new").exists()
+
+
 def test_ensemble_outputs(tmp_path, capsys):
     out_dir = tmp_path / "ens"
     code = run_cli("ensemble", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--kappa", 0.15,
