@@ -22,13 +22,26 @@ not touch, so every loss of a block is read from the state f at its start:
 <A>, P0 and P1 come from each chunk's reduced density matrix, a small Gram
 matrix of a view of f. 4*P0*P1 and g are sums of squares, so they are exactly
 0 when a half is exactly 0. The losses never touch the state: `run(c)` and
-`run(c, losses)` return the same bits.
+`run(c, losses)` return the same bits. A CNOT block's gaps come from one
+gather of every pair's halves t0, t1 through an index cached with the block's
+permutation, one subtract and one sum, on states of up to _GATHER_QUBITS
+qubits; on larger states, where strided views stream faster, pair by pair.
+
+Memory: a run holds the state and one state-sized buffer that each block
+writes into. Reading a rotation block's losses adds one reordered copy of
+the state per chunk, freed before the next, whose conjugate goes into the
+buffer. The cache holds the permutations of the last two CNOT pairings as
+int32, a quarter of a state each. A 20-qubit run peaks at about 3.6 states
+of traced memory (5.0 before the gather). The Kronecker factors are built in
+per-thread buffers sized by the chunk layout and kept across runs, so a
+steady stream of runs takes no fresh pages and threads may run at once.
 """
 from __future__ import annotations
 
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +60,17 @@ _CHUNK_QUBITS = 5
 # Rotation blocks whose chunk factors are built together: one batch of
 # Kronecker products instead of one per block, at a bounded memory cost.
 _FACTOR_BATCH = 8
+# A CNOT block's gaps are read through one cached gather on states of at most
+# this many qubits; on larger ones per-pair strided views stream faster (the
+# gather measured as fast at 14 qubits and half as fast at 16 and 20).
+_GATHER_QUBITS = 12
 
 # R_A(theta) = cos(theta/2) I + sin(theta/2) (-iA), stacked by axis code.
 _MINUS_I_PAULI = np.array([[[0, -1j], [-1j, 0]], [[0, -1], [1, 0]], [[-1j, 0], [0, 1j]]])
 _IDENTITY = np.eye(2, dtype=complex)
 _X, _Y = Axis.X, Axis.Y  # module constants: the enum's own attribute lookup is slow
+# Per thread: buffers that every run overwrites before it reads them.
+_scratch = threading.local()
 
 
 @dataclass
@@ -150,29 +169,62 @@ def _target_halves(a: np.ndarray, n: int, control: int, target: int) -> tuple[np
     return (view[:, 1, :, 0], view[:, 1, :, 1]) if control == hi else (view[:, 0, :, 1], view[:, 1, :, 1])
 
 
-@functools.lru_cache(maxsize=2)  # a generated circuit alternates two pairings; each index is 2^n int64
-def _cnot_permutation(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Gather index of a block of CNOTs on disjoint pairs, out[i] = in[perm[i]]:
-    the block applied to the basis labels 0 .. 2^n - 1."""
-    perm = np.arange(1 << n)
-    for control, target in pairs:
-        t0, t1 = _target_halves(perm, n, control, target)
-        t0[...], t1[...] = t1.copy(), t0.copy()
+# A generated circuit alternates two pairings; its compressed copy, with some
+# CNOTs removed, brings two more, which must not evict the first two.
+@functools.lru_cache(maxsize=4)
+def _cnot_indices(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """(perm, halves): gather indices of a block of CNOTs on disjoint pairs.
+
+    perm applies the block, out[i] = in[perm[i]]: the block applied to the
+    basis labels 0 .. 2^n - 1, as int32 (n < 31) to halve the cache. halves,
+    built only for n <= _GATHER_QUBITS, is halves[h, k] = the labels of pair
+    k's control=1 amplitudes with the target clear (h = 0) and set (h = 1),
+    in the order of `_target_halves`."""
+    labels = np.arange(1 << n, dtype=np.int32)
+    perm = labels.copy()
+    for control, target in pairs:  # the block flips each target bit whose control bit is set
+        perm ^= (labels >> control & 1) << target
     perm.flags.writeable = False  # cached: shared by every caller
-    return perm
+    halves = None
+    if n <= _GATHER_QUBITS:
+        halves = np.empty((2, len(pairs), 1 << (n - 2)), dtype=np.intp)
+        for k, pair in enumerate(pairs):
+            for h, view in enumerate(_target_halves(labels, n, *pair)):
+                halves[h, k].reshape(view.shape)[...] = view
+        halves.flags.writeable = False
+    return perm, halves
 
 
 def _kron_factors(mats: np.ndarray) -> np.ndarray:
-    """mats[..., -1, :, :] (x) ... (x) mats[..., 0, :, :]: qubit 0 of a chunk is its lowest bit."""
+    """mats[..., -1, :, :] (x) ... (x) mats[..., 0, :, :]: qubit 0 of a chunk is its lowest bit.
+
+    Built in two flat buffers of the calling thread in turn, sized for a
+    batch of factors of the chunk layout and kept for the next run, so that
+    steady-state runs take no fresh pages. The result is valid until the
+    next call on the same thread."""
+    lead = mats.shape[:-3]
+    size = math.prod(lead) << 2 * mats.shape[-3]
+    buffers = getattr(_scratch, "factors", None)
+    if buffers is None or len(buffers[0]) < size:
+        buffers = _scratch.factors = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
     factors = mats[..., 0, :, :]
     for p in range(1, mats.shape[-3]):
         d = 2 * factors.shape[-1]
-        factors = (mats[..., p, :, None, :, None] * factors[..., None, :, None, :]).reshape(*mats.shape[:-3], d, d)
+        out = buffers[p % 2][:math.prod(lead) * d * d].reshape(*lead, 2, d // 2, 2, d // 2)
+        np.multiply(mats[..., p, :, None, :, None], factors[..., None, :, None, :], out=out)
+        factors = out.reshape(*lead, d, d)
     return factors
 
 
-def _cnot_gaps(amps: np.ndarray, n: int, pairs: tuple[tuple[int, int], ...]) -> list[float]:
-    """|t0 - t1|^2 of each CNOT: the control=1 amplitudes with the target clear minus set."""
+def _cnot_gaps(amps: np.ndarray, n: int, pairs: list[tuple[int, int]], halves: np.ndarray | None) -> list[float]:
+    """|t0 - t1|^2 of each CNOT: the control=1 amplitudes with the target
+    clear minus set, summed as squares of the difference's float view."""
+    if halves is not None:
+        t = amps.take(halves)
+        diff = np.subtract(t[0], t[1], out=t[0]).view(np.float64)
+        # Rows of at most 2^(_GATHER_QUBITS - 1) floats fit one buffer of
+        # einsum's iterator, so each row sums as one einsum of it alone would.
+        return list(np.einsum("pi,pi->p", diff, diff))
     diff = np.empty(1 << (n - 2), dtype=complex)
     flat = diff.view(np.float64)
     gaps = []
@@ -202,9 +254,10 @@ def _evolve(amps: np.ndarray, n: int, gates: tuple[Gate, ...], losses: np.ndarra
     ordinal = 0
     for start, used, members in blocks:
         if codes[start] == 3:
+            perm, halves = _cnot_indices(n, tuple(members))
             if losses is not None:
-                gaps += _cnot_gaps(amps, n, members)
-            amps.take(_cnot_permutation(n, tuple(members)), out=buf)
+                gaps += _cnot_gaps(amps, n, members, halves)
+            amps.take(perm, out=buf, mode="clip")  # in range; "raise" would stage the result in a copy
             amps, buf = buf, amps
             continue
         if ordinal % _FACTOR_BATCH == 0:
@@ -213,7 +266,9 @@ def _evolve(amps: np.ndarray, n: int, gates: tuple[Gate, ...], losses: np.ndarra
         if losses is not None:
             for i, lo, hi in touched:
                 rows = amps.reshape(1 << (n - hi), -1, 1 << lo).transpose(1, 0, 2).reshape(1 << (hi - lo), -1)
-                np.matmul(rows, rows.conj().T, out=rho[i, :len(rows), :len(rows)])
+                conj = np.conjugate(rows, out=buf.reshape(rows.shape))  # buf is free until the matmuls below
+                np.matmul(rows, conj.T, out=rho[i, :len(rows), :len(rows)])
+                del rows  # a state-sized copy for most chunks: free it before the next one is made
             index, weights = _reading_index(width)
             entries = rho.reshape(count, -1).take(index, axis=1)
             np.matmul(entries, weights, out=readings[ordinal].reshape(count, -1))
