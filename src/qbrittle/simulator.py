@@ -23,14 +23,14 @@ not touch, so every loss of a block is read from the state f at its start:
 matrix of a view of f. 4*P0*P1 and g are sums of squares, so they are exactly
 0 when a half is exactly 0. The losses never touch the state: `run(c)` and
 `run(c, losses)` return the same bits. A CNOT block's gaps come from one
-gather of every pair's halves t0, t1 through an index cached with the block's
-permutation, one subtract and one sum, on states of up to _GATHER_QUBITS
-qubits; on larger states, where strided views stream faster, pair by pair.
+gather of every pair's halves t0, t1 through an index cached per (n, pairs),
+one subtract and one sum, on states of up to _GATHER_QUBITS qubits; on
+larger states, where strided views stream faster, pair by pair.
 
 Memory: a run holds the state and one state-sized buffer that each block
 writes into. Reading a rotation block's losses adds one reordered copy of
 the state per chunk, freed before the next, whose conjugate goes into the
-buffer. The cache holds the permutations of the last two CNOT pairings as
+buffer. The cache holds the permutations of the last four CNOT pairings as
 int32, a quarter of a state each. A 20-qubit run peaks at about 3.6 states
 of traced memory (5.0 before the gather). The Kronecker factors are built in
 per-thread buffers sized by the chunk layout and kept across runs, so a
@@ -172,27 +172,29 @@ def _target_halves(a: np.ndarray, n: int, control: int, target: int) -> tuple[np
 # A generated circuit alternates two pairings; its compressed copy, with some
 # CNOTs removed, brings two more, which must not evict the first two.
 @functools.lru_cache(maxsize=4)
-def _cnot_indices(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray | None]:
-    """(perm, halves): gather indices of a block of CNOTs on disjoint pairs.
-
-    perm applies the block, out[i] = in[perm[i]]: the block applied to the
-    basis labels 0 .. 2^n - 1, as int32 (n < 31) to halve the cache. halves,
-    built only for n <= _GATHER_QUBITS, is halves[h, k] = the labels of pair
-    k's control=1 amplitudes with the target clear (h = 0) and set (h = 1),
-    in the order of `_target_halves`."""
+def _cnot_permutation(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Gather index of a block of CNOTs on disjoint pairs, out[i] = in[perm[i]]:
+    the block applied to the basis labels 0 .. 2^n - 1, as int32 (n < 31)
+    to halve the cache."""
     labels = np.arange(1 << n, dtype=np.int32)
     perm = labels.copy()
     for control, target in pairs:  # the block flips each target bit whose control bit is set
         perm ^= (labels >> control & 1) << target
     perm.flags.writeable = False  # cached: shared by every caller
-    halves = None
-    if n <= _GATHER_QUBITS:
-        halves = np.empty((2, len(pairs), 1 << (n - 2)), dtype=np.intp)
-        for k, pair in enumerate(pairs):
-            for h, view in enumerate(_target_halves(labels, n, *pair)):
-                halves[h, k].reshape(view.shape)[...] = view
-        halves.flags.writeable = False
-    return perm, halves
+    return perm
+
+
+@functools.lru_cache(maxsize=2)  # only runs with losses read it: the profiles of intact circuits
+def _gap_halves(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """halves[h, k]: the labels of pair k's control=1 amplitudes with the
+    target clear (h = 0) and set (h = 1), in the order of `_target_halves`."""
+    labels = np.arange(1 << n)
+    halves = np.empty((2, len(pairs), 1 << (n - 2)), dtype=np.intp)
+    for k, pair in enumerate(pairs):
+        for h, view in enumerate(_target_halves(labels, n, *pair)):
+            halves[h, k].reshape(view.shape)[...] = view
+    halves.flags.writeable = False  # cached: shared by every caller
+    return halves
 
 
 def _kron_factors(mats: np.ndarray) -> np.ndarray:
@@ -216,11 +218,11 @@ def _kron_factors(mats: np.ndarray) -> np.ndarray:
     return factors
 
 
-def _cnot_gaps(amps: np.ndarray, n: int, pairs: list[tuple[int, int]], halves: np.ndarray | None) -> list[float]:
+def _cnot_gaps(amps: np.ndarray, n: int, pairs: tuple[tuple[int, int], ...]) -> list[float]:
     """|t0 - t1|^2 of each CNOT: the control=1 amplitudes with the target
     clear minus set, summed as squares of the difference's float view."""
-    if halves is not None:
-        t = amps.take(halves)
+    if n <= _GATHER_QUBITS:
+        t = amps.take(_gap_halves(n, pairs))
         diff = np.subtract(t[0], t[1], out=t[0]).view(np.float64)
         # Rows of at most 2^(_GATHER_QUBITS - 1) floats fit one buffer of
         # einsum's iterator, so each row sums as one einsum of it alone would.
@@ -254,10 +256,10 @@ def _evolve(amps: np.ndarray, n: int, gates: tuple[Gate, ...], losses: np.ndarra
     ordinal = 0
     for start, used, members in blocks:
         if codes[start] == 3:
-            perm, halves = _cnot_indices(n, tuple(members))
+            pairs = tuple(members)
             if losses is not None:
-                gaps += _cnot_gaps(amps, n, members, halves)
-            amps.take(perm, out=buf, mode="clip")  # in range; "raise" would stage the result in a copy
+                gaps += _cnot_gaps(amps, n, pairs)
+            amps.take(_cnot_permutation(n, pairs), out=buf, mode="clip")  # in range; "raise" stages a copy
             amps, buf = buf, amps
             continue
         if ordinal % _FACTOR_BATCH == 0:
