@@ -32,8 +32,8 @@ writes into. Reading a rotation block's losses adds one reordered copy of
 the state per chunk, freed before the next, whose conjugate goes into the
 buffer. The cache holds the permutations of the last four CNOT pairings as
 int32, a quarter of a state each. A 20-qubit run peaks at about 3.6 states
-of traced memory (5.0 before the gather). The Kronecker factors are built in
-per-thread buffers sized by the chunk layout and kept across runs, so a
+of traced memory, and a test holds a warm 16-qubit run to 4.32 states. The
+Kronecker factors are built in per-thread buffers sized by the chunk layout and kept across runs, so a
 steady stream of runs takes no fresh pages and threads may run at once.
 """
 from __future__ import annotations
@@ -224,8 +224,8 @@ def _cnot_gaps(amps: np.ndarray, n: int, pairs: tuple[tuple[int, int], ...]) -> 
     if n <= _GATHER_QUBITS:
         t = amps.take(_gap_halves(n, pairs))
         diff = np.subtract(t[0], t[1], out=t[0]).view(np.float64)
-        # Rows of at most 2^(_GATHER_QUBITS - 1) floats fit one buffer of
-        # einsum's iterator, so each row sums as one einsum of it alone would.
+        # einsum's iterator buffers 8192 elements; rows up to that long
+        # (n <= 14) each sum as the per-pair einsum("i,i->") below would.
         return list(np.einsum("pi,pi->p", diff, diff))
     diff = np.empty(1 << (n - 2), dtype=complex)
     flat = diff.view(np.float64)

@@ -183,7 +183,7 @@ def _layered_circuit(n: int, seed: int) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
-@pytest.mark.parametrize("n", [10, 11, 12])
+@pytest.mark.parametrize("n", [10, 11, 12, 14])  # 14: the per-pair path for large states
 def test_cnot_losses_match_per_pair_gaps(n):
     circuit = _layered_circuit(n, seed=n)
     losses = np.empty(len(circuit.gates))
