@@ -61,6 +61,7 @@ class Axis(str, Enum):
 
 
 _AXES = (Axis.X, Axis.Y, Axis.Z)  # the generator's axis draw indexes this
+_REALS = (float, int, np.floating, np.integer)  # the types of an angle; bool is checked apart
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,21 +175,25 @@ class Circuit:
             self._check_gate(i, gate)
 
     def _check_gate(self, i: int, gate: Gate) -> None:
-        n = self.n_qubits
         if isinstance(gate, Rotation):
-            if not 0 <= gate.qubit < n:
-                raise InvalidParameterError(f"gate {i}: qubit {gate.qubit} out of range for {n} qubits")
-            if not math.isfinite(gate.theta):
-                raise InvalidParameterError(f"gate {i}: non-finite angle {gate.theta}")
+            if not isinstance(gate.axis, Axis):
+                raise InvalidParameterError(f"gate {i}: axis must be an Axis member, got {gate.axis!r}")
+            if not isinstance(gate.theta, _REALS) or isinstance(gate.theta, bool) or not math.isfinite(gate.theta):
+                raise InvalidParameterError(f"gate {i}: angle must be a finite real number, got {gate.theta!r}")
             if gate.provenance not in PROVENANCES:
                 raise InvalidParameterError(f"gate {i}: unknown provenance {gate.provenance!r}")
+            self._check_wire(i, gate.qubit)
         elif isinstance(gate, Cnot):
-            if not 0 <= gate.control < n or not 0 <= gate.target < n:
-                raise InvalidParameterError(f"gate {i}: qubit indices ({gate.control}, {gate.target}) out of range for {n} qubits")
+            self._check_wire(i, gate.control)
+            self._check_wire(i, gate.target)
             if gate.control == gate.target:
                 raise InvalidParameterError(f"gate {i}: CNOT control and target coincide at {gate.control}")
         else:
             raise InvalidParameterError(f"gate {i}: unsupported gate object {gate!r}")
+
+    def _check_wire(self, i: int, wire: int) -> None:
+        if not isinstance(wire, (int, np.integer)) or isinstance(wire, bool) or not 0 <= wire < self.n_qubits:
+            raise InvalidParameterError(f"gate {i}: qubit {wire!r} must be an integer in [0, {self.n_qubits})")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -210,95 +215,33 @@ def _entangler(n: int, layer: int) -> tuple[Cnot, ...]:
     return tuple(Cnot(2 * k + 1, (2 * k + 2) % n, layer) for k in range(n // 2))
 
 
-class _RawDraws:
-    """The draws numpy's Generator makes from PCG64, decoded from raw 64-bit words.
+def _bulk_draws(words: np.ndarray, count: int, bound: int, doubles: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """What `count` rounds of one integers(bound) call and then `doubles`
+    random() calls return, decoded from the Generator's raw PCG64 `words`:
+    the integers, shape (count,), and the doubles, shape (count, doubles).
+    None if Lemire's method rejects one of the `count` draws.
 
-    A double (`random`, `uniform`) takes one whole word w as (w >> 11) * 2**-53.
-    A bounded integer (`integers(bound)`, bound < 2**32) takes a 32-bit draw x:
-    the low half of a fresh word, whose high half is kept for the next 32-bit
-    draw. Lemire's method maps x to (x * bound) >> 32 and rejects it, drawing
-    again, while (x * bound) mod 2**32 < (2**32 - bound) mod bound.
+    Rounds 2j and 2j+1 read a row of 1 + 2 * doubles words: the first holds
+    both 32-bit draws x, low half first, then come the doubles of each round,
+    each one word w as (w >> 11) * 2**-53. An odd count still reads a whole
+    last row; the half and the doubles of the round it lacks go unused. A draw
+    maps to (x * bound) >> 32, and is rejected while (x * bound) mod 2**32 <
+    (2**32 - bound) mod bound.
     """
-
-    def __init__(self, bit_generator: np.random.PCG64, count: int) -> None:
-        self._bit_generator = bit_generator
-        self._words = bit_generator.random_raw(count)
-        self._cursor = 0  # next unread word
-        self._half: int | None = None  # high half kept for the next 32-bit draw
-
-    def _peek(self, count: int) -> np.ndarray:
-        """The next `count` words, not yet consumed. After a rejected draw the
-        words first taken can run short; the rest of the stream follows them."""
-        missing = self._cursor + count - len(self._words)
-        if missing > 0:
-            self._words = np.concatenate((self._words, self._bit_generator.random_raw(missing)))
-        return self._words[self._cursor:self._cursor + count]
-
-    def _take(self, count: int) -> np.ndarray:
-        words = self._peek(count)
-        self._cursor += count
-        return words
-
-    def _uint32(self) -> int:
-        if self._half is not None:
-            x, self._half = self._half, None
-            return x
-        word = int(self._take(1)[0])
-        self._half = word >> 32
-        return word & 0xFFFFFFFF
-
-    def draws(self, count: int, bound: int, doubles: int) -> tuple[np.ndarray, np.ndarray]:
-        """What `count` rounds of one integers(bound) call and then `doubles`
-        random() calls return: the integers, shape (count,), and the doubles,
-        shape (count, doubles).
-
-        With no half kept, rounds 2j and 2j+1 read 1 + 2 * doubles words: the
-        first holds both 32-bit draws, low half first, then come the doubles
-        of each round. Rounds are decoded this way in bulk up to the first
-        rejected draw; that round, and a round that starts on a kept half, are
-        decoded one draw at a time, and the bulk decode resumes after them.
-        """
-        values = np.empty(count, dtype=np.int64)
-        units = np.empty((count, doubles))
-        threshold = (2**32 - bound) % bound
-        stride = 1 + 2 * doubles
-        done = 0
-        while done < count:
-            if self._half is None:
-                rest = np.arange(count - done)
-                first = rest // 2 * stride  # the word of each round's 32-bit draw
-                second = rest % 2
-                words = self._peek(_word_count(len(rest), doubles))
-                products = ((words[first] >> (32 * second).astype(np.uint64)) & 0xFFFFFFFF) * np.uint64(bound)
-                rejected = np.flatnonzero((products & 0xFFFFFFFF) < threshold)
-                good = int(rejected[0]) if len(rejected) else len(rest)
-                values[done:done + good] = products[:good] >> 32
-                own = first[:good, None] + 1 + second[:good, None] * doubles + np.arange(doubles)
-                units[done:done + good] = (words[own] >> 11) * 2.0**-53
-                self._cursor += good // 2 * stride
-                if good % 2:
-                    self._half = int(words[first[good - 1]] >> 32)
-                    self._cursor += 1 + doubles
-                done += good
-                if done == count:
-                    break
-            product = self._uint32() * bound
-            while (product & 0xFFFFFFFF) < threshold:
-                product = self._uint32() * bound
-            values[done] = product >> 32
-            units[done] = (self._take(doubles) >> 11) * 2.0**-53
-            done += 1
-        return values, units
+    rows = words.reshape(-1, 1 + 2 * doubles)
+    products = np.multiply(rows[:, 0].astype("<u8").view("<u4")[:count], bound, dtype=np.uint64)
+    if ((products & 0xFFFFFFFF) < (2**32 - bound) % bound).any():
+        return None
+    return products >> 32, ((rows[:, 1:] >> 11) * 2.0**-53).reshape(-1, doubles)[:count]
 
 
-def _word_count(count: int, doubles: int) -> int:
-    """Words `_RawDraws.draws(count, _, doubles)` reads when no draw is rejected."""
-    return (count // 2) * (1 + 2 * doubles) + (count % 2) * (1 + doubles)
-
-
-def _uniform(low: float, high: float, units: np.ndarray) -> np.ndarray:
-    """Generator.uniform(low, high) from its doubles, to the bit."""
-    return low + (high - low) * units
+def _generator_draws(rng: np.random.Generator, count: int, bound: int, doubles: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_bulk_draws` by the Generator's own calls: per round integers(bound), then `doubles` random()."""
+    values, units = np.empty(count, dtype=np.int64), np.empty((count, doubles))
+    for i in range(count):
+        values[i] = rng.integers(bound)
+        units[i] = [rng.random() for _ in range(doubles)]
+    return values, units
 
 
 def generate_uniform(params: GenerationParams) -> Circuit:
@@ -312,22 +255,29 @@ def generate_uniform(params: GenerationParams) -> Circuit:
     angle, then per appended gate as integers(n) for the qubit and
     uniform(low, high) for the angle, so a seed pins the circuit bit-exactly.
 
-    All words are taken in one `random_raw` call. Layered gates read five per
-    pair: both axis draws (low 32 bits, then high), then each gate's branch
-    and angle words. Appended gates read three per pair: both qubit draws,
-    then each gate's angle word. A 32-bit draw that Lemire's method rejects
-    (for bound 3 only x = 0, about 2**-32 per draw) is redrawn from the next
-    32 bits of the stream, and every later draw shifts with it, as in the
-    Generator; see `_RawDraws`.
+    All words are taken in one `random_raw` call and decoded by `_bulk_draws`
+    in a fixed layout. Layered gates read five words per pair: both axis
+    draws (low 32 bits, then high), then each gate's branch and angle words.
+    n is even, so the layered gates come in whole pairs and the appended
+    gates start on a fresh word. These read three words per pair: both qubit
+    draws, then each gate's angle word; an odd last gate reads a whole pair's
+    three. If Lemire's method rejects a draw (for bound 3 only x = 0, about
+    2**-32 per draw), every later draw shifts: the circuit is then made by the
+    Generator's own calls on a fresh PCG64(seed) instead.
     """
     n = params.n
     expected_gate_count(n, params.alpha, params.rho)  # the cap, before any draw
     layers = layer_count(n, params.alpha)
     appended = appended_count(n, params.rho)
-    stream = _RawDraws(np.random.PCG64(params.seed), _word_count(layers * n, 2) + _word_count(appended, 1))
-    axes, units = stream.draws(layers * n, 3, 2)
-    small = units[:, 0] < params.rho
-    thetas = np.where(small, _uniform(*SMALL_ANGLE_RANGE, units[:, 1]), _uniform(*LARGE_ANGLE_RANGE, units[:, 1]))
+    split = layers * n // 2 * 5
+    words = np.random.PCG64(params.seed).random_raw(split + (appended + 1) // 2 * 3)
+    layered, tail = _bulk_draws(words[:split], layers * n, 3, 2), _bulk_draws(words[split:], appended, n, 1)
+    if layered is None or tail is None:
+        rng = np.random.Generator(np.random.PCG64(params.seed))
+        layered, tail = _generator_draws(rng, layers * n, 3, 2), _generator_draws(rng, appended, n, 1)
+    (axes, units), (qubits, tail_units) = layered, tail
+    ranges = np.where(units[:, :1] < params.rho, SMALL_ANGLE_RANGE, LARGE_ANGLE_RANGE)  # (low, high) per gate
+    thetas = ranges[:, 0] + (ranges[:, 1] - ranges[:, 0]) * units[:, 1]  # Generator.uniform, to the bit
     axes, layer_of = map(_AXES.__getitem__, axes.tolist()), (np.arange(layers * n) // n).tolist()
     rotations = list(map(Rotation, axes, list(range(n)) * layers, thetas.tolist(), repeat("layered"), layer_of))
     gates: list[Gate] = []
@@ -335,8 +285,8 @@ def generate_uniform(params: GenerationParams) -> Circuit:
         gates += rotations[layer * n:(layer + 1) * n]
         if layer != layers - 1:
             gates += _entangler(n, layer)
-    qubits, units = stream.draws(appended, n, 1)  # with replacement
-    thetas = _uniform(*APPENDED_ANGLE_RANGE, units[:, 0])
+    low, high = APPENDED_ANGLE_RANGE
+    thetas = low + (high - low) * tail_units[:, 0]
     gates.extend(Rotation(Axis.Z, q, t, "appended", layers) for q, t in zip(qubits.tolist(), thetas.tolist()))
     return Circuit(n, tuple(gates), params)
 

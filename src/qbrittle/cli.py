@@ -31,6 +31,7 @@ from .protocol import (
     EnsembleConfig,
     SweepConfig,
     _by_class,
+    _check_thresholds,
     _fmt,
     compare_classes,
     kappa_sweep,
@@ -171,6 +172,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_prune(args) -> int:
+    _check_thresholds(args.classify_threshold, args.small_angle_threshold)
     in_path = Path(args.in_path)
     try:
         circuit = from_json(in_path.read_text())

@@ -33,9 +33,12 @@ def _keys(cls) -> tuple[tuple[str, str], ...]:
 
 
 def encode(value):
-    """Dataclasses to dicts, enums to their values, tuples to lists."""
+    """Dataclasses to dicts, enums to their values, tuples to lists, numpy
+    scalars (which a gate accepts as a qubit or an angle) to Python numbers."""
     if value is None or isinstance(value, (int, float)):
         return value
+    if isinstance(value, np.generic):
+        return value.item()
     if is_dataclass(value):
         cls = type(value)
         obj = {key: encode(getattr(value, name)) for name, key in _keys(cls)}

@@ -52,10 +52,21 @@ MAX_SWEEP_POINTS = 1000
 FINGERPRINT_STATS = ("mean_theta", "std_theta", "small_angle_ratio")
 
 
+def _check_thresholds(classify_threshold: float, small_angle_threshold: float) -> None:
+    """A classify threshold is a fidelity in [0, 1]; a small-angle threshold
+    is a finite distance >= 0. NaN is neither."""
+    if not 0.0 <= classify_threshold <= 1.0:
+        raise InvalidParameterError(f"classify_threshold must lie in [0, 1], got {classify_threshold}")
+    if not 0.0 <= small_angle_threshold < math.inf:
+        raise InvalidParameterError(f"small_angle_threshold must be finite and >= 0, got {small_angle_threshold}")
+
+
 def _validate_run(config: EnsembleConfig | SweepConfig, kappa: float) -> None:
-    """The checks both run configs share: the generator parameters, the pruning
-    mode, and a kappa that removes at least one gate of every circuit."""
+    """The checks both run configs share: the generator parameters, the
+    thresholds, the pruning mode, and a kappa that removes at least one gate
+    of every circuit."""
     GenerationParams(config.n, config.alpha, config.rho, config.base_seed)
+    _check_thresholds(config.classify_threshold, config.small_angle_threshold)
     if config.pruning_mode not in PRUNING_MODES:
         raise InvalidParameterError(f"pruning_mode must be one of {PRUNING_MODES}, got {config.pruning_mode!r}")
     removal_quota(kappa, expected_gate_count(config.n, config.alpha, config.rho))

@@ -244,7 +244,7 @@ def _evolve(amps: np.ndarray, n: int, gates: tuple[Gate, ...], losses: np.ndarra
     count, width = _layout(n)
     chunks = [(lo, min(lo + width, n), ((1 << width) - 1) << lo) for lo in range(0, n, width)]
     rotation_blocks = slots[-1] // (count * width) + 1 if slots else 0
-    half = 0.5 * np.array(thetas)[:, None, None]
+    half = 0.5 * np.array(thetas, dtype=float)[:, None, None]  # a float32 angle runs in double
     per_qubit = np.broadcast_to(_IDENTITY, (rotation_blocks * count * width, 2, 2)).copy()
     per_qubit[slots] = np.cos(half) * _IDENTITY + np.sin(half) * _MINUS_I_PAULI[codes[codes < 3]]
     per_qubit = per_qubit.reshape(rotation_blocks, count, width, 2, 2)

@@ -119,12 +119,13 @@ def angle_stats(circuit: Circuit, small_angle_threshold: float = DEFAULT_SMALL_A
         raise UndefinedStatisticError(
             f"angle statistics need at least 2 rotation gates, found {len(thetas)}"
         )
-    arr = np.asarray(thetas)
+    arr = np.asarray(thetas, dtype=float)  # float32 angles too are summed in double
     return AngleStats(
         mean_theta=float(np.mean(arr)),
         std_theta=float(np.std(arr, ddof=1)),
         small_angle_ratio=_small_angle_ratio(arr, small_angle_threshold),
-        per_axis={axis: _axis_stats(np.asarray(vals), small_angle_threshold) for axis, vals in by_axis.items()},
+        per_axis={axis: _axis_stats(np.asarray(vals, dtype=float), small_angle_threshold)
+                  for axis, vals in by_axis.items()},
     )
 
 

@@ -23,6 +23,8 @@ from qbrittle.circuits import (
     to_json,
 )
 from qbrittle.errors import CircuitFormatError, InvalidParameterError
+from qbrittle.simulator import apply_gate, run, zero_state
+from qbrittle.stats import angle_stats
 
 REFERENCE_COUNTS = [
     # (n, alpha, rho) -> gate counts of the three reference ensemble families
@@ -208,6 +210,36 @@ def test_out_of_range_qubit_is_a_validation_error():
         from_json(json.dumps(doc))
     with pytest.raises(InvalidParameterError):
         Circuit(2, (Cnot(1, 1),))
+
+
+BAD_GATES = {
+    "axis given as its string": (Rotation("x", 0, 1.0), "axis must be an Axis member"),
+    "unknown axis": (Rotation("w", 0, 1.0), "axis must be an Axis member"),
+    "float qubit": (Rotation(Axis.X, 1.0, 1.0), "qubit 1.0 must be an integer"),
+    "bool qubit": (Rotation(Axis.X, True, 1.0), "qubit True must be an integer"),
+    "float CNOT control": (Cnot(0.0, 1), "qubit 0.0 must be an integer"),
+    "bool CNOT target": (Cnot(0, True), "qubit True must be an integer"),
+    "string angle": (Rotation(Axis.X, 0, "1.0"), "angle must be a finite real number"),
+    "bool angle": (Rotation(Axis.X, 0, True), "angle must be a finite real number"),
+    "infinite angle": (Rotation(Axis.X, 0, math.inf), "angle must be a finite real number"),
+    "complex angle": (Rotation(Axis.X, 0, 1j), "angle must be a finite real number"),
+}
+
+
+@pytest.mark.parametrize("via", ["Circuit", "apply_gate"])
+@pytest.mark.parametrize("gate, message", BAD_GATES.values(), ids=BAD_GATES.keys())
+def test_programmatic_gates_are_checked_like_json_ones(via, gate, message):
+    with pytest.raises(InvalidParameterError, match=f"gate 0: {message}"):
+        Circuit(2, (gate,)) if via == "Circuit" else apply_gate(zero_state(2), gate)
+
+
+def test_numpy_scalar_gate_values_act_as_python_numbers():
+    gates = (Rotation(Axis.X, np.int64(1), np.float32(0.5)), Cnot(np.int32(1), np.uint8(0)),
+             Rotation(Axis.Y, np.uint8(0), np.float32(0.1)))
+    plain = (Rotation(Axis.X, 1, float(np.float32(0.5))), Cnot(1, 0), Rotation(Axis.Y, 0, float(np.float32(0.1))))
+    assert np.array_equal(run(Circuit(2, gates)).amplitudes, run(Circuit(2, plain)).amplitudes)
+    assert from_json(to_json(Circuit(2, gates))) == Circuit(2, plain)
+    assert angle_stats(Circuit(2, gates)) == angle_stats(Circuit(2, plain))
 
 
 def test_qasm_export():

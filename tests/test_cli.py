@@ -449,3 +449,28 @@ def test_ensemble_that_cannot_run_exits_before_making_its_directory(tmp_path, ca
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "ens").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--classify-threshold", "nan", "classify_threshold must lie in [0, 1]"),
+    ("--classify-threshold", "1.5", "classify_threshold must lie in [0, 1]"),
+    ("--classify-threshold", "-0.1", "classify_threshold must lie in [0, 1]"),
+    ("--small-angle-threshold", "nan", "small_angle_threshold must be finite and >= 0"),
+    ("--small-angle-threshold", "-1", "small_angle_threshold must be finite and >= 0"),
+    ("--small-angle-threshold", "inf", "small_angle_threshold must be finite and >= 0"),
+])
+@pytest.mark.parametrize("command", ["ensemble", "sweep", "prune"])
+def test_bad_thresholds_exit_2_before_any_directory(tmp_path, small_circuit_file, capsys, monkeypatch,
+                                                    command, flag, value, message):
+    for name in ("run_ensemble", "kappa_sweep", "importance_profile"):
+        monkeypatch.setattr(cli, name, no_compute)
+    out = tmp_path / "new"
+    argv = {
+        "ensemble": ["ensemble", "--n", 4, "--alpha", 1.0, "--rho", 0.3, "--kappa", 0.2, "--out-dir", out],
+        "sweep": ["sweep", "--n", 4, "--alpha", 1.0, "--rho", 0.3, "--out-csv", out / "s.csv"],
+        "prune": ["prune", "--in", small_circuit_file, "--kappa", 0.2, "--out", out / "p.json"],
+    }[command]
+    assert run_cli(*argv, flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
+    assert not out.exists()

@@ -1,8 +1,14 @@
 """The circuit generator: pinned bytes, the per-draw oracle, rejected draws, the gate cap.
 
-`generate_uniform` decodes one bulk PCG64 draw; `helpers.reference_generate`
-makes one Generator call per draw. The hash below was taken from the per-draw
-generator, so it pins the bytes every seed gave before the bulk decode.
+`generate_uniform` decodes one bulk PCG64 draw in a fixed layout: five words
+per pair of layered gates (both axis draws in the halves of the first word,
+then each gate's branch and angle words) and three per pair of appended gates
+(both qubit draws, then each angle word). If Lemire's method rejects one of
+the 32-bit draws, the circuit comes from the Generator's own calls instead.
+`helpers.reference_generate` makes one Generator call per draw. The hash below
+was taken from the per-draw generator, so it pins the bytes every seed gave
+before the bulk decode; it is checked with the Generator made unavailable, so
+the bulk decode is what gives them.
 """
 import hashlib
 import math
@@ -33,7 +39,12 @@ PCG64 = np.random.PCG64
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def test_generated_circuits_are_pinned():
+def _no_generator(*args, **kwargs):
+    raise AssertionError("the circuit came from the Generator fallback, not the bulk decode")
+
+
+def test_generated_circuits_are_pinned(monkeypatch):
+    monkeypatch.setattr(np.random, "Generator", _no_generator)  # none of these seeds has a rejected draw
     digest = hashlib.sha256()
     for n, alpha, rho in GENERATED_CASES:
         for seed in GENERATED_SEEDS:
@@ -85,6 +96,16 @@ REJECTIONS = {
 def test_rejected_draw_gives_the_generator_circuit(params, index, word, monkeypatch):
     monkeypatch.setattr(np.random, "PCG64", lambda seed: pcg64_with_word(index, word, seed))
     expected = reference_generate(params, np.random.Generator(pcg64_with_word(index, word, params.seed)))
+    assert generate_uniform(params) == expected
+
+
+def test_unread_half_of_an_odd_last_qubit_word_is_not_tested(monkeypatch):
+    # Word 93 holds the third appended qubit draw in its low half; the Generator
+    # never draws its high half, so a zero there, which bound 6 would reject, is no rejection.
+    params, index, word = GenerationParams(6, 1.0, 0.5, 7), 93, 0x00000000DEADBEEF
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: pcg64_with_word(index, word, seed))
+    expected = reference_generate(params, np.random.Generator(pcg64_with_word(index, word, params.seed)))
+    monkeypatch.setattr(np.random, "Generator", _no_generator)
     assert generate_uniform(params) == expected
 
 

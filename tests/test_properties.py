@@ -4,11 +4,12 @@ The importance profile, its analytic bound and the simulator are checked
 against the independent oracles in `helpers`, the block splitter of `run`
 against the per-gate `reference_run` on circuits no generator would make,
 the bulk-draw generator against the per-draw `reference_generate`;
-the JSON and QASM formats and the concentration statistics against their
-definitions. Examples are derandomized and capped, so the file runs in a few
-seconds and the same way every time.
+the JSON and QASM formats, the report codec and the concentration
+statistics against their definitions. Examples are derandomized and
+capped, so the file runs in a few seconds and the same way every time.
 """
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -20,9 +21,11 @@ from hypothesis import given, settings, strategies as st
 from helpers import dense_reference_state, naive_importances, reference_generate, reference_run
 from qbrittle.circuits import (Axis, Circuit, Cnot, GenerationParams, Rotation, export_qasm, from_json,
                                generate_uniform, to_json)
-from qbrittle.pruning import importance_profile
+from qbrittle.protocol import (FINGERPRINT_STATS, CircuitRecord, ClassSummary, CorrelationSummary, EnsembleConfig,
+                               EnsembleReport, FingerprintEntry, report_from_dict, report_to_dict)
+from qbrittle.pruning import PRUNING_MODES, importance_profile
 from qbrittle.simulator import run
-from qbrittle.stats import gini, identity_distance, shannon_entropy
+from qbrittle.stats import AngleStats, AxisAngleStats, ClassLabel, gini, identity_distance, shannon_entropy
 
 EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True)
 ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
@@ -172,3 +175,39 @@ def test_gini_and_entropy_ignore_scale_and_order(scores, scale, data):
     for changed in ([scale * x for x in scores], permuted):
         assert gini(changed) == pytest.approx(gini(scores), rel=1e-9, abs=1e-12)
         assert shannon_entropy(changed) == pytest.approx(shannon_entropy(scores), rel=1e-9, abs=1e-12)
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+OPTIONAL_FLOATS = st.none() | FLOATS
+COUNTS = st.integers(0, 10**6)
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+def keyed(keys, values):
+    return st.fixed_dictionaries({key: values for key in keys})
+
+
+REPORTS = st.builds(
+    EnsembleReport,
+    config=st.builds(EnsembleConfig, st.sampled_from([4, 6, 8, 10]), st.floats(0.25, 3.0), st.floats(0.0, 1.0),
+                     st.floats(0.25, 0.95), st.integers(2, 10**6), SEEDS, st.floats(0.0, 1.0), st.floats(0.0, 4.0),
+                     st.sampled_from(PRUNING_MODES)),
+    records=st.lists(st.builds(
+        CircuitRecord, SEEDS, COUNTS, COUNTS, FLOATS, st.sampled_from(ClassLabel),
+        st.builds(AngleStats, FLOATS, FLOATS, FLOATS, st.dictionaries(
+            st.sampled_from(Axis), st.builds(AxisAngleStats, OPTIONAL_FLOATS, OPTIONAL_FLOATS, OPTIONAL_FLOATS, COUNTS))),
+        OPTIONAL_FLOATS, OPTIONAL_FLOATS, OPTIONAL_FLOATS), max_size=4).map(tuple),
+    class_summary=keyed([label.value for label in ClassLabel], st.builds(ClassSummary, COUNTS, FLOATS, OPTIONAL_FLOATS)),
+    fidelity_gap=OPTIONAL_FLOATS,
+    cohens_d_fidelity=OPTIONAL_FLOATS,
+    angle_fingerprint=keyed(FINGERPRINT_STATS, st.builds(FingerprintEntry, OPTIONAL_FLOATS, OPTIONAL_FLOATS,
+                                                         OPTIONAL_FLOATS)),
+    per_axis_p=keyed([axis.value for axis in Axis], OPTIONAL_FLOATS),
+    correlation_summary=st.builds(CorrelationSummary, OPTIONAL_FLOATS, OPTIONAL_FLOATS, OPTIONAL_FLOATS),
+)
+
+
+@EXAMPLES
+@given(REPORTS)
+def test_report_json_roundtrip_is_identity(report):
+    assert report_from_dict(json.loads(json.dumps(report_to_dict(report)))) == report
