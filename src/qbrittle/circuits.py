@@ -19,7 +19,7 @@ from typing import ClassVar, Iterable, Iterator, Union
 
 import numpy as np
 
-from .codec import decode, encode
+from .codec import check_types, decode, encode
 from .errors import CircuitFormatError, InvalidParameterError
 
 __all__ = [
@@ -136,12 +136,7 @@ class GenerationParams:
     seed: int
 
     def __post_init__(self) -> None:
-        # The types the JSON decoder reads back, so every accepted value round-trips.
-        for name, kinds, expected in (("n", int, "an integer"), ("alpha", (int, float), "a number"),
-                                      ("rho", (int, float), "a number"), ("seed", int, "an integer")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise InvalidParameterError(f"{name} must be {expected}, got {value!r}")
+        check_types(self)
         if self.n < 4:
             raise InvalidParameterError(f"qubit count must be an integer >= 4, got {self.n}")
         if self.n % 2 != 0:
@@ -304,12 +299,14 @@ def circuit_depth(circuit: Circuit) -> int:
 
 def remove_gates(circuit: Circuit, indices: Iterable[int]) -> Circuit:
     """Return a copy of `circuit` without the gates at `indices`; survivors
-    keep their relative order. The original circuit is untouched."""
-    drop = set(indices)
+    keep their relative order. The original circuit is untouched. An index
+    is an int or a numpy integer, not a bool."""
     count = len(circuit.gates)
-    for i in drop:
-        if not 0 <= i < count:
-            raise InvalidParameterError(f"gate index {i} out of range for {count} gates")
+    drop = set()
+    for i in indices:  # each one checked before a set could merge 1.0 or True into 1
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < count:
+            raise InvalidParameterError(f"gate index {i!r} must be an integer in [0, {count})")
+        drop.add(i)
     kept = tuple(g for i, g in enumerate(circuit.gates) if i not in drop)
     return Circuit(circuit.n_qubits, kept, circuit.params)
 

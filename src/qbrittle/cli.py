@@ -25,13 +25,11 @@ from .circuits import (GenerationParams, circuit_depth, expected_gate_count, exp
 from .codec import write_csv
 from .errors import (CircuitFormatError, InvalidParameterError, NoTransitionError, ResourceLimitError,
                      UndefinedStatisticError)
-from .pruning import (PRUNING_MODES, RiskThresholds, importance_profile, prune, removal_quota, risk_assess,
-                      write_importance_csv)
+from .pruning import PRUNING_MODES, importance_profile, prune, removal_quota, write_importance_csv
 from .protocol import (
     EnsembleConfig,
     SweepConfig,
     _by_class,
-    _check_thresholds,
     _fmt,
     compare_classes,
     kappa_sweep,
@@ -41,7 +39,8 @@ from .protocol import (
     write_records_csv,
 )
 from .simulator import qubit_cap
-from .stats import DEFAULT_CLASSIFY_THRESHOLD, DEFAULT_SMALL_ANGLE_THRESHOLD, classify
+from .stats import (DEFAULT_CLASSIFY_THRESHOLD, DEFAULT_SMALL_ANGLE_THRESHOLD, _check_thresholds, angle_stats,
+                    classify)
 
 HISTOGRAM_BINS = 40
 # The exit code of each error a command reports as one line on stderr.
@@ -180,7 +179,7 @@ def cmd_prune(args) -> int:
         raise CircuitFormatError(f"cannot read {in_path}: {exc}") from None
     removal_quota(args.kappa, len(circuit.gates))
     if args.pruning_mode == "aware":  # needs no simulation: fail before any directory is made
-        risk_assess(circuit, RiskThresholds(small_angle=args.small_angle_threshold))
+        angle_stats(circuit, args.small_angle_threshold)
     _make_parents(args.out, args.importance_csv, args.dump_state_csv)
     profile = importance_profile(circuit)
     result = prune(circuit, args.kappa, args.pruning_mode, args.small_angle_threshold, profile)

@@ -19,7 +19,7 @@ from typing import IO, Any, Callable, Iterable, Union, get_args, get_origin, get
 
 import numpy as np
 
-from .errors import CircuitFormatError
+from .errors import CircuitFormatError, InvalidParameterError
 
 TAG_KEY = "type"
 # JSON type checks of the primitive field types: (accepted Python types, description).
@@ -30,6 +30,24 @@ _PRIMITIVES = {int: (int, "an integer"), float: ((int, float), "a number"), str:
 def _keys(cls) -> tuple[tuple[str, str], ...]:
     """(field name, JSON key) of each field of dataclass `cls`, in field order."""
     return tuple((f.name, f.metadata.get("key", f.name)) for f in fields(cls))
+
+
+@cache
+def _primitive_fields(cls) -> tuple[tuple[str, Any, str], ...]:
+    """(field name, accepted Python types, description) of each int, float or str field of `cls`."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, *_PRIMITIVES[hints[f.name]]) for f in fields(cls) if hints[f.name] in _PRIMITIVES)
+
+
+def check_types(obj) -> None:
+    """Raise InvalidParameterError unless every int, float and str field of
+    dataclass `obj` holds a type the decoder reads back for it: an int for
+    int, an int or a float for float (a bool is neither), so every accepted
+    value round-trips through JSON."""
+    for name, kinds, expected in _primitive_fields(type(obj)):
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise InvalidParameterError(f"{name} must be {expected}, got {value!r}")
 
 
 def encode(value):

@@ -23,16 +23,13 @@ from .circuits import Circuit, Rotation, floor_product, remove_gates
 from .codec import write_csv
 from .errors import InvalidParameterError
 from .simulator import StateVector, fidelity, run
-from .stats import DEFAULT_SMALL_ANGLE_THRESHOLD, angle_stats, identity_distance
+from .stats import DEFAULT_SMALL_ANGLE_THRESHOLD, angle_stats, identity_distance, is_brittle
 
 __all__ = [
     "ImportanceProfile",
     "CompressionResult",
-    "BrittlenessReport",
-    "RiskThresholds",
     "importance_profile",
     "causal_prune",
-    "risk_assess",
     "aware_prune",
     "prune",
     "removal_quota",
@@ -60,25 +57,6 @@ class CompressionResult:
     removed_indices: tuple[int, ...]
     fidelity: float
     kappa_effective: float
-
-
-# Defaults calibrated to the midpoint between the robust- and fragile-class
-# angle statistics of the 10-qubit reference ensemble.
-@dataclass(frozen=True)
-class RiskThresholds:
-    small_angle: float = DEFAULT_SMALL_ANGLE_THRESHOLD
-    min_std: float = 0.5255
-    min_small_angle_ratio: float = 0.28
-
-
-@dataclass(frozen=True)
-class BrittlenessReport:
-    """Angle-statistics risk summary over a circuit's rotation gates."""
-
-    mean_theta: float
-    std_theta: float
-    small_angle_ratio: float
-    brittle: bool
 
 
 def importance_profile(circuit: Circuit) -> ImportanceProfile:
@@ -145,41 +123,23 @@ def causal_prune(
     return _prune(circuit, kappa, profile, ())
 
 
-def risk_assess(circuit: Circuit, thresholds: RiskThresholds = RiskThresholds()) -> BrittlenessReport:
-    """Flag a circuit as brittle from its rotation-angle statistics alone.
-
-    Brittle means low angle diversity or a scarcity of small-angle gates:
-    std_theta < min_std OR small_angle_ratio < min_small_angle_ratio.
-    """
-    stats = angle_stats(circuit, thresholds.small_angle)
-    return BrittlenessReport(
-        mean_theta=stats.mean_theta,
-        std_theta=stats.std_theta,
-        small_angle_ratio=stats.small_angle_ratio,
-        brittle=stats.std_theta < thresholds.min_std or stats.small_angle_ratio < thresholds.min_small_angle_ratio,
-    )
-
-
 def aware_prune(
     circuit: Circuit,
     kappa: float,
-    thresholds: RiskThresholds = RiskThresholds(),
+    small_angle_threshold: float = DEFAULT_SMALL_ANGLE_THRESHOLD,
     profile: ImportanceProfile | None = None,
 ) -> CompressionResult:
     """Causal pruning that protects small-angle rotations of brittle circuits.
 
-    If the risk assessment does not flag the circuit, the result is identical
-    to causal_prune. Otherwise rotations whose `identity_distance` is below
-    thresholds.small_angle are excluded from the candidate pool; when the pool
-    cannot cover the quota, every candidate is removed and kappa_effective
-    ends up below kappa.
+    If `stats.is_brittle` does not flag the circuit's angle statistics, the
+    result is identical to causal_prune. Otherwise rotations whose
+    `identity_distance` is below small_angle_threshold are excluded from the
+    candidate pool; when the pool cannot cover the quota, every candidate is
+    removed and kappa_effective ends up below kappa.
     """
     protected = ()
-    if risk_assess(circuit, thresholds).brittle:
-        protected = [
-            i for i, gate in enumerate(circuit.gates)
-            if isinstance(gate, Rotation) and identity_distance(gate.theta) < thresholds.small_angle
-        ]
+    if is_brittle(angle_stats(circuit, small_angle_threshold)):
+        protected = [i for i, gate in circuit.rotations() if identity_distance(gate.theta) < small_angle_threshold]
     return _prune(circuit, kappa, profile, protected)
 
 
@@ -191,11 +151,11 @@ def prune(
     profile: ImportanceProfile | None = None,
 ) -> CompressionResult:
     """Prune with the named mode: `causal_prune`, or `aware_prune` with the
-    given small-angle threshold and the default risk thresholds otherwise."""
+    given small-angle threshold."""
     if mode == "causal":
         return causal_prune(circuit, kappa, profile=profile)
     if mode == "aware":
-        return aware_prune(circuit, kappa, RiskThresholds(small_angle=small_angle_threshold), profile)
+        return aware_prune(circuit, kappa, small_angle_threshold, profile)
     raise InvalidParameterError(f"pruning mode must be one of {PRUNING_MODES}, got {mode!r}")
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "welch_t_test",
     "cohens_d",
     "classify",
+    "is_brittle",
     "fidelity_gap",
     "regularized_incomplete_beta",
     "student_t_two_sided_p",
@@ -39,6 +40,20 @@ __all__ = [
 
 DEFAULT_SMALL_ANGLE_THRESHOLD = 0.1
 DEFAULT_CLASSIFY_THRESHOLD = 0.9
+# The brittleness bounds, calibrated to the midpoint between the robust- and
+# fragile-class angle statistics of the 10-qubit reference ensemble.
+MIN_STD_THETA = 0.5255
+MIN_SMALL_ANGLE_RATIO = 0.28
+
+
+def _check_thresholds(classify_threshold: float = DEFAULT_CLASSIFY_THRESHOLD,
+                      small_angle_threshold: float = DEFAULT_SMALL_ANGLE_THRESHOLD) -> None:
+    """A classify threshold is a fidelity in [0, 1]; a small-angle threshold
+    is a finite distance >= 0. NaN is neither."""
+    if not 0.0 <= classify_threshold <= 1.0:
+        raise InvalidParameterError(f"classify_threshold must lie in [0, 1], got {classify_threshold}")
+    if not 0.0 <= small_angle_threshold < math.inf:
+        raise InvalidParameterError(f"small_angle_threshold must be finite and >= 0, got {small_angle_threshold}")
 
 
 class ClassLabel(str, Enum):
@@ -110,6 +125,7 @@ def angle_stats(circuit: Circuit, small_angle_threshold: float = DEFAULT_SMALL_A
     """Mean/std/small-angle ratio over all rotation angles, plus a per-axis
     breakdown. Requires at least two rotation gates. An angle is small when
     its `identity_distance` is below the threshold."""
+    _check_thresholds(small_angle_threshold=small_angle_threshold)
     by_axis: dict[Axis, list[float]] = {axis: [] for axis in Axis}
     thetas: list[float] = []
     for _, gate in circuit.rotations():
@@ -283,7 +299,15 @@ def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
 
 def classify(fidelity: float, threshold: float = DEFAULT_CLASSIFY_THRESHOLD) -> ClassLabel:
     """Robust iff fidelity >= threshold (boundary inclusive)."""
+    _check_thresholds(classify_threshold=threshold)
     return ClassLabel.ROBUST if fidelity >= threshold else ClassLabel.FRAGILE
+
+
+def is_brittle(stats: AngleStats) -> bool:
+    """The label from angle statistics alone: brittle means low angle diversity
+    or a scarcity of small-angle gates, std_theta < MIN_STD_THETA or
+    small_angle_ratio < MIN_SMALL_ANGLE_RATIO."""
+    return stats.std_theta < MIN_STD_THETA or stats.small_angle_ratio < MIN_SMALL_ANGLE_RATIO
 
 
 def fidelity_gap(robust_fids: Sequence[float], fragile_fids: Sequence[float]) -> float:

@@ -30,10 +30,10 @@ from qbrittle.circuits import (
     generate_uniform,
     layer_count,
 )
-from qbrittle.pruning import causal_prune, importance_profile, risk_assess
+from qbrittle.pruning import causal_prune, importance_profile
 from qbrittle.protocol import EnsembleConfig, SweepConfig, kappa_sweep, run_ensemble
 from qbrittle.simulator import run
-from qbrittle.stats import ClassLabel, cohens_d, gini, pearson_r, shannon_entropy, welch_t_test
+from qbrittle.stats import ClassLabel, angle_stats, cohens_d, gini, is_brittle, pearson_r, shannon_entropy, welch_t_test
 
 BASE_SEED = 0
 
@@ -61,6 +61,31 @@ def near_zero_fraction(n: int, alpha: float, rho: float) -> float:
     floor(n*rho) near-zero Rz gates are appended, out of N gates in total."""
     pool = rho * layer_count(n, alpha) * n + appended_count(n, rho)
     return pool / expected_gate_count(n, alpha, rho)
+
+
+def bimodality_coefficient(x: np.ndarray) -> float:
+    """(G1^2 + 1) / (G2 + 3 (n-1)^2 / ((n-2)(n-3))) from the bias-corrected
+    sample skewness G1 and excess kurtosis G2; above 5/9, the value of a
+    uniform distribution, suggests two modes (Pfister et al. 2013, "Good
+    things peak in pairs", Frontiers in Psychology)."""
+    n = x.size
+    d = x - x.mean()
+    m2, m3, m4 = (np.mean(d ** p) for p in (2, 3, 4))
+    skew = m3 / m2 ** 1.5 * math.sqrt(n * (n - 1)) / (n - 2)
+    excess = (n - 1) / ((n - 2) * (n - 3)) * ((n + 1) * (m4 / m2 ** 2 - 3) + 6)
+    return (skew ** 2 + 1) / (excess + 3 * (n - 1) ** 2 / ((n - 2) * (n - 3)))
+
+
+def otsu_valley(x: np.ndarray, bins: int = 40) -> float:
+    """The bin edge of a `bins`-bin histogram of x that maximizes the
+    between-class variance w0 * w1 * (mu0 - mu1)^2 (Otsu 1979, IEEE Trans. SMC)."""
+    counts, edges = np.histogram(x, bins=bins)
+    centers = (edges[:-1] + edges[1:]) / 2
+    w0, s0 = np.cumsum(counts)[:-1], np.cumsum(counts * centers)[:-1]
+    w1, s1 = x.size - w0, np.sum(counts * centers) - s0
+    # w0 * w1 * (s0/w0 - s1/w1)^2, zero where one side is empty
+    score = np.divide((s0 * w1 - s1 * w0) ** 2, w0 * w1, out=np.zeros(bins - 1), where=w0 * w1 > 0)
+    return float(edges[1:-1][np.argmax(score)])
 
 
 KAPPA_REF_10Q = near_zero_fraction(10, 2.3, 0.28)
@@ -156,7 +181,7 @@ def test_criterion_05_statistics_fixtures():
     check("criterion 5: statistics fixtures", clauses)
 
 
-def test_criterion_06_bifurcation_at_reference_kappa(ensemble_10q, sweep_10q):
+def test_criterion_06_bifurcation_at_reference_kappa(ensemble_10q, ensemble_12q, sweep_10q):
     assert all(r.gate_count == 342 for r in ensemble_10q.records)
     summary = ensemble_10q.class_summary
     robust, fragile = summary["robust"], summary["fragile"]
@@ -177,7 +202,17 @@ def test_criterion_06_bifurcation_at_reference_kappa(ensemble_10q, sweep_10q):
          f"{fragile.mean_fidelity}"),
         ("|cohens d| > 2", effect is not None and abs(effect) > 2, f"{effect}"),
     ]
-    check(f"criterion 6: bifurcation at 10q kappa_ref={KAPPA_REF_10Q:.4f}", clauses)
+    # The split itself, not only the labels: log10(1 - F) has two modes. The
+    # valley is reported, not asserted; the labels keep the F >= 0.9 rule.
+    for name, report in (("10q", ensemble_10q), ("12q", ensemble_12q)):
+        fids = np.array([r.fidelity for r in report.records])
+        log_infidelity = np.log10(1.0 - fids)
+        coefficient = bimodality_coefficient(log_infidelity)
+        valley = otsu_valley(log_infidelity)
+        moved = int(np.sum((fids >= 0.9) != (log_infidelity < valley)))
+        clauses.append((f"{name} bimodality coefficient of log10(1 - F) > 5/9", coefficient > 5 / 9,
+                        f"{coefficient:.3f}, valley at F = {1 - 10 ** valley:.3f} moves {moved} labels"))
+    check(f"criterion 6: bifurcation at kappa_ref={KAPPA_REF_10Q:.4f} (10q), {KAPPA_REF_12Q:.4f} (12q)", clauses)
 
 
 def test_criterion_07_fingerprint_direction(ensemble_10q, ensemble_12q):
@@ -244,7 +279,7 @@ def test_criterion_09_pruning_contracts():
     protected_violations = 0
     for seed in range(BASE_SEED, BASE_SEED + 5):
         brittle_circuit = generate_uniform(GenerationParams(10, 2.3, 0.1, seed))
-        assert risk_assess(brittle_circuit).brittle  # small-angle ratio ~0.1 < 0.28
+        assert is_brittle(angle_stats(brittle_circuit))  # small-angle ratio ~0.1 < 0.28
         from qbrittle.pruning import aware_prune
         result = aware_prune(brittle_circuit, 0.11)
         quota = math.floor(round(0.11 * len(brittle_circuit.gates), 9))

@@ -171,6 +171,10 @@ def test_remove_gates_basics():
     assert circuit.gates == gates  # original untouched
     with pytest.raises(InvalidParameterError):
         remove_gates(circuit, {3})
+    assert remove_gates(circuit, [np.int64(1)]).gates == (gates[0], gates[2])
+    for index in (1.0, True, -1):  # a float or a bool no longer stands for gate 1
+        with pytest.raises(InvalidParameterError, match="must be an integer in"):
+            remove_gates(circuit, [index])
 
 
 def test_json_roundtrip_identity():

@@ -5,7 +5,8 @@ against the independent oracles in `helpers`, the block splitter of `run`
 against the per-gate `reference_run` on circuits no generator would make,
 the bulk-draw generator against the per-draw `reference_generate`;
 the JSON and QASM formats, the report codec and the concentration
-statistics against their definitions. Examples are derandomized and
+statistics against their definitions, and ensembles and sweeps against
+themselves run in one process. Examples are derandomized and
 capped, so the file runs in a few seconds and the same way every time.
 """
 import dataclasses
@@ -21,8 +22,10 @@ from hypothesis import given, settings, strategies as st
 from helpers import dense_reference_state, naive_importances, reference_generate, reference_run
 from qbrittle.circuits import (Axis, Circuit, Cnot, GenerationParams, Rotation, export_qasm, from_json,
                                generate_uniform, to_json)
+from qbrittle.errors import NoTransitionError
 from qbrittle.protocol import (FINGERPRINT_STATS, CircuitRecord, ClassSummary, CorrelationSummary, EnsembleConfig,
-                               EnsembleReport, FingerprintEntry, report_from_dict, report_to_dict)
+                               EnsembleReport, FingerprintEntry, SweepConfig, kappa_sweep, report_from_dict,
+                               report_to_dict, run_ensemble)
 from qbrittle.pruning import PRUNING_MODES, importance_profile
 from qbrittle.simulator import run
 from qbrittle.stats import AngleStats, AxisAngleStats, ClassLabel, gini, identity_distance, shannon_entropy
@@ -211,3 +214,22 @@ REPORTS = st.builds(
 @given(REPORTS)
 def test_report_json_roundtrip_is_identity(report):
     assert report_from_dict(json.loads(json.dumps(report_to_dict(report)))) == report
+
+
+def _outcome(experiment, config, threads):
+    """The experiment's result, or NoTransitionError when a sweep finds no transition."""
+    try:
+        return experiment(config, threads=threads)
+    except NoTransitionError:
+        return NoTransitionError
+
+
+# Each example starts two worker pools, so a handful of small configs.
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(st.sampled_from([4, 6]), st.floats(1.0, 2.0), st.floats(0.1, 0.5), st.floats(0.1, 0.4),
+       st.integers(0, 2**32), st.sampled_from(PRUNING_MODES))
+def test_results_do_not_depend_on_threads(n, alpha, rho, kappa, seed, mode):
+    ensemble = EnsembleConfig(n, alpha, rho, kappa, circuit_count=3, base_seed=seed, pruning_mode=mode)
+    sweep = SweepConfig(n, alpha, rho, base_seed=seed, probe_count=2, pruning_mode=mode)
+    for experiment, config in ((run_ensemble, ensemble), (kappa_sweep, sweep)):
+        assert _outcome(experiment, config, 1) == _outcome(experiment, config, 2)

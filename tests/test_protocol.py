@@ -292,3 +292,18 @@ def test_configs_reject_a_kappa_that_removes_no_gate(make):
 def test_configs_reject_zero_layers(cls, extra):
     with pytest.raises(InvalidParameterError, match="yields zero layers"):
         cls(n=4, alpha=0.1, rho=0.2, **extra)
+
+
+@pytest.mark.parametrize("cls, field, bad, expected", [
+    (EnsembleConfig, "circuit_count", 3.0, "an integer"),
+    (EnsembleConfig, "circuit_count", True, "an integer"),
+    (EnsembleConfig, "kappa", "0.2", "a number"),
+    (EnsembleConfig, "classify_threshold", True, "a number"),
+    (SweepConfig, "probe_count", 2.5, "an integer"),
+    (SweepConfig, "kappa_step", "0.03", "a number"),
+    (SweepConfig, "small_angle_threshold", None, "a number"),
+])
+def test_configs_reject_wrong_types(cls, field, bad, expected):
+    fields = {"n": 6, "alpha": 1.0, "rho": 0.3, **({"kappa": 0.2} if cls is EnsembleConfig else {}), field: bad}
+    with pytest.raises(InvalidParameterError, match=re.escape(f"{field} must be {expected}, got {bad!r}")):
+        cls(**fields)

@@ -15,15 +15,14 @@ from qbrittle.circuits import (
 )
 from qbrittle.errors import InvalidParameterError, UndefinedStatisticError
 from qbrittle.pruning import (
-    RiskThresholds,
     aware_prune,
     causal_prune,
     importance_profile,
     prune,
-    risk_assess,
     write_importance_csv,
 )
 from qbrittle.simulator import fidelity, run
+from qbrittle.stats import angle_stats, is_brittle
 
 
 def test_terminal_phase_gate_has_zero_importance():
@@ -111,30 +110,38 @@ def test_prune_rejects_useless_kappa():
         causal_prune(circuit, 1.0)
 
 
-def test_risk_assess_flags_uniform_angles():
+def test_is_brittle_flags_uniform_angles():
     gates = tuple(Rotation(Axis.X, i % 2, 0.8) for i in range(6))
-    report = risk_assess(Circuit(2, gates))
-    assert report.std_theta == pytest.approx(0.0, abs=1e-12)
-    assert report.small_angle_ratio == 0.0
-    assert report.brittle
+    stats = angle_stats(Circuit(2, gates))
+    assert stats.std_theta == pytest.approx(0.0, abs=1e-12)
+    assert stats.small_angle_ratio == 0.0
+    assert is_brittle(stats)
 
 
-def test_risk_assess_small_angle_ratio():
+def test_is_brittle_small_angle_ratio():
     gates = (Rotation(Axis.X, 0, 0.01), Rotation(Axis.Y, 1, math.pi / 2),
              Rotation(Axis.X, 0, 0.01), Rotation(Axis.Y, 1, math.pi / 2))
-    report = risk_assess(Circuit(2, gates), RiskThresholds(small_angle=0.1))
-    assert report.small_angle_ratio == pytest.approx(0.5)
+    stats = angle_stats(Circuit(2, gates), small_angle_threshold=0.1)
+    assert stats.small_angle_ratio == pytest.approx(0.5)
+    assert not is_brittle(stats)  # std ~0.90 and ratio 0.5 clear both bounds
 
 
-def test_risk_assess_needs_two_rotations():
+def test_aware_prune_needs_two_rotations():
     with pytest.raises(UndefinedStatisticError):
-        risk_assess(Circuit(2, (Rotation(Axis.X, 0, 1.0), Cnot(0, 1))))
+        aware_prune(Circuit(2, (Rotation(Axis.X, 0, 1.0), Cnot(0, 1))), 0.5)
+
+
+def test_aware_prune_checks_its_threshold():
+    circuit = generate_uniform(GenerationParams(6, 1.0, 0.3, 1))
+    for threshold in (float("nan"), -1.0, math.inf):
+        with pytest.raises(InvalidParameterError, match="small_angle_threshold must be finite and >= 0"):
+            prune(circuit, 0.2, "aware", threshold)
 
 
 def test_generated_small_angle_ratio_matches_expectation():
     # expectation (rho*L*n + floor(n*rho)) / (L*n + floor(n*rho)) ~ 0.286 at (10, 2.3, 0.28)
     ratios = [
-        risk_assess(generate_uniform(GenerationParams(10, 2.3, 0.28, seed))).small_angle_ratio
+        angle_stats(generate_uniform(GenerationParams(10, 2.3, 0.28, seed))).small_angle_ratio
         for seed in range(20)
     ]
     assert float(np.mean(ratios)) == pytest.approx(0.286, abs=0.03)
@@ -158,7 +165,7 @@ def _brittle_circuit() -> Circuit:
 
 def test_aware_prune_is_noop_for_non_brittle():
     circuit = _non_brittle_circuit()
-    assert not risk_assess(circuit).brittle
+    assert not is_brittle(angle_stats(circuit))
     causal = causal_prune(circuit, 0.25)
     aware = aware_prune(circuit, 0.25)
     assert aware == causal
@@ -166,7 +173,7 @@ def test_aware_prune_is_noop_for_non_brittle():
 
 def test_aware_prune_protects_small_angles():
     circuit = _brittle_circuit()
-    assert risk_assess(circuit).brittle
+    assert is_brittle(angle_stats(circuit))
     result = aware_prune(circuit, 0.3)  # quota 3 <= 8 unprotected gates
     assert len(result.removed_indices) == 3
     for i in result.removed_indices:
@@ -181,7 +188,7 @@ def test_aware_prune_partial_pool_removes_what_it_can():
     gates = [Rotation(Axis.Z, 0, 0.01 + 0.001 * i) for i in range(6)]
     gates += [Rotation(Axis.Y, 1, 0.9), Rotation(Axis.Y, 2, 0.9)]
     circuit = Circuit(3, tuple(gates))
-    assert risk_assess(circuit).brittle
+    assert is_brittle(angle_stats(circuit))
     result = aware_prune(circuit, 0.4)  # quota floor(3.2) = 3 > 2 candidates
     assert len(result.removed_indices) == 2
     assert set(result.removed_indices) == {6, 7}
@@ -191,7 +198,7 @@ def test_aware_prune_partial_pool_removes_what_it_can():
 def test_aware_prune_exhaustion_reports_lower_kappa():
     gates = tuple(Rotation(Axis.Z, 0, 0.01 + 0.001 * i) for i in range(4))
     circuit = Circuit(1, gates)
-    assert risk_assess(circuit).brittle
+    assert is_brittle(angle_stats(circuit))
     result = aware_prune(circuit, 0.5)  # quota 2, but every gate is protected
     assert result.removed_indices == ()
     assert result.kappa_effective == 0.0
@@ -204,8 +211,8 @@ def test_aware_prune_protects_by_wrapped_angle():
     near, far = 2 * math.pi - 0.01, -3.0
     gates = (Rotation(Axis.X, 0, near), Rotation(Axis.X, 0, far), Rotation(Axis.Y, 0, 0.9), Rotation(Axis.Y, 0, 0.9))
     circuit = Circuit(1, gates)
-    report = risk_assess(circuit)
-    assert report.small_angle_ratio == 0.25 and report.brittle
+    stats = angle_stats(circuit)
+    assert stats.small_angle_ratio == 0.25 and is_brittle(stats)
     assert causal_prune(circuit, 0.25).removed_indices == (0,)  # least important
     result = aware_prune(circuit, 0.25)
     assert 0 not in result.removed_indices
@@ -228,13 +235,13 @@ def test_prune_dispatches_by_mode():
     # seed 3 is flagged brittle, so aware and causal pruning remove different gates
     circuit = generate_uniform(GenerationParams(6, 1.0, 0.3, 3))
     profile = importance_profile(circuit)
-    assert risk_assess(circuit).brittle
+    assert is_brittle(angle_stats(circuit))
     assert prune(circuit, 0.15, "causal", profile=profile) == causal_prune(circuit, 0.15, profile=profile)
     aware = prune(circuit, 0.15, "aware", profile=profile)
     assert aware == aware_prune(circuit, 0.15, profile=profile)
     assert aware.removed_indices != causal_prune(circuit, 0.15, profile=profile).removed_indices
     wide = prune(circuit, 0.15, "aware", 1.0, profile)  # the threshold reaches aware_prune
-    assert wide == aware_prune(circuit, 0.15, RiskThresholds(small_angle=1.0), profile)
+    assert wide == aware_prune(circuit, 0.15, 1.0, profile)
     assert wide.removed_indices != aware.removed_indices
     with pytest.raises(InvalidParameterError, match="pruning mode"):
         prune(circuit, 0.15, "greedy", profile=profile)

@@ -234,6 +234,18 @@ def test_classify_threshold_semantics():
     assert all(lab is ClassLabel.ROBUST for lab in labels[first_robust:])
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5])
+def test_classify_checks_its_threshold(threshold):
+    with pytest.raises(InvalidParameterError, match="classify_threshold must lie in"):
+        classify(0.95, threshold)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0, math.inf])
+def test_angle_stats_checks_its_threshold(threshold):
+    with pytest.raises(InvalidParameterError, match="small_angle_threshold must be finite"):
+        angle_stats(_rotations([0.01, 1.0]), threshold)
+
+
 def test_fidelity_gap():
     assert fidelity_gap([0.95, 0.99], [0.7, 0.8]) == pytest.approx(0.15, abs=1e-12)
     assert fidelity_gap([0.91], [0.92]) == pytest.approx(-0.01, abs=1e-12)
