@@ -6,15 +6,25 @@ entangling sub-layer of n/2 disjoint CNOTs on a ring (omitted after the final
 layer), and floor(n * rho) near-zero Rz gates are appended at the end. The
 redundancy rate rho is both the probability that a layered rotation draws a
 near-zero angle and the scale factor for the appended-gate count.
+
+A `Circuit` holds its gates in one read-only numpy array of GATE_DTYPE
+records, one per gate: kind (0, 1, 2: a rotation about X, Y, Z; 3: a CNOT),
+qubit (or the CNOT's control), target (-1 for a rotation), theta (0.0 for a
+CNOT), layer, and appended (the provenance). `generate_uniform` fills it and
+`remove_gates` masks it; the simulator, statistics and pruning read it, and
+none of them makes a gate object. `Circuit(n, gates)` and `from_json` check
+gate objects once, all together, and keep them; `circuit.gates` builds them
+from the encoding only when asked, as `to_json`, `export_qasm` and
+`rotations` do.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
+from operator import attrgetter
 from typing import ClassVar, Iterable, Iterator, Union
 
 import numpy as np
@@ -28,6 +38,7 @@ __all__ = [
     "Cnot",
     "Gate",
     "GenerationParams",
+    "GATE_DTYPE",
     "Circuit",
     "generate_uniform",
     "circuit_depth",
@@ -60,8 +71,13 @@ class Axis(str, Enum):
     Z = "z"
 
 
-_AXES = (Axis.X, Axis.Y, Axis.Z)  # the generator's axis draw indexes this
-_REALS = (float, int, np.floating, np.integer)  # the types of an angle; bool is checked apart
+# A circuit's encoding: one record per gate (see the module docstring).
+GATE_DTYPE = np.dtype([("kind", np.int8), ("qubit", np.int64), ("target", np.int64), ("theta", np.float64),
+                       ("layer", np.int64), ("appended", bool)], align=True)
+_AXES = (Axis.X, Axis.Y, Axis.Z)  # indexed by a rotation's kind, which is the generator's axis draw
+_KINDS = {axis: kind for kind, axis in enumerate(_AXES)}
+_REALS = (float, int, np.floating, np.integer)  # the types of an angle; never a bool
+_INTEGERS = (int, np.integer)  # the types of a qubit and a layer; never a bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,65 +165,115 @@ class GenerationParams:
             raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Circuit:
-    """An ordered gate list on n_qubits; order is execution order.
-
-    Immutable after construction and safe to share across threads. `params`
-    records the generator configuration when the circuit was generated.
-    """
+    """An ordered gate sequence on n_qubits, held as `encoding` (see the
+    module docstring); order is execution order. Immutable and safe to share
+    across threads. `params` records the generator configuration of a
+    generated circuit."""
 
     n_qubits: int
-    gates: tuple[Gate, ...]
-    params: GenerationParams | None = None
+    encoding: np.ndarray
+    params: GenerationParams | None = None  # and `_gates`, the objects, once known
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
-            raise InvalidParameterError(f"n_qubits must be a positive integer, got {self.n_qubits}")
-        if not isinstance(self.gates, tuple):
-            object.__setattr__(self, "gates", tuple(self.gates))
-        for i, gate in enumerate(self.gates):
-            self._check_gate(i, gate)
+    def __init__(self, n_qubits: int, gates: Iterable[Gate], params: GenerationParams | None = None) -> None:
+        if not isinstance(n_qubits, int) or n_qubits < 1:
+            raise InvalidParameterError(f"n_qubits must be a positive integer, got {n_qubits}")
+        gates = tuple(gates)
+        self._fill(n_qubits, _encode(n_qubits, gates), params, gates)
 
-    def _check_gate(self, i: int, gate: Gate) -> None:
-        if isinstance(gate, Rotation):
-            if not isinstance(gate.axis, Axis):
-                raise InvalidParameterError(f"gate {i}: axis must be an Axis member, got {gate.axis!r}")
-            if not isinstance(gate.theta, _REALS) or isinstance(gate.theta, bool) or not math.isfinite(gate.theta):
-                raise InvalidParameterError(f"gate {i}: angle must be a finite real number, got {gate.theta!r}")
-            if gate.provenance not in PROVENANCES:
-                raise InvalidParameterError(f"gate {i}: unknown provenance {gate.provenance!r}")
-            self._check_wire(i, gate.qubit)
-        elif isinstance(gate, Cnot):
-            self._check_wire(i, gate.control)
-            self._check_wire(i, gate.target)
-            if gate.control == gate.target:
-                raise InvalidParameterError(f"gate {i}: CNOT control and target coincide at {gate.control}")
-        else:
-            raise InvalidParameterError(f"gate {i}: unsupported gate object {gate!r}")
+    @classmethod
+    def _from_arrays(cls, n_qubits: int, encoding: np.ndarray, params: GenerationParams | None) -> Circuit:
+        """A circuit of gates that are valid by construction, unchecked."""
+        circuit = object.__new__(cls)
+        circuit._fill(n_qubits, encoding, params, None)
+        return circuit
 
-    def _check_wire(self, i: int, wire: int) -> None:
-        if not isinstance(wire, (int, np.integer)) or isinstance(wire, bool) or not 0 <= wire < self.n_qubits:
-            raise InvalidParameterError(f"gate {i}: qubit {wire!r} must be an integer in [0, {self.n_qubits})")
+    def _fill(self, n_qubits: int, encoding: np.ndarray, params: GenerationParams | None, gates) -> None:
+        encoding.flags.writeable = False
+        vars(self).update(n_qubits=n_qubits, encoding=encoding, params=params, _gates=gates)
+
+    def __setstate__(self, state: dict) -> None:  # an unpickled array is writeable again
+        self._fill(*state.values())
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates as `Rotation` and `Cnot` objects: those the circuit was
+        built from, or else built from `encoding` on the first call."""
+        if self._gates is None:
+            vars(self)["_gates"] = tuple(
+                Cnot(qubit, target, layer) if kind == 3 else
+                Rotation(_AXES[kind], qubit, theta, PROVENANCES[appended], layer)
+                for kind, qubit, target, theta, layer, appended in self.encoding.tolist())
+        return self._gates
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self.encoding)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Circuit) and (self.n_qubits, self.params) == (other.n_qubits, other.params)
+                and np.array_equal(self.encoding, other.encoding))
+
+    def __hash__(self) -> int:
+        return hash((self.n_qubits, self.params))
 
     def rotations(self) -> Iterator[tuple[int, Rotation]]:
         """Yield (gate_index, rotation) for every rotation gate, in order."""
-        for i, gate in enumerate(self.gates):
-            if isinstance(gate, Rotation):
-                yield i, gate
+        return ((i, gate) for i, gate in enumerate(self.gates) if isinstance(gate, Rotation))
 
 
-@lru_cache(maxsize=256)
-def _entangler(n: int, layer: int) -> tuple[Cnot, ...]:
-    """Brick-wall CNOT sub-layer on a ring: even layers pair (2k, 2k+1), odd
-    layers pair (2k+1, (2k+2) mod n) including the wraparound (n-1, 0).
-    Cached: the gates are immutable, so circuits on n qubits share them."""
-    if layer % 2 == 0:
-        return tuple(Cnot(2 * k, 2 * k + 1, layer) for k in range(n // 2))
-    return tuple(Cnot(2 * k + 1, (2 * k + 2) % n, layer) for k in range(n // 2))
+def _rules(n: int) -> tuple:
+    """Each check of a gate on n qubits, in order: (the gates it applies to, the
+    value it reads, a test of a list of values, the message naming a bad value)."""
+    wires = lambda values: _all_of(values, _INTEGERS, 0, n)
+    wire = f"qubit {{!r}} must be an integer in [0, {n})"
+    return (
+        (Rotation, attrgetter("axis"), lambda axes: set(map(type, axes)) <= {Axis},
+         "axis must be an Axis member, got {!r}"),
+        (Rotation, attrgetter("theta"), lambda thetas: _all_of(thetas, _REALS) and all(map(math.isfinite, thetas)),
+         "angle must be a finite real number, got {!r}"),
+        (Rotation, attrgetter("provenance"), lambda provenances: all(map(PROVENANCES.__contains__, provenances)),
+         "unknown provenance {!r}"),
+        (Rotation, attrgetter("qubit"), wires, wire),
+        (Cnot, attrgetter("control"), wires, wire),
+        (Cnot, attrgetter("target"), wires, wire),
+        (Cnot, attrgetter("control", "target"), lambda pairs: not any(control == target for control, target in pairs),
+         "CNOT control and target coincide at {0[0]}"),
+        ((Rotation, Cnot), attrgetter("layer"), lambda layers: _all_of(layers, _INTEGERS, -2**63, 2**63),
+         "layer must be a 64-bit integer, got {!r}"),
+    )
+
+
+def _all_of(values: list, kinds: tuple[type, ...], low: int | None = None, high: int | None = None) -> bool:
+    """Whether every value is an instance of `kinds`, none a bool, and, given bounds, in [low, high)."""
+    typed = all(issubclass(t, kinds) and t is not bool for t in set(map(type, values)))
+    return typed and (low is None or not values or low <= min(values) and max(values) < high)
+
+
+def _encode(n: int, gates: tuple) -> np.ndarray:
+    """Check gate objects on n qubits and encode them. Each rule is tested on all
+    gates at once; if one fails, the first bad gate raises, naming its first failed rule."""
+    rotation = np.fromiter(map(isinstance, gates, repeat(Rotation)), bool, len(gates))
+    rules, cnots = _rules(n), list(compress(gates, ~rotation))
+    members = {Rotation: list(compress(gates, rotation)), Cnot: cnots, (Rotation, Cnot): gates}
+    valid = all(map(isinstance, cnots, repeat(Cnot)))
+    values = [list(map(read, members[cls])) for cls, read, _, _ in rules] if valid else []
+    if not valid or not all(test(vals) for (_, _, test, _), vals in zip(rules, values)):
+        for i, gate in enumerate(gates):
+            if not isinstance(gate, (Rotation, Cnot)):
+                raise InvalidParameterError(f"gate {i}: unsupported gate object {gate!r}")
+            for cls, read, test, message in rules:
+                if isinstance(gate, cls) and not test([read(gate)]):
+                    raise InvalidParameterError(f"gate {i}: " + message.format(read(gate)))
+    axes, thetas, provenances, qubits, controls, targets, _, layers = values
+    encoding, cnot = np.zeros(len(gates), GATE_DTYPE), ~rotation
+    for name, where, value in (("kind", rotation, list(map(_KINDS.__getitem__, axes))), ("kind", cnot, 3),
+                               ("qubit", rotation, qubits), ("qubit", cnot, controls), ("target", rotation, -1),
+                               ("target", cnot, targets), ("theta", rotation, thetas),
+                               ("appended", rotation, [provenance == "appended" for provenance in provenances])):
+        encoding[name][where] = value
+    encoding["layer"] = layers
+    return encoding
 
 
 def _bulk_draws(words: np.ndarray, count: int, bound: int, doubles: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -259,9 +325,12 @@ def generate_uniform(params: GenerationParams) -> Circuit:
     three. If Lemire's method rejects a draw (for bound 3 only x = 0, about
     2**-32 per draw), every later draw shifts: the circuit is then made by the
     Generator's own calls on a fresh PCG64(seed) instead.
+
+    The draws fill the encoding directly, a row of n rotations and n/2 CNOTs
+    per layer: even layers pair (2k, 2k+1), odd ones (2k+1, 2k+2 mod n).
     """
     n = params.n
-    expected_gate_count(n, params.alpha, params.rho)  # the cap, before any draw
+    count = expected_gate_count(n, params.alpha, params.rho)  # the cap, before any draw
     layers = layer_count(n, params.alpha)
     appended = appended_count(n, params.rho)
     split = layers * n // 2 * 5
@@ -273,27 +342,32 @@ def generate_uniform(params: GenerationParams) -> Circuit:
     (axes, units), (qubits, tail_units) = layered, tail
     ranges = np.where(units[:, :1] < params.rho, SMALL_ANGLE_RANGE, LARGE_ANGLE_RANGE)  # (low, high) per gate
     thetas = ranges[:, 0] + (ranges[:, 1] - ranges[:, 0]) * units[:, 1]  # Generator.uniform, to the bit
-    axes, layer_of = map(_AXES.__getitem__, axes.tolist()), (np.arange(layers * n) // n).tolist()
-    rotations = list(map(Rotation, axes, list(range(n)) * layers, thetas.tolist(), repeat("layered"), layer_of))
-    gates: list[Gate] = []
-    for layer in range(layers):
-        gates += rotations[layer * n:(layer + 1) * n]
-        if layer != layers - 1:
-            gates += _entangler(n, layer)
     low, high = APPENDED_ANGLE_RANGE
-    thetas = low + (high - low) * tail_units[:, 0]
-    gates.extend(Rotation(Axis.Z, q, t, "appended", layers) for q, t in zip(qubits.tolist(), thetas.tolist()))
-    return Circuit(n, tuple(gates), params)
+    width = n + n // 2
+    layer = np.arange(layers)[:, None]
+    controls = 2 * np.arange(n // 2) + layer % 2
+    gates = np.zeros(layers * width + appended, GATE_DTYPE)
+    for name, rotations, cnots, tail in (
+            ("kind", axes.reshape(layers, n), 3, 2),
+            ("qubit", np.arange(n), controls, qubits),
+            ("target", -1, (controls + 1) % n, -1),
+            ("theta", thetas.reshape(layers, n), 0.0, low + (high - low) * tail_units[:, 0]),
+            ("layer", layer, layer, layers),
+            ("appended", False, False, True)):
+        grid = gates[name][:layers * width].reshape(layers, width)
+        grid[:, :n], grid[:, n:] = rotations, cnots
+        gates[name][count - appended:count] = tail  # over the last layer's CNOTs
+    return Circuit._from_arrays(n, gates[:count], params)
 
 
 def circuit_depth(circuit: Circuit) -> int:
     """Greedy-layering depth: each gate sits at 1 + max level of its qubits."""
     levels = [0] * circuit.n_qubits
-    for gate in circuit.gates:
-        touched = (gate.qubit,) if isinstance(gate, Rotation) else (gate.control, gate.target)
-        level = 1 + max(levels[q] for q in touched)
-        for q in touched:
-            levels[q] = level
+    for qubit, target in zip(circuit.encoding["qubit"].tolist(), circuit.encoding["target"].tolist()):
+        if target < 0:
+            levels[qubit] += 1
+        else:
+            levels[qubit] = levels[target] = 1 + max(levels[qubit], levels[target])
     return max(levels, default=0)
 
 
@@ -301,14 +375,18 @@ def remove_gates(circuit: Circuit, indices: Iterable[int]) -> Circuit:
     """Return a copy of `circuit` without the gates at `indices`; survivors
     keep their relative order. The original circuit is untouched. An index
     is an int or a numpy integer, not a bool."""
-    count = len(circuit.gates)
-    drop = set()
-    for i in indices:  # each one checked before a set could merge 1.0 or True into 1
+    count = len(circuit)
+    keep = np.ones(count, dtype=bool)
+    for i in indices:  # each one checked before numpy could read 1.0 or True as 1
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < count:
             raise InvalidParameterError(f"gate index {i!r} must be an integer in [0, {count})")
-        drop.add(i)
-    kept = tuple(g for i, g in enumerate(circuit.gates) if i not in drop)
-    return Circuit(circuit.n_qubits, kept, circuit.params)
+        keep[i] = False
+    return Circuit._from_arrays(circuit.n_qubits, circuit.encoding[keep], circuit.params)
+
+
+# A circuit's JSON document, for the decoder: Circuit's arguments, in order.
+_Document = make_dataclass("_Document", [("n_qubits", int), ("gates", tuple[Gate, ...]),
+                                         ("params", GenerationParams | None)])
 
 
 def to_json(circuit: Circuit) -> str:
@@ -333,7 +411,8 @@ def from_json(text: str) -> Circuit:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitFormatError(f"document is not valid JSON: {exc}") from None
-    return decode(Circuit, doc, "circuit")
+    doc = decode(_Document, doc, "circuit")
+    return Circuit(doc.n_qubits, doc.gates, doc.params)
 
 
 def export_qasm(circuit: Circuit) -> str:

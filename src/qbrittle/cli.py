@@ -166,7 +166,7 @@ def cmd_generate(args) -> int:
     if args.qasm:
         outputs[Path(args.qasm)] = export_qasm(circuit)
     _write_outputs(out.with_suffix(out.suffix + ".manifest.json"), "generate", asdict(params), [], outputs)
-    print(f"wrote {out}: {len(circuit.gates)} gates, depth {circuit_depth(circuit)}")
+    print(f"wrote {out}: {len(circuit)} gates, depth {circuit_depth(circuit)}")
     return 0
 
 
@@ -177,7 +177,7 @@ def cmd_prune(args) -> int:
         circuit = from_json(in_path.read_text())
     except OSError as exc:
         raise CircuitFormatError(f"cannot read {in_path}: {exc}") from None
-    removal_quota(args.kappa, len(circuit.gates))
+    removal_quota(args.kappa, len(circuit))
     if args.pruning_mode == "aware":  # needs no simulation: fail before any directory is made
         angle_stats(circuit, args.small_angle_threshold)
     _make_parents(args.out, args.importance_csv, args.dump_state_csv)
@@ -197,7 +197,7 @@ def cmd_prune(args) -> int:
                                      rows=((i, amp.real, amp.imag) for i, amp in enumerate(amplitudes))),
     })
     print(
-        f"removed {len(result.removed_indices)} of {len(circuit.gates)} gates; "
+        f"removed {len(result.removed_indices)} of {len(circuit)} gates; "
         f"fidelity={result.fidelity:.6f}; label={label.value}; "
         f"kappa_effective={result.kappa_effective:.4f}"
     )

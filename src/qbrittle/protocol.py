@@ -140,7 +140,7 @@ def _build_record(config: EnsembleConfig, k: int) -> CircuitRecord:
     result = prune(circuit, config.kappa, config.pruning_mode, config.small_angle_threshold, profile)
     return CircuitRecord(
         seed=seed,
-        gate_count=len(circuit.gates),
+        gate_count=len(circuit),
         depth=circuit_depth(circuit),
         fidelity=result.fidelity,
         label=st.classify(result.fidelity, config.classify_threshold),

@@ -19,11 +19,11 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Rotation, floor_product, remove_gates
+from .circuits import _AXES, Circuit, Cnot, Rotation, floor_product, remove_gates
 from .codec import write_csv
 from .errors import InvalidParameterError
 from .simulator import StateVector, fidelity, run
-from .stats import DEFAULT_SMALL_ANGLE_THRESHOLD, angle_stats, identity_distance, is_brittle
+from .stats import DEFAULT_SMALL_ANGLE_THRESHOLD, _check_thresholds, angle_stats, identity_distance, is_brittle
 
 __all__ = [
     "ImportanceProfile",
@@ -67,9 +67,9 @@ def importance_profile(circuit: Circuit) -> ImportanceProfile:
     records each gate's closed-form loss. The final state of that pass is the
     baseline, bit-identical to `run(circuit)`.
     """
-    if not circuit.gates:
+    if len(circuit) == 0:
         raise InvalidParameterError("importance profile of an empty circuit is undefined")
-    importances = np.empty(len(circuit.gates))
+    importances = np.empty(len(circuit))
     state = run(circuit, importances)
     return ImportanceProfile(importances, state)
 
@@ -89,16 +89,16 @@ def removal_quota(kappa: float, n_gates: int) -> int:
 def _prune(circuit: Circuit, kappa: float, profile: ImportanceProfile | None,
            protected: Sequence[int]) -> CompressionResult:
     """Delete the floor(kappa*N) least important gates outside `protected` in one batch."""
-    quota = removal_quota(kappa, len(circuit.gates))
+    quota = removal_quota(kappa, len(circuit))
     if profile is None:
         profile = importance_profile(circuit)
-    elif len(profile) != len(circuit.gates):
+    elif len(profile) != len(circuit):
         raise InvalidParameterError(
-            f"importance profile has {len(profile)} entries for a {len(circuit.gates)}-gate circuit"
+            f"importance profile has {len(profile)} entries for a {len(circuit)}-gate circuit"
         )
     # Ascending importance; stable sort makes ties resolve by gate index.
     ranked = np.argsort(profile.importances, kind="stable")
-    if protected:
+    if len(protected):
         ranked = ranked[np.isin(ranked, protected, invert=True)]
     removed = ranked[:quota].tolist()
     compressed = remove_gates(circuit, removed)
@@ -106,7 +106,7 @@ def _prune(circuit: Circuit, kappa: float, profile: ImportanceProfile | None,
         compressed=compressed,
         removed_indices=tuple(removed),
         fidelity=fidelity(profile.baseline_state, run(compressed)),
-        kappa_effective=len(removed) / len(circuit.gates),
+        kappa_effective=len(removed) / len(circuit),
     )
 
 
@@ -139,7 +139,8 @@ def aware_prune(
     """
     protected = ()
     if is_brittle(angle_stats(circuit, small_angle_threshold)):
-        protected = [i for i, gate in circuit.rotations() if identity_distance(gate.theta) < small_angle_threshold]
+        gates = circuit.encoding
+        protected = np.flatnonzero((gates["kind"] < 3) & (identity_distance(gates["theta"]) < small_angle_threshold))
     return _prune(circuit, kappa, profile, protected)
 
 
@@ -151,7 +152,8 @@ def prune(
     profile: ImportanceProfile | None = None,
 ) -> CompressionResult:
     """Prune with the named mode: `causal_prune`, or `aware_prune` with the
-    given small-angle threshold."""
+    given small-angle threshold, which is checked in either mode."""
+    _check_thresholds(small_angle_threshold=small_angle_threshold)
     if mode == "causal":
         return causal_prune(circuit, kappa, profile=profile)
     if mode == "aware":
@@ -161,8 +163,9 @@ def prune(
 
 def write_importance_csv(stream: IO[str], circuit: Circuit, profile: ImportanceProfile) -> None:
     """Emit rows of gate_index, gate_type, axis, qubits, theta, importance."""
+    rows = zip(circuit.encoding.tolist(), profile.importances)
     write_csv(stream, ["gate_index", "gate_type", "axis", "qubits", "theta", "importance"], (
-        (i, gate.TAG, gate.axis, gate.qubit, gate.theta, score) if isinstance(gate, Rotation)
-        else (i, gate.TAG, None, f"{gate.control};{gate.target}", None, score)
-        for i, (gate, score) in enumerate(zip(circuit.gates, profile.importances))
+        (i, Cnot.TAG, None, f"{qubit};{target}", None, score) if kind == 3
+        else (i, Rotation.TAG, _AXES[kind], qubit, theta, score)
+        for i, ((kind, qubit, target, theta, _, _), score) in enumerate(rows)
     ))

@@ -5,11 +5,13 @@ amplitude index. Rotations follow R_a(theta) = exp(-i*theta*A/2), A in {X, Y, Z}
 
 `run` splits the gates greedily into blocks of consecutive gates that are all
 rotations or all CNOTs, on pairwise disjoint qubits: a generated circuit gives
-one block per rotation layer and one per CNOT layer. A CNOT block is one
-gather through a basis permutation cached per (n, pairs). A rotation block is
-the tensor product of its 2x2 gates, applied as one small matmul per chunk of
-at most 5 adjacent qubits (a Kronecker factor of at most 32 rows); a chunk
-without a gate is skipped.
+one block per rotation layer and one per CNOT layer. The gates come as the
+circuit's encoding (see `circuits`), so the split loops over ints. A CNOT
+block is one gather through a basis permutation cached per (n, pairs), those
+of the generator's two ring pairings standing in for their subsets. A
+rotation block is the tensor product of its 2x2 gates, applied as one small
+matmul per chunk of at most 5 adjacent qubits (a Kronecker factor of at most
+32 rows); a chunk without a gate is skipped.
 
 With `losses`, `run` also writes each gate's deletion loss 1 - |<f|G|f>|^2,
 which is how the leave-one-out profile costs one pass. A loss depends only on
@@ -39,6 +41,7 @@ steady stream of runs takes no fresh pages and threads may run at once.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Axis, Circuit, Gate, Rotation
+from .circuits import Circuit, Gate
 from .errors import InvalidParameterError, ResourceLimitError
 
 __all__ = ["StateVector", "zero_state", "apply_gate", "run", "fidelity", "qubit_cap", "DEFAULT_MAX_QUBITS"]
@@ -68,7 +71,6 @@ _GATHER_QUBITS = 12
 # R_A(theta) = cos(theta/2) I + sin(theta/2) (-iA), stacked by axis code.
 _MINUS_I_PAULI = np.array([[[0, -1j], [-1j, 0]], [[0, -1], [1, 0]], [[-1j, 0], [0, 1j]]])
 _IDENTITY = np.eye(2, dtype=complex)
-_X, _Y = Axis.X, Axis.Y  # module constants: the enum's own attribute lookup is slow
 # Per thread: buffers that every run overwrites before it reads them.
 _scratch = threading.local()
 
@@ -109,31 +111,29 @@ def zero_state(n: int) -> StateVector:
     return StateVector(n, amplitudes)
 
 
-def _compile(gates: tuple[Gate, ...], n: int) -> tuple[list, np.ndarray, list, list]:
-    """Split checked gates into blocks [start, qubit mask, qubits or (control,
-    target) pairs]; also return each gate's code (0, 1, 2: rotation about X,
-    Y, Z; 3: CNOT) and each rotation's angle and slot, its row in the stack of
-    per-qubit matrices: block ordinal * count * width + qubit."""
+def _compile(gates: np.ndarray, n: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """Split the encoded gates greedily into blocks (qubit mask, CNOT pairs or None
+    for rotations) of consecutive gates of one kind on pairwise disjoint qubits.
+    Also return which gates are rotations, and each rotation's slot, its row in the
+    stack of per-qubit matrices: rotation block ordinal * count * width + qubit."""
+    rotation = gates["kind"] < 3
+    masks = (1 << gates["qubit"]) | (1 << np.where(rotation, gates["qubit"], gates["target"]))
+    flags = rotation.tolist()
+    starts, spans, used, kind = [], [], 0, None
+    for i, flag, mask in zip(itertools.count(), flags, masks.tolist()):
+        if flag is not kind or used & mask:
+            starts.append(i)
+            spans.append(used)  # the mask of the block this gate ends
+            used, kind = 0, flag
+        used |= mask
+    stops = starts[1:] + [len(flags)]
+    qubits, targets = gates["qubit"].tolist(), gates["target"].tolist()
+    blocks = [(used, None if flags[start] else tuple(zip(qubits[start:stop], targets[start:stop])))
+              for start, stop, used in zip(starts, stops, spans[1:] + [used])]
+    lengths = [stop - start for start, stop in zip(starts, stops) if flags[start]]
     count, width = _layout(n)
-    blocks, codes, thetas, slots = [], [], [], []
-    block, kind, ordinal = None, None, -1
-    for i, gate in enumerate(gates):
-        rotation = isinstance(gate, Rotation)
-        mask = 1 << gate.qubit if rotation else (1 << gate.control) | (1 << gate.target)
-        if rotation is not kind or block[1] & mask:
-            block, kind = [i, 0, []], rotation
-            blocks.append(block)
-            ordinal += rotation
-        block[1] |= mask
-        if rotation:
-            block[2].append(gate.qubit)
-            codes.append(0 if gate.axis is _X else 1 if gate.axis is _Y else 2)
-            thetas.append(gate.theta)
-            slots.append(ordinal * count * width + gate.qubit)
-        else:
-            block[2].append((gate.control, gate.target))
-            codes.append(3)
-    return blocks, np.array(codes, dtype=np.int8), thetas, slots
+    slots = np.repeat(np.arange(len(lengths)) * (count * width), lengths) + gates["qubit"][rotation]
+    return blocks, rotation, slots
 
 
 def _layout(n: int) -> tuple[int, int]:
@@ -169,8 +169,8 @@ def _target_halves(a: np.ndarray, n: int, control: int, target: int) -> tuple[np
     return (view[:, 1, :, 0], view[:, 1, :, 1]) if control == hi else (view[:, 0, :, 1], view[:, 1, :, 1])
 
 
-# A generated circuit alternates two pairings; its compressed copy, with some
-# CNOTs removed, brings two more, which must not evict the first two.
+# Holds the generator's two ring pairings on n qubits, which stand in for their
+# subsets (`_apply_cnots`), and room for a few blocks of other circuits.
 @functools.lru_cache(maxsize=4)
 def _cnot_permutation(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Gather index of a block of CNOTs on disjoint pairs, out[i] = in[perm[i]]:
@@ -182,6 +182,33 @@ def _cnot_permutation(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
         perm ^= (labels >> control & 1) << target
     perm.flags.writeable = False  # cached: shared by every caller
     return perm
+
+
+@functools.lru_cache(maxsize=64)
+def _ring_subset(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
+    """(pairing, missing): the generator's ring pairing (2k + p, 2k + 1 + p mod n), k < n/2,
+    that holds every pair of the block, and the pairs it lacks; (pairs, ()) if none does."""
+    ring = tuple((2 * k + pairs[0][0] % 2, (2 * k + 1 + pairs[0][0] % 2) % n) for k in range(n // 2))
+    missing = tuple(pair for pair in ring if pair not in pairs)
+    return (ring, missing) if len(missing) == len(ring) - len(pairs) else (pairs, ())
+
+
+def _apply_cnots(amps: np.ndarray, out: np.ndarray, n: int, pairs: tuple[tuple[int, int], ...]) -> None:
+    """Write the CNOT block `pairs` applied to `amps` into `out`, only moving
+    amplitudes: one gather through a cached permutation, then CNOTs as swaps
+    of their target halves. A subset of a ring pairing, as in a compressed
+    circuit, goes through the pairing's permutation and swaps back the pairs
+    it lacks (the CNOTs commute and each is its own inverse), or, when it
+    has fewer pairs than it lacks, is a copy and a swap of each pair."""
+    ring, swaps = _ring_subset(n, pairs)
+    if len(pairs) < len(swaps):
+        np.copyto(out, amps)
+        swaps = pairs
+    else:
+        amps.take(_cnot_permutation(n, ring), out=out, mode="clip")  # in range; "raise" stages a copy
+    for control, target in swaps:
+        t0, t1 = _target_halves(out, n, control, target)
+        t0[...], t1[...] = t1, t0.copy()
 
 
 @functools.lru_cache(maxsize=2)  # only runs with losses read it: the profiles of intact circuits
@@ -237,16 +264,17 @@ def _cnot_gaps(amps: np.ndarray, n: int, pairs: tuple[tuple[int, int], ...]) -> 
     return gaps
 
 
-def _evolve(amps: np.ndarray, n: int, gates: tuple[Gate, ...], losses: np.ndarray | None) -> np.ndarray:
+def _evolve(amps: np.ndarray, n: int, gates: np.ndarray, losses: np.ndarray | None) -> np.ndarray:
     """Apply the gates block by block to `amps`, which is overwritten, and
     return the array that holds the result; fill `losses` if it is given."""
-    blocks, codes, thetas, slots = _compile(gates, n)
+    blocks, rotation, slots = _compile(gates, n)
     count, width = _layout(n)
     chunks = [(lo, min(lo + width, n), ((1 << width) - 1) << lo) for lo in range(0, n, width)]
-    rotation_blocks = slots[-1] // (count * width) + 1 if slots else 0
-    half = 0.5 * np.array(thetas, dtype=float)[:, None, None]  # a float32 angle runs in double
+    rotation_blocks = sum(pairs is None for _, pairs in blocks)
+    axes, thetas = gates["kind"][rotation], gates["theta"][rotation]
+    half = 0.5 * thetas[:, None, None]
     per_qubit = np.broadcast_to(_IDENTITY, (rotation_blocks * count * width, 2, 2)).copy()
-    per_qubit[slots] = np.cos(half) * _IDENTITY + np.sin(half) * _MINUS_I_PAULI[codes[codes < 3]]
+    per_qubit[slots] = np.cos(half) * _IDENTITY + np.sin(half) * _MINUS_I_PAULI[axes]
     per_qubit = per_qubit.reshape(rotation_blocks, count, width, 2, 2)
     if losses is not None:
         rho = np.zeros((count, 1 << width, 1 << width), dtype=complex)
@@ -254,12 +282,11 @@ def _evolve(amps: np.ndarray, n: int, gates: tuple[Gate, ...], losses: np.ndarra
         gaps = []
     buf = np.empty_like(amps)
     ordinal = 0
-    for start, used, members in blocks:
-        if codes[start] == 3:
-            pairs = tuple(members)
+    for used, pairs in blocks:
+        if pairs is not None:
             if losses is not None:
                 gaps += _cnot_gaps(amps, n, pairs)
-            amps.take(_cnot_permutation(n, pairs), out=buf, mode="clip")  # in range; "raise" stages a copy
+            _apply_cnots(amps, buf, n, pairs)
             amps, buf = buf, amps
             continue
         if ordinal % _FACTOR_BATCH == 0:
@@ -286,20 +313,19 @@ def _evolve(amps: np.ndarray, n: int, gates: tuple[Gate, ...], losses: np.ndarra
         ordinal += 1
     if losses is not None:
         overlap, p0, p1 = readings.transpose(2, 0, 1, 3).reshape(3, -1)[:, slots]
-        axes = codes[codes < 3]
-        sin_half = np.array([math.sin(0.5 * theta) for theta in thetas])
+        sin_half = np.array([math.sin(0.5 * theta) for theta in thetas.tolist()])
         expectation = 2.0 * np.where(axes == 0, overlap.real, overlap.imag)
         factor = np.where(axes == 2, np.minimum(4.0 * p0.real * p1.real, 1.0),
                           1.0 - np.minimum(expectation * expectation, 1.0))
         gap = np.minimum(np.array(gaps), 2.0)
-        losses[codes < 3] = sin_half * sin_half * factor
-        losses[codes == 3] = gap * (2.0 - gap)
+        losses[rotation] = sin_half * sin_half * factor
+        losses[~rotation] = gap * (2.0 - gap)
     return amps
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place and return the mutated state."""
-    gates = Circuit(state.n_qubits, (gate,)).gates  # checks the gate against the state
+    gates = Circuit(state.n_qubits, (gate,)).encoding  # checks the gate against the state
     state.amplitudes[...] = _evolve(state.amplitudes.copy(), state.n_qubits, gates, None)
     return state
 
@@ -312,10 +338,10 @@ def run(circuit: Circuit, losses: np.ndarray | None = None) -> StateVector:
     state f_i just before gate i (equivalently, at the start of its block).
     The returned state is the same either way.
     """
-    if losses is not None and len(losses) != len(circuit.gates):
-        raise InvalidParameterError(f"losses has {len(losses)} entries for a {len(circuit.gates)}-gate circuit")
+    if losses is not None and len(losses) != len(circuit):
+        raise InvalidParameterError(f"losses has {len(losses)} entries for a {len(circuit)}-gate circuit")
     state = zero_state(circuit.n_qubits)
-    state.amplitudes = _evolve(state.amplitudes, state.n_qubits, circuit.gates, losses)
+    state.amplitudes = _evolve(state.amplitudes, state.n_qubits, circuit.encoding, losses)
     return state
 
 

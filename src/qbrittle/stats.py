@@ -126,22 +126,18 @@ def angle_stats(circuit: Circuit, small_angle_threshold: float = DEFAULT_SMALL_A
     breakdown. Requires at least two rotation gates. An angle is small when
     its `identity_distance` is below the threshold."""
     _check_thresholds(small_angle_threshold=small_angle_threshold)
-    by_axis: dict[Axis, list[float]] = {axis: [] for axis in Axis}
-    thetas: list[float] = []
-    for _, gate in circuit.rotations():
-        thetas.append(gate.theta)
-        by_axis[gate.axis].append(gate.theta)
-    if len(thetas) < 2:
+    gates = circuit.encoding
+    rotation = gates["kind"] < 3
+    axes, thetas = gates["kind"][rotation], gates["theta"][rotation]
+    if thetas.size < 2:
         raise UndefinedStatisticError(
-            f"angle statistics need at least 2 rotation gates, found {len(thetas)}"
+            f"angle statistics need at least 2 rotation gates, found {thetas.size}"
         )
-    arr = np.asarray(thetas, dtype=float)  # float32 angles too are summed in double
     return AngleStats(
-        mean_theta=float(np.mean(arr)),
-        std_theta=float(np.std(arr, ddof=1)),
-        small_angle_ratio=_small_angle_ratio(arr, small_angle_threshold),
-        per_axis={axis: _axis_stats(np.asarray(vals, dtype=float), small_angle_threshold)
-                  for axis, vals in by_axis.items()},
+        mean_theta=float(np.mean(thetas)),
+        std_theta=float(np.std(thetas, ddof=1)),
+        small_angle_ratio=_small_angle_ratio(thetas, small_angle_threshold),
+        per_axis={axis: _axis_stats(thetas[axes == kind], small_angle_threshold) for kind, axis in enumerate(Axis)},
     )
 
 
@@ -194,14 +190,10 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
 def angle_importance_r(circuit: Circuit, profile) -> float:
     """Pearson correlation between rotation angles and their importances."""
     scores = _as_scores(profile)
-    indices = []
-    thetas = []
-    for i, gate in circuit.rotations():
-        indices.append(i)
-        thetas.append(gate.theta)
-    if len(indices) > scores.size:
+    indices = np.flatnonzero(circuit.encoding["kind"] < 3)
+    if indices.size > scores.size:
         raise InvalidParameterError("importance profile is shorter than the circuit")
-    return pearson_r(thetas, scores[indices])
+    return pearson_r(circuit.encoding["theta"][indices], scores[indices])
 
 
 def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-15) -> float:

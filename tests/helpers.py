@@ -18,7 +18,6 @@ from qbrittle.circuits import (
     Cnot,
     GenerationParams,
     Rotation,
-    _entangler,
     appended_count,
     layer_count,
     remove_gates,
@@ -175,13 +174,20 @@ def reference_generate(params: GenerationParams, rng: np.random.Generator | None
             small = rng.random() < params.rho
             low, high = SMALL_ANGLE_RANGE if small else LARGE_ANGLE_RANGE
             gates.append(Rotation(axis, qubit, float(rng.uniform(low, high)), "layered", layer))
-        if layer != layers - 1:
-            gates.extend(_entangler(n, layer))
+        if layer != layers - 1:  # even layers pair (2k, 2k+1), odd ones (2k+1, 2k+2 mod n)
+            gates.extend(Cnot(2 * k + layer % 2, (2 * k + 1 + layer % 2) % n, layer) for k in range(n // 2))
     low, high = APPENDED_ANGLE_RANGE
     for _ in range(appended_count(n, params.rho)):
         qubit = int(rng.integers(n))  # with replacement
         gates.append(Rotation(Axis.Z, qubit, float(rng.uniform(low, high)), "appended", layers))
     return Circuit(n, tuple(gates), params)
+
+
+def reference_remove_gates(circuit: Circuit, indices) -> Circuit:
+    """`remove_gates` as a filter over the gate objects, checked on construction."""
+    drop = set(indices)
+    kept = tuple(gate for i, gate in enumerate(circuit.gates) if i not in drop)
+    return Circuit(circuit.n_qubits, kept, circuit.params)
 
 
 def random_circuit(rng: np.random.Generator, n: int, n_gates: int,

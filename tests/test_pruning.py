@@ -138,6 +138,14 @@ def test_aware_prune_checks_its_threshold():
             prune(circuit, 0.2, "aware", threshold)
 
 
+@pytest.mark.parametrize("mode", ["causal", "aware"])
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0])
+def test_prune_checks_its_threshold_in_either_mode(mode, threshold):
+    circuit = generate_uniform(GenerationParams(6, 1.0, 0.3, 1))
+    with pytest.raises(InvalidParameterError, match="small_angle_threshold must be finite and >= 0"):
+        prune(circuit, 0.2, mode, threshold)
+
+
 def test_generated_small_angle_ratio_matches_expectation():
     # expectation (rho*L*n + floor(n*rho)) / (L*n + floor(n*rho)) ~ 0.286 at (10, 2.3, 0.28)
     ratios = [
