@@ -13,7 +13,7 @@ qubit (or the CNOT's control), target (-1 for a rotation), theta (0.0 for a
 CNOT), layer, and appended (the provenance). `generate_uniform` fills it and
 `remove_gates` masks it; the simulator, statistics and pruning read it, and
 none of them makes a gate object. `Circuit(n, gates)` and `from_json` check
-gate objects once, all together, and keep them; `circuit.gates` builds them
+each gate object once, encode them, and keep them; `circuit.gates` builds them
 from the encoding only when asked, as `to_json`, `export_qasm` and
 `rotations` do.
 """
@@ -23,8 +23,6 @@ import json
 import math
 from dataclasses import dataclass, make_dataclass
 from enum import Enum
-from itertools import compress, repeat
-from operator import attrgetter
 from typing import ClassVar, Iterable, Iterator, Union
 
 import numpy as np
@@ -76,8 +74,7 @@ GATE_DTYPE = np.dtype([("kind", np.int8), ("qubit", np.int64), ("target", np.int
                        ("layer", np.int64), ("appended", bool)], align=True)
 _AXES = (Axis.X, Axis.Y, Axis.Z)  # indexed by a rotation's kind, which is the generator's axis draw
 _KINDS = {axis: kind for kind, axis in enumerate(_AXES)}
-_REALS = (float, int, np.floating, np.integer)  # the types of an angle; never a bool
-_INTEGERS = (int, np.integer)  # the types of a qubit and a layer; never a bool
+_REALS = (float, int, np.floating, np.integer)  # the types of an angle; bool is checked apart
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,57 +219,47 @@ class Circuit:
         return ((i, gate) for i, gate in enumerate(self.gates) if isinstance(gate, Rotation))
 
 
-def _rules(n: int) -> tuple:
-    """Each check of a gate on n qubits, in order: (the gates it applies to, the
-    value it reads, a test of a list of values, the message naming a bad value)."""
-    wires = lambda values: _all_of(values, _INTEGERS, 0, n)
-    wire = f"qubit {{!r}} must be an integer in [0, {n})"
-    return (
-        (Rotation, attrgetter("axis"), lambda axes: set(map(type, axes)) <= {Axis},
-         "axis must be an Axis member, got {!r}"),
-        (Rotation, attrgetter("theta"), lambda thetas: _all_of(thetas, _REALS) and all(map(math.isfinite, thetas)),
-         "angle must be a finite real number, got {!r}"),
-        (Rotation, attrgetter("provenance"), lambda provenances: all(map(PROVENANCES.__contains__, provenances)),
-         "unknown provenance {!r}"),
-        (Rotation, attrgetter("qubit"), wires, wire),
-        (Cnot, attrgetter("control"), wires, wire),
-        (Cnot, attrgetter("target"), wires, wire),
-        (Cnot, attrgetter("control", "target"), lambda pairs: not any(control == target for control, target in pairs),
-         "CNOT control and target coincide at {0[0]}"),
-        ((Rotation, Cnot), attrgetter("layer"), lambda layers: _all_of(layers, _INTEGERS, -2**63, 2**63),
-         "layer must be a 64-bit integer, got {!r}"),
-    )
+def _check_gate(n: int, i: int, gate: Gate) -> None:
+    """Raise, naming gate i, if `gate` is not a valid gate on n qubits."""
+    if isinstance(gate, Rotation):
+        if not isinstance(gate.axis, Axis):
+            raise InvalidParameterError(f"gate {i}: axis must be an Axis member, got {gate.axis!r}")
+        if not isinstance(gate.theta, _REALS) or isinstance(gate.theta, bool) or not math.isfinite(gate.theta):
+            raise InvalidParameterError(f"gate {i}: angle must be a finite real number, got {gate.theta!r}")
+        if gate.provenance not in PROVENANCES:
+            raise InvalidParameterError(f"gate {i}: unknown provenance {gate.provenance!r}")
+        _check_wire(n, i, gate.qubit)
+    elif isinstance(gate, Cnot):
+        _check_wire(n, i, gate.control)
+        _check_wire(n, i, gate.target)
+        if gate.control == gate.target:
+            raise InvalidParameterError(f"gate {i}: CNOT control and target coincide at {gate.control}")
+    else:
+        raise InvalidParameterError(f"gate {i}: unsupported gate object {gate!r}")
+    if not _is_integer(gate.layer, -2**63, 2**63):
+        raise InvalidParameterError(f"gate {i}: layer must be a 64-bit integer, got {gate.layer!r}")
 
 
-def _all_of(values: list, kinds: tuple[type, ...], low: int | None = None, high: int | None = None) -> bool:
-    """Whether every value is an instance of `kinds`, none a bool, and, given bounds, in [low, high)."""
-    typed = all(issubclass(t, kinds) and t is not bool for t in set(map(type, values)))
-    return typed and (low is None or not values or low <= min(values) and max(values) < high)
+def _check_wire(n: int, i: int, wire: int) -> None:
+    if not _is_integer(wire, 0, n):
+        raise InvalidParameterError(f"gate {i}: qubit {wire!r} must be an integer in [0, {n})")
+
+
+def _is_integer(value, low: int, high: int) -> bool:
+    """Whether `value` is an int or numpy integer, not a bool, in [low, high)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and low <= value < high
 
 
 def _encode(n: int, gates: tuple) -> np.ndarray:
-    """Check gate objects on n qubits and encode them. Each rule is tested on all
-    gates at once; if one fails, the first bad gate raises, naming its first failed rule."""
-    rotation = np.fromiter(map(isinstance, gates, repeat(Rotation)), bool, len(gates))
-    rules, cnots = _rules(n), list(compress(gates, ~rotation))
-    members = {Rotation: list(compress(gates, rotation)), Cnot: cnots, (Rotation, Cnot): gates}
-    valid = all(map(isinstance, cnots, repeat(Cnot)))
-    values = [list(map(read, members[cls])) for cls, read, _, _ in rules] if valid else []
-    if not valid or not all(test(vals) for (_, _, test, _), vals in zip(rules, values)):
-        for i, gate in enumerate(gates):
-            if not isinstance(gate, (Rotation, Cnot)):
-                raise InvalidParameterError(f"gate {i}: unsupported gate object {gate!r}")
-            for cls, read, test, message in rules:
-                if isinstance(gate, cls) and not test([read(gate)]):
-                    raise InvalidParameterError(f"gate {i}: " + message.format(read(gate)))
-    axes, thetas, provenances, qubits, controls, targets, _, layers = values
-    encoding, cnot = np.zeros(len(gates), GATE_DTYPE), ~rotation
-    for name, where, value in (("kind", rotation, list(map(_KINDS.__getitem__, axes))), ("kind", cnot, 3),
-                               ("qubit", rotation, qubits), ("qubit", cnot, controls), ("target", rotation, -1),
-                               ("target", cnot, targets), ("theta", rotation, thetas),
-                               ("appended", rotation, [provenance == "appended" for provenance in provenances])):
-        encoding[name][where] = value
-    encoding["layer"] = layers
+    """Check gate objects on n qubits, each in turn, and encode them field by field."""
+    for i, gate in enumerate(gates):
+        _check_gate(n, i, gate)
+    rows = [(_KINDS[gate.axis], gate.qubit, -1, gate.theta, gate.layer, gate.provenance == "appended")
+            if isinstance(gate, Rotation) else (3, gate.control, gate.target, 0.0, gate.layer, False)
+            for gate in gates]
+    encoding = np.zeros(len(rows), GATE_DTYPE)
+    for name, column in zip(GATE_DTYPE.names, zip(*rows)):
+        encoding[name] = column
     return encoding
 
 

@@ -32,11 +32,13 @@ larger states, where strided views stream faster, pair by pair.
 Memory: a run holds the state and one state-sized buffer that each block
 writes into. Reading a rotation block's losses adds one reordered copy of
 the state per chunk, freed before the next, whose conjugate goes into the
-buffer. The cache holds the permutations of the last four CNOT pairings as
-int32, a quarter of a state each. A 20-qubit run peaks at about 3.6 states
-of traced memory, and a test holds a warm 16-qubit run to 4.32 states. The
-Kronecker factors are built in per-thread buffers sized by the chunk layout and kept across runs, so a
-steady stream of runs takes no fresh pages and threads may run at once.
+buffer. A CNOT block that swaps back pairs after its gather holds one half
+at a time in the block's input, which it no longer reads. The cache holds
+the permutations of the last four CNOT pairings as int32, a quarter of a
+state each. A 20-qubit run peaks at about 3.6 states of traced memory, and
+a test holds a warm 16-qubit run to 4.32 states. The Kronecker factors are
+built in per-thread buffers sized by the chunk layout and kept across runs,
+so a steady stream of runs takes no fresh pages and threads may run at once.
 """
 from __future__ import annotations
 
@@ -195,20 +197,18 @@ def _ring_subset(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, tup
 
 def _apply_cnots(amps: np.ndarray, out: np.ndarray, n: int, pairs: tuple[tuple[int, int], ...]) -> None:
     """Write the CNOT block `pairs` applied to `amps` into `out`, only moving
-    amplitudes: one gather through a cached permutation, then CNOTs as swaps
-    of their target halves. A subset of a ring pairing, as in a compressed
-    circuit, goes through the pairing's permutation and swaps back the pairs
-    it lacks (the CNOTs commute and each is its own inverse), or, when it
-    has fewer pairs than it lacks, is a copy and a swap of each pair."""
-    ring, swaps = _ring_subset(n, pairs)
-    if len(pairs) < len(swaps):
-        np.copyto(out, amps)
-        swaps = pairs
-    else:
-        amps.take(_cnot_permutation(n, ring), out=out, mode="clip")  # in range; "raise" stages a copy
-    for control, target in swaps:
+    amplitudes: one gather through a cached permutation. A subset of a ring
+    pairing, as in a compressed circuit, goes through the pairing's
+    permutation, then swaps back the target halves of each pair it lacks (the
+    CNOTs commute and each is its own inverse), holding a half in `amps`,
+    which has been read by then and is overwritten."""
+    ring, missing = _ring_subset(n, pairs)
+    amps.take(_cnot_permutation(n, ring), out=out, mode="clip")  # in range; "raise" stages a copy
+    for control, target in missing:
         t0, t1 = _target_halves(out, n, control, target)
-        t0[...], t1[...] = t1, t0.copy()
+        held = amps[:t0.size].reshape(t0.shape)
+        np.copyto(held, t0)
+        t0[...], t1[...] = t1, held
 
 
 @functools.lru_cache(maxsize=2)  # only runs with losses read it: the profiles of intact circuits

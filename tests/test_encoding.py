@@ -63,7 +63,8 @@ def _forbidden(*args, **kwargs):
 def test_generate_prune_and_ensemble_build_no_gate_objects(monkeypatch):
     for cls in (Rotation, Cnot):
         monkeypatch.setattr(cls, "__init__", _forbidden)
-    monkeypatch.setattr(circuits, "_encode", _forbidden)
+    for checker in ("_encode", "_check_gate"):
+        monkeypatch.setattr(circuits, checker, _forbidden)
     circuit = generate_uniform(GenerationParams(6, 1.0, 0.3, 3))
     causal_prune(circuit, 0.2)
     prune(circuit, 0.2, "aware")
@@ -111,10 +112,10 @@ def test_a_cnot_block_moves_amplitudes_as_its_own_permutation(n):
         ring = [(2 * k + parity, (2 * k + 1 + parity) % n) for k in range(n // 2)]
         for size in range(1, len(ring) + 1):
             for pairs in combinations(ring, size):
-                _apply_cnots(amps, out, n, pairs)
+                _apply_cnots(amps.copy(), out, n, pairs)  # its input is overwritten
                 assert out.tobytes() == amps.take(_cnot_permutation.__wrapped__(n, pairs)).tobytes()
     for pairs in (((1, 0),), ((0, 2),), ((2, 1), (3, 0))):  # in no ring pairing: their own permutation
-        _apply_cnots(amps, out, n, pairs)
+        _apply_cnots(amps.copy(), out, n, pairs)
         assert out.tobytes() == amps.take(_cnot_permutation.__wrapped__(n, pairs)).tobytes()
 
 
