@@ -75,6 +75,7 @@ GATE_DTYPE = np.dtype([("kind", np.int8), ("qubit", np.int64), ("target", np.int
 _AXES = (Axis.X, Axis.Y, Axis.Z)  # indexed by a rotation's kind, which is the generator's axis draw
 _KINDS = {axis: kind for kind, axis in enumerate(_AXES)}
 _REALS = (float, int, np.floating, np.integer)  # the types of an angle; bool is checked apart
+_INTEGERS = (int, np.integer)  # the types of a qubit and a layer; bool is checked apart
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,18 +237,13 @@ def _check_gate(n: int, i: int, gate: Gate) -> None:
             raise InvalidParameterError(f"gate {i}: CNOT control and target coincide at {gate.control}")
     else:
         raise InvalidParameterError(f"gate {i}: unsupported gate object {gate!r}")
-    if not _is_integer(gate.layer, -2**63, 2**63):
+    if not isinstance(gate.layer, _INTEGERS) or isinstance(gate.layer, bool) or not -2**63 <= gate.layer < 2**63:
         raise InvalidParameterError(f"gate {i}: layer must be a 64-bit integer, got {gate.layer!r}")
 
 
 def _check_wire(n: int, i: int, wire: int) -> None:
-    if not _is_integer(wire, 0, n):
+    if not isinstance(wire, _INTEGERS) or isinstance(wire, bool) or not 0 <= wire < n:
         raise InvalidParameterError(f"gate {i}: qubit {wire!r} must be an integer in [0, {n})")
-
-
-def _is_integer(value, low: int, high: int) -> bool:
-    """Whether `value` is an int or numpy integer, not a bool, in [low, high)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and low <= value < high
 
 
 def _encode(n: int, gates: tuple) -> np.ndarray:
