@@ -13,9 +13,9 @@ qubit (or the CNOT's control), target (-1 for a rotation), theta (0.0 for a
 CNOT), layer, and appended (the provenance). `generate_uniform` fills it and
 `remove_gates` masks it; the simulator, statistics and pruning read it, and
 none of them makes a gate object. `Circuit(n, gates)` and `from_json` check
-each gate object once, encode them, and keep them; `circuit.gates` builds them
-from the encoding only when asked, as `to_json`, `export_qasm` and
-`rotations` do.
+and encode gate objects. The encoding is a circuit's only state: on the first
+read, `circuit.gates` builds `Rotation` and `Cnot` objects of Python numbers
+from it for `to_json`, `export_qasm`, `rotations` and the importance CSV.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass, make_dataclass
 from enum import Enum
+from functools import cached_property
 from typing import ClassVar, Iterable, Iterator, Union
 
 import numpy as np
@@ -172,38 +173,37 @@ class Circuit:
 
     n_qubits: int
     encoding: np.ndarray
-    params: GenerationParams | None = None  # and `_gates`, the objects, once known
+    params: GenerationParams | None = None
 
     def __init__(self, n_qubits: int, gates: Iterable[Gate], params: GenerationParams | None = None) -> None:
-        if not isinstance(n_qubits, int) or n_qubits < 1:
+        if isinstance(n_qubits, bool) or not isinstance(n_qubits, int) or n_qubits < 1:
             raise InvalidParameterError(f"n_qubits must be a positive integer, got {n_qubits}")
-        gates = tuple(gates)
-        self._fill(n_qubits, _encode(n_qubits, gates), params, gates)
+        if params is not None and not isinstance(params, GenerationParams):
+            raise InvalidParameterError(f"params must be a GenerationParams or None, got {params!r}")
+        self._fill(n_qubits, _encode(n_qubits, tuple(gates)), params)
 
     @classmethod
     def _from_arrays(cls, n_qubits: int, encoding: np.ndarray, params: GenerationParams | None) -> Circuit:
         """A circuit of gates that are valid by construction, unchecked."""
         circuit = object.__new__(cls)
-        circuit._fill(n_qubits, encoding, params, None)
+        circuit._fill(n_qubits, encoding, params)
         return circuit
 
-    def _fill(self, n_qubits: int, encoding: np.ndarray, params: GenerationParams | None, gates) -> None:
+    def _fill(self, n_qubits: int, encoding: np.ndarray, params: GenerationParams | None) -> None:
         encoding.flags.writeable = False
-        vars(self).update(n_qubits=n_qubits, encoding=encoding, params=params, _gates=gates)
+        vars(self).update(n_qubits=n_qubits, encoding=encoding, params=params)
 
-    def __setstate__(self, state: dict) -> None:  # an unpickled array is writeable again
-        self._fill(*state.values())
+    def __reduce__(self):  # unpickled as a trusted circuit: read-only again, and without the cached gates
+        return Circuit._from_arrays, (self.n_qubits, self.encoding, self.params)
 
-    @property
+    @cached_property
     def gates(self) -> tuple[Gate, ...]:
-        """The gates as `Rotation` and `Cnot` objects: those the circuit was
-        built from, or else built from `encoding` on the first call."""
-        if self._gates is None:
-            vars(self)["_gates"] = tuple(
-                Cnot(qubit, target, layer) if kind == 3 else
-                Rotation(_AXES[kind], qubit, theta, PROVENANCES[appended], layer)
-                for kind, qubit, target, theta, layer, appended in self.encoding.tolist())
-        return self._gates
+        """The gates as `Rotation` and `Cnot` objects of Python numbers, built
+        from `encoding` on the first read."""
+        return tuple(
+            Cnot(qubit, target, layer) if kind == 3 else
+            Rotation(_AXES[kind], qubit, theta, PROVENANCES[appended], layer)
+            for kind, qubit, target, theta, layer, appended in self.encoding.tolist())
 
     def __len__(self) -> int:
         return len(self.encoding)
@@ -225,7 +225,11 @@ def _check_gate(n: int, i: int, gate: Gate) -> None:
     if isinstance(gate, Rotation):
         if not isinstance(gate.axis, Axis):
             raise InvalidParameterError(f"gate {i}: axis must be an Axis member, got {gate.axis!r}")
-        if not isinstance(gate.theta, _REALS) or isinstance(gate.theta, bool) or not math.isfinite(gate.theta):
+        try:
+            finite = isinstance(gate.theta, _REALS) and not isinstance(gate.theta, bool) and math.isfinite(gate.theta)
+        except OverflowError:  # an int beyond a float's range
+            finite = False
+        if not finite:
             raise InvalidParameterError(f"gate {i}: angle must be a finite real number, got {gate.theta!r}")
         if gate.provenance not in PROVENANCES:
             raise InvalidParameterError(f"gate {i}: unknown provenance {gate.provenance!r}")
@@ -392,7 +396,7 @@ def from_json(text: str) -> Circuit:
     circuit is invalid."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
         raise CircuitFormatError(f"document is not valid JSON: {exc}") from None
     doc = decode(_Document, doc, "circuit")
     return Circuit(doc.n_qubits, doc.gates, doc.params)

@@ -270,7 +270,7 @@ def cmd_report(args) -> int:
         obj = json.loads(path.read_text())
     except OSError as exc:
         raise CircuitFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, undecodable text, or an integer too long to parse
         raise CircuitFormatError(f"{path} is not valid JSON: {exc}") from None
     report = report_from_dict(obj)
 

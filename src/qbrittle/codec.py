@@ -51,12 +51,9 @@ def check_types(obj) -> None:
 
 
 def encode(value):
-    """Dataclasses to dicts, enums to their values, tuples to lists, numpy
-    scalars (which a gate accepts as a qubit or an angle) to Python numbers."""
+    """Dataclasses to dicts, enums to their values, tuples to lists."""
     if value is None or isinstance(value, (int, float)):
         return value
-    if isinstance(value, np.generic):
-        return value.item()
     if is_dataclass(value):
         cls = type(value)
         obj = {key: encode(getattr(value, name)) for name, key in _keys(cls)}
@@ -104,7 +101,13 @@ def _decoder(tp) -> Callable[[Any, str], Any]:
     """The decoder of the annotated type `tp`, built once per type."""
     if tp in _PRIMITIVES:
         kinds, expected = _PRIMITIVES[tp]
-        return lambda obj, path: tp(_expect(obj, kinds, expected, path))
+
+        def primitive(obj, path: str):
+            try:
+                return tp(_expect(obj, kinds, expected, path))
+            except OverflowError:  # a JSON integer beyond a float's range
+                _fail(path, "a number within a float's range", obj)
+        return primitive
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
         if NoneType in args:  # X | None

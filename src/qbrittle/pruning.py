@@ -19,7 +19,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .circuits import _AXES, Circuit, Cnot, Rotation, floor_product, remove_gates
+from .circuits import Circuit, Cnot, Rotation, floor_product, remove_gates
 from .codec import write_csv
 from .errors import InvalidParameterError
 from .simulator import StateVector, fidelity, run
@@ -163,9 +163,8 @@ def prune(
 
 def write_importance_csv(stream: IO[str], circuit: Circuit, profile: ImportanceProfile) -> None:
     """Emit rows of gate_index, gate_type, axis, qubits, theta, importance."""
-    rows = zip(circuit.encoding.tolist(), profile.importances)
     write_csv(stream, ["gate_index", "gate_type", "axis", "qubits", "theta", "importance"], (
-        (i, Cnot.TAG, None, f"{qubit};{target}", None, score) if kind == 3
-        else (i, Rotation.TAG, _AXES[kind], qubit, theta, score)
-        for i, ((kind, qubit, target, theta, _, _), score) in enumerate(rows)
+        (i, Rotation.TAG, gate.axis, gate.qubit, gate.theta, score) if isinstance(gate, Rotation)
+        else (i, Cnot.TAG, None, f"{gate.control};{gate.target}", None, score)
+        for i, (gate, score) in enumerate(zip(circuit.gates, profile.importances))
     ))

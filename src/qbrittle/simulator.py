@@ -103,7 +103,7 @@ def qubit_cap() -> int:
 
 def zero_state(n: int) -> StateVector:
     """The all-zeros computational basis state |0...0> on n qubits."""
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidParameterError(f"qubit count must be a positive integer, got {n}")
     cap = qubit_cap()
     if n > cap:

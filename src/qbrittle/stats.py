@@ -107,17 +107,13 @@ def identity_distance(theta):
     return np.minimum(r, 2 * math.pi - r)
 
 
-def _small_angle_ratio(thetas: np.ndarray, threshold: float) -> float:
-    return float(np.count_nonzero(identity_distance(thetas) < threshold) / thetas.size)
-
-
 def _axis_stats(thetas: np.ndarray, threshold: float) -> AxisAngleStats:
     count = int(thetas.size)
     if count == 0:
         return AxisAngleStats(None, None, None, 0)
     mean = float(np.mean(thetas))
     std = float(np.std(thetas, ddof=1)) if count >= 2 else None
-    ratio = _small_angle_ratio(thetas, threshold)
+    ratio = float(np.count_nonzero(identity_distance(thetas) < threshold) / count)
     return AxisAngleStats(mean, std, ratio, count)
 
 
@@ -133,12 +129,9 @@ def angle_stats(circuit: Circuit, small_angle_threshold: float = DEFAULT_SMALL_A
         raise UndefinedStatisticError(
             f"angle statistics need at least 2 rotation gates, found {thetas.size}"
         )
-    return AngleStats(
-        mean_theta=float(np.mean(thetas)),
-        std_theta=float(np.std(thetas, ddof=1)),
-        small_angle_ratio=_small_angle_ratio(thetas, small_angle_threshold),
-        per_axis={axis: _axis_stats(thetas[axes == kind], small_angle_threshold) for kind, axis in enumerate(Axis)},
-    )
+    whole = _axis_stats(thetas, small_angle_threshold)
+    per_axis = {axis: _axis_stats(thetas[axes == kind], small_angle_threshold) for kind, axis in enumerate(Axis)}
+    return AngleStats(whole.mean, whole.std, whole.small_angle_ratio, per_axis)
 
 
 def shannon_entropy(values) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,3 +278,41 @@ def test_zero_layers_is_rejected_by_the_gate_count_too():
         expected_gate_count(4, 0.1, 0.2)  # once returned -2
     with pytest.raises(InvalidParameterError, match=message):
         generate_uniform(GenerationParams(4, 0.1, 0.2, seed=0))
+
+
+def test_an_integer_angle_beyond_a_float_is_rejected():
+    with pytest.raises(InvalidParameterError, match="gate 0: angle must be a finite real number"):
+        Circuit(2, (Rotation(Axis.X, 0, 2**1100),))
+    with pytest.raises(InvalidParameterError, match="gate 0: angle must be a finite real number"):
+        apply_gate(zero_state(2), Rotation(Axis.X, 0, -2**1100))
+
+
+def _rotation_doc(theta, params=None):
+    return {"n_qubits": 4, "params": params,
+            "gates": [{"type": "rot", "axis": "x", "qubit": 0, "theta": theta, "provenance": "layered", "layer": 0}]}
+
+
+@pytest.mark.parametrize("doc, where", [
+    (_rotation_doc(10**400), "circuit.gates[0].theta"),
+    (_rotation_doc(0.5, {"n": 4, "alpha": -10**400, "rho": 0.0, "seed": 0}), "circuit.params.alpha"),
+])
+def test_a_json_number_beyond_a_float_is_a_format_error_at_its_path(doc, where):
+    with pytest.raises(CircuitFormatError, match=re.escape(f"{where}: must be a number within a float's range, got ")):
+        from_json(json.dumps(doc))
+
+
+def test_a_json_integer_too_long_to_parse_is_a_format_error():
+    with pytest.raises(CircuitFormatError, match="document is not valid JSON: Exceeds the limit"):
+        from_json(json.dumps(_rotation_doc(0)).replace('"theta": 0', '"theta": ' + "7" * 5000))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Circuit(True, ()),
+    lambda: Circuit(np.int64(2), ()),
+    lambda: Circuit(2, (), params=5),
+    lambda: Circuit(4, (), params={"n": 4, "alpha": 1.0, "rho": 0.0, "seed": 0}),
+    lambda: zero_state(True),
+], ids=["bool n_qubits", "numpy n_qubits", "int params", "dict params", "bool zero_state"])
+def test_the_constructors_reject_what_the_json_cannot_hold(build):
+    with pytest.raises(InvalidParameterError, match="must be a positive integer, got|params must be a GenerationParams"):
+        build()

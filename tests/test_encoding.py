@@ -1,12 +1,13 @@
 """The array encoding of circuits against their gate objects.
 
-A generated or pruned circuit holds only its encoding; `Circuit(n, gates)`
-checks gate objects and encodes them. Both ways must give the same encoding,
-the same bits from `run`, the same JSON, and, after `remove_gates`, the
-circuit that `helpers.reference_remove_gates` filters from the objects. The
+Every circuit holds only its encoding; `Circuit(n, gates)` checks gate
+objects and encodes them. A generated circuit and one built from its gate
+objects must give the same encoding, the same bits from `run`, the same JSON,
+and, after `remove_gates`, the circuit that `helpers.reference_remove_gates` filters from the objects. The
 path from generation through pruning to an ensemble builds no gate object
 and checks none, and a compressed circuit's CNOT blocks reuse the cached
-permutations of the intact ring pairings.
+permutations of the intact ring pairings. A hand-built circuit's JSON, QASM
+and pickle depend only on its value, not on the number types it was given.
 """
 import json
 import pickle
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import reference_remove_gates
 from qbrittle import circuits
-from qbrittle.circuits import (GATE_DTYPE, Axis, Circuit, Cnot, GenerationParams, Rotation, from_json,
+from qbrittle.circuits import (GATE_DTYPE, Axis, Circuit, Cnot, GenerationParams, Rotation, export_qasm, from_json,
                                generate_uniform, remove_gates, to_json)
 from qbrittle.errors import InvalidParameterError
 from qbrittle.protocol import EnsembleConfig, run_ensemble
@@ -74,11 +75,50 @@ def test_generate_prune_and_ensemble_build_no_gate_objects(monkeypatch):
         circuit.gates  # the guard itself works
 
 
-def test_gate_objects_are_kept_or_built_once():
-    gates = (Rotation(Axis.X, np.int64(1), np.float32(0.5)), Cnot(1, 0))
-    assert Circuit(2, gates).gates is gates
-    circuit = generate_uniform(GenerationParams(4, 1.0, 0.5, 0))
-    assert circuit.gates is circuit.gates
+def test_gate_objects_are_built_once_as_python_numbers():
+    gates = (Rotation(Axis.X, np.int64(1), np.float32(0.5), "appended", np.uint64(3)), Cnot(np.int64(1), 0))
+    circuit, generated = Circuit(2, gates), generate_uniform(GenerationParams(4, 1.0, 0.5, 0))
+    for c in (circuit, generated, remove_gates(generated, [0]), pickle.loads(pickle.dumps(generated))):
+        assert vars(c).keys() == {"n_qubits", "encoding", "params"}  # the encoding is the only state
+        assert c.gates is c.gates
+    assert circuit.gates == gates and circuit.gates is not gates
+    rotation, cnot = circuit.gates
+    assert [type(v) for v in (rotation.qubit, rotation.theta, rotation.layer, cnot.control)] == [int, float, int, int]
+
+
+def _wrapped(values, *types):
+    """Values drawn from `values`, each as one of `types` (a Python or numpy number type)."""
+    return st.tuples(values, st.sampled_from(types)).map(lambda pair: pair[1](pair[0]))
+
+
+@st.composite
+def hand_built_circuits(draw):
+    """Circuits built from gate objects whose qubits, angles and layers are
+    Python or numpy numbers, as a caller may pass them."""
+    n = draw(st.integers(2, 4))
+    qubit = _wrapped(st.integers(0, n - 1), int, np.int64, np.uint64)
+    angle = st.one_of(_wrapped(st.floats(-10.0, 10.0), float, np.float32, np.float64),
+                      _wrapped(st.integers(-10, 10), int, np.int64))
+    layer = _wrapped(st.integers(0, 2**63 - 1), int, np.int64, np.uint64)
+    rotation = st.builds(Rotation, st.sampled_from(Axis), qubit, angle, st.sampled_from(["layered", "appended"]), layer)
+    cnot = st.builds(lambda pair, layer: Cnot(*pair, layer), st.lists(qubit, min_size=2, max_size=2, unique_by=int), layer)
+    return Circuit(n, draw(st.lists(st.one_of(rotation, cnot), max_size=8)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hand_built_circuits())
+def test_a_circuits_bytes_depend_only_on_its_value(circuit):
+    restored = from_json(to_json(circuit))
+    assert restored == circuit
+    assert to_json(restored) == to_json(circuit) and export_qasm(restored) == export_qasm(circuit)
+    for line in export_qasm(circuit).splitlines()[3:]:
+        if line.startswith("r"):  # rx(theta) q[i];
+            angle = line[3:line.index(")")]
+            assert angle == repr(float(angle))
+    state = pickle.dumps(circuit)  # after the QASM export has read the gates
+    assert b"Rotation" not in state and b"Cnot" not in state
+    unpickled = pickle.loads(state)
+    assert unpickled == circuit and not unpickled.encoding.flags.writeable and "gates" not in vars(unpickled)
 
 
 def test_the_encoding_is_read_only():

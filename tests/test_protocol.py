@@ -7,7 +7,7 @@ import pytest
 
 from qbrittle import protocol
 from qbrittle.circuits import expected_gate_count
-from qbrittle.errors import InvalidParameterError, NoTransitionError
+from qbrittle.errors import CircuitFormatError, InvalidParameterError, NoTransitionError
 from qbrittle.protocol import (
     RECORD_CSV_COLUMNS,
     CorrelationSummary,
@@ -121,6 +121,13 @@ def test_report_from_dict_rejects_malformed_fields(small_report, field, bad):
     # The message starts with the JSON path of the bad value (of its parent for a missing key).
     where = ".".join(parents) if bad is MISSING else field
     assert str(excinfo.value).startswith("report." + re.sub(r"\.(\d+)", r"[\1]", where) + ":")
+
+
+def test_report_from_dict_names_a_number_beyond_a_float(small_report):
+    obj = json.loads(json.dumps(report_to_dict(small_report)))
+    obj["records"][0]["fidelity"] = 10**400
+    with pytest.raises(CircuitFormatError, match=re.escape("report.records[0].fidelity: must be a number within a float")):
+        report_from_dict(obj)
 
 
 def test_records_csv_layout(small_report):
