@@ -314,5 +314,6 @@ def test_a_json_integer_too_long_to_parse_is_a_format_error():
     lambda: zero_state(True),
 ], ids=["bool n_qubits", "numpy n_qubits", "int params", "dict params", "bool zero_state"])
 def test_the_constructors_reject_what_the_json_cannot_hold(build):
-    with pytest.raises(InvalidParameterError, match="must be a positive integer, got|params must be a GenerationParams"):
+    message = "must be a positive integer, got|params must be a GenerationParams or None, got"
+    with pytest.raises(InvalidParameterError, match=message):
         build()

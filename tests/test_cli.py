@@ -196,14 +196,13 @@ def test_prune_aware_without_angle_statistics_makes_no_directory(tmp_path):
     (str(10**400), "error: circuit.gates[0].theta: must be a number within a float's range, got "),
     ("7" * 5000, "error: document is not valid JSON: Exceeds the limit"),
 ])
-def test_prune_of_an_integer_angle_beyond_a_float_exits_2(tmp_path, theta, message):
+def test_prune_of_an_integer_angle_beyond_a_float_exits_2(tmp_path, capsys, theta, message):
     path = tmp_path / "big.json"
-    path.write_text(to_json(Circuit(2, (Rotation(Axis.X, 0, 0.5), Cnot(0, 1)))).replace('"theta": 0.5', f'"theta": {theta}'))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "qbrittle.cli", "prune", "--in", str(path), "--kappa", "0.5",
-                           "--out", str(tmp_path / "new" / "p.json")], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+    text = to_json(Circuit(2, (Rotation(Axis.X, 0, 0.5), Cnot(0, 1))))
+    path.write_text(text.replace('"theta": 0.5', f'"theta": {theta}'))
+    assert run_cli("prune", "--in", path, "--kappa", 0.5, "--out", tmp_path / "new" / "p.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
     assert not (tmp_path / "new").exists()
 
 

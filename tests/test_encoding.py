@@ -3,11 +3,12 @@
 Every circuit holds only its encoding; `Circuit(n, gates)` checks gate
 objects and encodes them. A generated circuit and one built from its gate
 objects must give the same encoding, the same bits from `run`, the same JSON,
-and, after `remove_gates`, the circuit that `helpers.reference_remove_gates` filters from the objects. The
-path from generation through pruning to an ensemble builds no gate object
-and checks none, and a compressed circuit's CNOT blocks reuse the cached
-permutations of the intact ring pairings. A hand-built circuit's JSON, QASM
-and pickle depend only on its value, not on the number types it was given.
+and, after `remove_gates`, the circuit that `helpers.reference_remove_gates`
+filters from the objects. The path from generation through pruning to an
+ensemble builds no gate object and checks none, and a compressed circuit's
+CNOT blocks reuse the cached permutations of the intact ring pairings. A
+hand-built circuit's JSON, QASM and pickle depend only on its value, not on
+the number types it was given.
 """
 import json
 import pickle
@@ -101,7 +102,8 @@ def hand_built_circuits(draw):
                       _wrapped(st.integers(-10, 10), int, np.int64))
     layer = _wrapped(st.integers(0, 2**63 - 1), int, np.int64, np.uint64)
     rotation = st.builds(Rotation, st.sampled_from(Axis), qubit, angle, st.sampled_from(["layered", "appended"]), layer)
-    cnot = st.builds(lambda pair, layer: Cnot(*pair, layer), st.lists(qubit, min_size=2, max_size=2, unique_by=int), layer)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique_by=int)
+    cnot = st.builds(lambda wires, layer: Cnot(*wires, layer), pair, layer)
     return Circuit(n, draw(st.lists(st.one_of(rotation, cnot), max_size=8)))
 
 

@@ -126,7 +126,8 @@ def test_report_from_dict_rejects_malformed_fields(small_report, field, bad):
 def test_report_from_dict_names_a_number_beyond_a_float(small_report):
     obj = json.loads(json.dumps(report_to_dict(small_report)))
     obj["records"][0]["fidelity"] = 10**400
-    with pytest.raises(CircuitFormatError, match=re.escape("report.records[0].fidelity: must be a number within a float")):
+    message = "report.records[0].fidelity: must be a number within a float's range, got "
+    with pytest.raises(CircuitFormatError, match=re.escape(message)):
         report_from_dict(obj)
 
 
