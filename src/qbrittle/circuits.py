@@ -15,7 +15,7 @@ CNOT), layer, and appended (the provenance). `generate_uniform` fills it and
 none of them makes a gate object. `Circuit(n, gates)` and `from_json` check
 and encode gate objects. The encoding is a circuit's only state: on the first
 read, `circuit.gates` builds `Rotation` and `Cnot` objects of Python numbers
-from it for `to_json`, `export_qasm`, `rotations` and the importance CSV.
+from it for `to_json`, `export_qasm` and the importance CSV.
 """
 from __future__ import annotations
 
@@ -24,12 +24,12 @@ import math
 from dataclasses import dataclass, make_dataclass
 from enum import Enum
 from functools import cached_property
-from typing import ClassVar, Iterable, Iterator, Union
+from typing import ClassVar, Iterable, Union
 
 import numpy as np
 
 from .codec import check_types, decode, encode
-from .errors import CircuitFormatError, InvalidParameterError
+from .errors import CircuitFormatError, InvalidParameterError, _shown
 
 __all__ = [
     "Axis",
@@ -114,10 +114,11 @@ def layer_count(n: int, alpha: float) -> int:
     """Number of rotation layers, floor(n * alpha); zero layers is an error,
     and so is an infinite, NaN or oversized n * alpha (see MAX_GATES)."""
     if not n * alpha <= MAX_GATES:
-        raise InvalidParameterError(f"alpha={alpha} yields more than {MAX_GATES} gates for n={n}")
+        raise InvalidParameterError(f"alpha={_shown(alpha)} yields more than {MAX_GATES} gates for n={_shown(n)}")
     layers = floor_product(n, alpha)
     if layers < 1:
-        raise InvalidParameterError(f"alpha={alpha} yields zero layers for n={n}; need floor(n * alpha) >= 1")
+        raise InvalidParameterError(
+            f"alpha={_shown(alpha)} yields zero layers for n={_shown(n)}; need floor(n * alpha) >= 1")
     return layers
 
 
@@ -132,7 +133,8 @@ def expected_gate_count(n: int, alpha: float, rho: float) -> int:
     layers = layer_count(n, alpha)
     count = layers * n + (layers - 1) * (n // 2) + appended_count(n, rho)
     if count > MAX_GATES:
-        raise InvalidParameterError(f"n={n}, alpha={alpha}, rho={rho} yield {count} gates, more than {MAX_GATES}")
+        raise InvalidParameterError(f"n={_shown(n)}, alpha={_shown(alpha)}, rho={_shown(rho)} yield {_shown(count)} "
+                                    f"gates, more than {MAX_GATES}")
     return count
 
 
@@ -153,15 +155,15 @@ class GenerationParams:
     def __post_init__(self) -> None:
         check_types(self)
         if self.n < 4:
-            raise InvalidParameterError(f"qubit count must be an integer >= 4, got {self.n}")
+            raise InvalidParameterError(f"qubit count must be an integer >= 4, got {_shown(self.n)}")
         if self.n % 2 != 0:
-            raise InvalidParameterError(f"qubit count must be even for the ring entangler, got {self.n}")
+            raise InvalidParameterError(f"qubit count must be even for the ring entangler, got {_shown(self.n)}")
         if not self.alpha > 0:
-            raise InvalidParameterError(f"depth factor alpha must be positive, got {self.alpha}")
+            raise InvalidParameterError(f"depth factor alpha must be positive, got {_shown(self.alpha)}")
         if not 0.0 <= self.rho <= 1.0:
-            raise InvalidParameterError(f"redundancy rate rho must lie in [0, 1], got {self.rho}")
+            raise InvalidParameterError(f"redundancy rate rho must lie in [0, 1], got {_shown(self.rho)}")
         if not 0 <= self.seed < 2**64:
-            raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+            raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {_shown(self.seed)}")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -177,7 +179,7 @@ class Circuit:
 
     def __init__(self, n_qubits: int, gates: Iterable[Gate], params: GenerationParams | None = None) -> None:
         if isinstance(n_qubits, bool) or not isinstance(n_qubits, int) or n_qubits < 1:
-            raise InvalidParameterError(f"n_qubits must be a positive integer, got {n_qubits}")
+            raise InvalidParameterError(f"n_qubits must be a positive integer, got {_shown(n_qubits)}")
         if params is not None and not isinstance(params, GenerationParams):
             raise InvalidParameterError(f"params must be a GenerationParams or None, got {params!r}")
         self._fill(n_qubits, _encode(n_qubits, tuple(gates)), params)
@@ -215,10 +217,6 @@ class Circuit:
     def __hash__(self) -> int:
         return hash((self.n_qubits, self.params))
 
-    def rotations(self) -> Iterator[tuple[int, Rotation]]:
-        """Yield (gate_index, rotation) for every rotation gate, in order."""
-        return ((i, gate) for i, gate in enumerate(self.gates) if isinstance(gate, Rotation))
-
 
 def _check_gate(n: int, i: int, gate: Gate) -> None:
     """Raise, naming gate i, if `gate` is not a valid gate on n qubits."""
@@ -230,7 +228,7 @@ def _check_gate(n: int, i: int, gate: Gate) -> None:
         except OverflowError:  # an int beyond a float's range
             finite = False
         if not finite:
-            raise InvalidParameterError(f"gate {i}: angle must be a finite real number, got {gate.theta!r}")
+            raise InvalidParameterError(f"gate {i}: angle must be a finite real number, got {_shown(gate.theta, repr)}")
         if gate.provenance not in PROVENANCES:
             raise InvalidParameterError(f"gate {i}: unknown provenance {gate.provenance!r}")
         _check_wire(n, i, gate.qubit)
@@ -242,12 +240,12 @@ def _check_gate(n: int, i: int, gate: Gate) -> None:
     else:
         raise InvalidParameterError(f"gate {i}: unsupported gate object {gate!r}")
     if not isinstance(gate.layer, _INTEGERS) or isinstance(gate.layer, bool) or not -2**63 <= gate.layer < 2**63:
-        raise InvalidParameterError(f"gate {i}: layer must be a 64-bit integer, got {gate.layer!r}")
+        raise InvalidParameterError(f"gate {i}: layer must be a 64-bit integer, got {_shown(gate.layer, repr)}")
 
 
 def _check_wire(n: int, i: int, wire: int) -> None:
     if not isinstance(wire, _INTEGERS) or isinstance(wire, bool) or not 0 <= wire < n:
-        raise InvalidParameterError(f"gate {i}: qubit {wire!r} must be an integer in [0, {n})")
+        raise InvalidParameterError(f"gate {i}: qubit {_shown(wire, repr)} must be an integer in [0, {n})")
 
 
 def _encode(n: int, gates: tuple) -> np.ndarray:
@@ -366,14 +364,14 @@ def remove_gates(circuit: Circuit, indices: Iterable[int]) -> Circuit:
     keep = np.ones(count, dtype=bool)
     for i in indices:  # each one checked before numpy could read 1.0 or True as 1
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < count:
-            raise InvalidParameterError(f"gate index {i!r} must be an integer in [0, {count})")
+            raise InvalidParameterError(f"gate index {_shown(i, repr)} must be an integer in [0, {count})")
         keep[i] = False
     return Circuit._from_arrays(circuit.n_qubits, circuit.encoding[keep], circuit.params)
 
 
-# A circuit's JSON document, for the decoder: Circuit's arguments, in order.
-_Document = make_dataclass("_Document", [("n_qubits", int), ("gates", tuple[Gate, ...]),
-                                         ("params", GenerationParams | None)])
+# A circuit's JSON document, its fields in the schema's key order.
+_Document = make_dataclass("_Document", [("n_qubits", int), ("params", GenerationParams | None),
+                                         ("gates", tuple[Gate, ...])])
 
 
 def to_json(circuit: Circuit) -> str:
@@ -382,12 +380,7 @@ def to_json(circuit: Circuit) -> str:
     Angles are emitted in Python's shortest round-trip float form, so
     from_json(to_json(c)) reproduces every angle bit-exactly.
     """
-    doc = {  # the schema's key order, not Circuit's field order
-        "n_qubits": circuit.n_qubits,
-        "params": encode(circuit.params),
-        "gates": encode(circuit.gates),
-    }
-    return json.dumps(doc, indent=1)
+    return json.dumps(encode(_Document(circuit.n_qubits, circuit.params, circuit.gates)), indent=1)
 
 
 def from_json(text: str) -> Circuit:

@@ -82,6 +82,14 @@ def _write_outputs(manifest: Path, command: str, config: dict, inputs: list[str]
                 os.remove(temporary)
 
 
+def _read_text(path: Path) -> str:
+    """An input file's text; a file that cannot be read or is not UTF-8 is a format error naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CircuitFormatError(f"cannot read {path}: {exc}") from None
+
+
 def _make_parents(*paths) -> None:
     """Create the directories the given output paths (None skipped) will be
     written into, so an unwritable location fails before any compute."""
@@ -173,10 +181,7 @@ def cmd_generate(args) -> int:
 def cmd_prune(args) -> int:
     _check_thresholds(args.classify_threshold, args.small_angle_threshold)
     in_path = Path(args.in_path)
-    try:
-        circuit = from_json(in_path.read_text())
-    except OSError as exc:
-        raise CircuitFormatError(f"cannot read {in_path}: {exc}") from None
+    circuit = from_json(_read_text(in_path))
     removal_quota(args.kappa, len(circuit))
     if args.pruning_mode == "aware":  # needs no simulation: fail before any directory is made
         angle_stats(circuit, args.small_angle_threshold)
@@ -266,11 +271,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     path = Path(args.in_path)
+    text = _read_text(path)
     try:
-        obj = json.loads(path.read_text())
-    except OSError as exc:
-        raise CircuitFormatError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # a JSONDecodeError, undecodable text, or an integer too long to parse
+        obj = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
         raise CircuitFormatError(f"{path} is not valid JSON: {exc}") from None
     report = report_from_dict(obj)
 

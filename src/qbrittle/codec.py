@@ -19,7 +19,7 @@ from typing import IO, Any, Callable, Iterable, Union, get_args, get_origin, get
 
 import numpy as np
 
-from .errors import CircuitFormatError, InvalidParameterError
+from .errors import CircuitFormatError, InvalidParameterError, _shown
 
 TAG_KEY = "type"
 # JSON type checks of the primitive field types: (accepted Python types, description).
@@ -47,7 +47,7 @@ def check_types(obj) -> None:
     for name, kinds, expected in _primitive_fields(type(obj)):
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, kinds):
-            raise InvalidParameterError(f"{name} must be {expected}, got {value!r}")
+            raise InvalidParameterError(f"{name} must be {expected}, got {_shown(value, repr)}")
 
 
 def encode(value):
@@ -74,7 +74,7 @@ def decode(tp, obj, path: str):
 
 
 def _fail(path: str, expected: str, obj):
-    raise CircuitFormatError(f"{path}: must be {expected}, got {reprlib.repr(obj)}")
+    raise CircuitFormatError(f"{path}: must be {expected}, got {_shown(obj, reprlib.repr)}")
 
 
 def _expect(obj, kinds, expected: str, path: str):

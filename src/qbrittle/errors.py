@@ -32,3 +32,11 @@ class UndefinedStatisticError(QbrittleError):
 
 class NoTransitionError(QbrittleError):
     """A compression-ratio sweep found no point with both outcome classes."""
+
+
+def _shown(value, form=str) -> str:
+    """form(value), or the size of an int too long to convert to text (4,300 digits by default)."""
+    try:
+        return form(value)
+    except ValueError:  # raised for such an int only
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"

@@ -19,7 +19,7 @@ from typing import IO, Callable, Iterable, Sequence
 from . import stats as st
 from .circuits import Axis, GenerationParams, circuit_depth, expected_gate_count, generate_uniform
 from .codec import check_types, decode, encode, write_csv
-from .errors import CircuitFormatError, InvalidParameterError, NoTransitionError, UndefinedStatisticError
+from .errors import CircuitFormatError, InvalidParameterError, NoTransitionError, UndefinedStatisticError, _shown
 from .pruning import PRUNING_MODES, importance_profile, prune, removal_quota
 from .stats import AngleStats, ClassLabel
 
@@ -79,7 +79,7 @@ class EnsembleConfig:
         check_types(self)
         _validate_run(self, self.kappa)
         if self.circuit_count < 2:
-            raise InvalidParameterError(f"circuit_count must be >= 2, got {self.circuit_count}")
+            raise InvalidParameterError(f"circuit_count must be >= 2, got {_shown(self.circuit_count)}")
 
     def seed_for(self, k: int) -> int:
         return self.base_seed + k
@@ -242,13 +242,12 @@ class SweepConfig:
     def __post_init__(self) -> None:
         check_types(self)
         if self.probe_count < 2:
-            raise InvalidParameterError(f"probe_count must be >= 2, got {self.probe_count}")
+            raise InvalidParameterError(f"probe_count must be >= 2, got {_shown(self.probe_count)}")
         if not 0.0 < self.kappa_start <= self.kappa_stop < 1.0:
             raise InvalidParameterError(
-                f"kappa grid [{self.kappa_start}, {self.kappa_stop}] must lie inside (0, 1)"
-            )
+                f"kappa grid [{_shown(self.kappa_start)}, {_shown(self.kappa_stop)}] must lie inside (0, 1)")
         if not self.kappa_step > 0:  # also rejects NaN, which has no point count
-            raise InvalidParameterError(f"kappa_step must be positive, got {self.kappa_step}")
+            raise InvalidParameterError(f"kappa_step must be positive, got {_shown(self.kappa_step)}")
         points = _grid_size(self)
         if points > MAX_SWEEP_POINTS:
             raise InvalidParameterError(

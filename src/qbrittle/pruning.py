@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuits import Circuit, Cnot, Rotation, floor_product, remove_gates
 from .codec import write_csv
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _shown
 from .simulator import StateVector, fidelity, run
 from .stats import DEFAULT_SMALL_ANGLE_THRESHOLD, _check_thresholds, angle_stats, identity_distance, is_brittle
 
@@ -77,7 +77,7 @@ def importance_profile(circuit: Circuit) -> ImportanceProfile:
 def removal_quota(kappa: float, n_gates: int) -> int:
     """floor(kappa*N) for a kappa in (0, 1) that removes at least one gate; needs no simulation."""
     if not 0.0 < kappa < 1.0:
-        raise InvalidParameterError(f"compression ratio kappa must lie in (0, 1), got {kappa}")
+        raise InvalidParameterError(f"compression ratio kappa must lie in (0, 1), got {_shown(kappa)}")
     quota = floor_product(kappa, n_gates)
     if quota < 1:
         raise InvalidParameterError(

@@ -7,8 +7,7 @@ amplitude index. Rotations follow R_a(theta) = exp(-i*theta*A/2), A in {X, Y, Z}
 rotations or all CNOTs, on pairwise disjoint qubits: a generated circuit gives
 one block per rotation layer and one per CNOT layer. The gates come as the
 circuit's encoding (see `circuits`), so the split loops over ints. A CNOT
-block is one gather through a basis permutation cached per (n, pairs), those
-of the generator's two ring pairings standing in for their subsets. A
+block is one gather through a basis permutation cached per (n, pairs). A
 rotation block is the tensor product of its 2x2 gates, applied as one small
 matmul per chunk of at most 5 adjacent qubits (a Kronecker factor of at most
 32 rows); a chunk without a gate is skipped.
@@ -32,13 +31,12 @@ larger states, where strided views stream faster, pair by pair.
 Memory: a run holds the state and one state-sized buffer that each block
 writes into. Reading a rotation block's losses adds one reordered copy of
 the state per chunk, freed before the next, whose conjugate goes into the
-buffer. A CNOT block that swaps back pairs after its gather holds one half
-at a time in the block's input, which it no longer reads. The cache holds
-the permutations of the last four CNOT pairings as int32, a quarter of a
-state each. A 20-qubit run peaks at about 3.6 states of traced memory, and
-a test holds a warm 16-qubit run to 4.32 states. The Kronecker factors are
-built in per-thread buffers sized by the chunk layout and kept across runs,
-so a steady stream of runs takes no fresh pages and threads may run at once.
+buffer. The cache holds the permutations of the last four CNOT pairings as
+int32, a quarter of a state each. A 20-qubit run peaks at about 3.6 states
+of traced memory, and a test holds a warm 16-qubit run to 4.32 states. The
+Kronecker factors are built in per-thread buffers sized by the chunk layout
+and kept across runs, so a steady stream of runs takes no fresh pages and
+threads may run at once.
 """
 from __future__ import annotations
 
@@ -52,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError, _shown
 
 __all__ = ["StateVector", "zero_state", "apply_gate", "run", "fidelity", "qubit_cap", "DEFAULT_MAX_QUBITS"]
 
@@ -84,9 +82,6 @@ class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
 
-    def norm_squared(self) -> float:
-        return float(np.einsum("i,i->", self.amplitudes.conj(), self.amplitudes).real)
-
 
 def qubit_cap() -> int:
     """The largest qubit count the simulator accepts: QBRITTLE_MAX_QUBITS if
@@ -104,10 +99,10 @@ def qubit_cap() -> int:
 def zero_state(n: int) -> StateVector:
     """The all-zeros computational basis state |0...0> on n qubits."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidParameterError(f"qubit count must be a positive integer, got {n}")
+        raise InvalidParameterError(f"qubit count must be a positive integer, got {_shown(n)}")
     cap = qubit_cap()
     if n > cap:
-        raise ResourceLimitError(f"{n} qubits exceeds the simulator cap of {cap}")
+        raise ResourceLimitError(f"{_shown(n)} qubits exceeds the simulator cap of {cap}")
     amplitudes = np.zeros(1 << n, dtype=np.complex128)
     amplitudes[0] = 1.0
     return StateVector(n, amplitudes)
@@ -171,8 +166,8 @@ def _target_halves(a: np.ndarray, n: int, control: int, target: int) -> tuple[np
     return (view[:, 1, :, 0], view[:, 1, :, 1]) if control == hi else (view[:, 0, :, 1], view[:, 1, :, 1])
 
 
-# Holds the generator's two ring pairings on n qubits, which stand in for their
-# subsets (`_apply_cnots`), and room for a few blocks of other circuits.
+# A generated circuit alternates two pairings; its compressed copy, with some
+# CNOTs removed, brings two more, which must not evict the first two.
 @functools.lru_cache(maxsize=4)
 def _cnot_permutation(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Gather index of a block of CNOTs on disjoint pairs, out[i] = in[perm[i]]:
@@ -184,31 +179,6 @@ def _cnot_permutation(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
         perm ^= (labels >> control & 1) << target
     perm.flags.writeable = False  # cached: shared by every caller
     return perm
-
-
-@functools.lru_cache(maxsize=64)
-def _ring_subset(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
-    """(pairing, missing): the generator's ring pairing (2k + p, 2k + 1 + p mod n), k < n/2,
-    that holds every pair of the block, and the pairs it lacks; (pairs, ()) if none does."""
-    ring = tuple((2 * k + pairs[0][0] % 2, (2 * k + 1 + pairs[0][0] % 2) % n) for k in range(n // 2))
-    missing = tuple(pair for pair in ring if pair not in pairs)
-    return (ring, missing) if len(missing) == len(ring) - len(pairs) else (pairs, ())
-
-
-def _apply_cnots(amps: np.ndarray, out: np.ndarray, n: int, pairs: tuple[tuple[int, int], ...]) -> None:
-    """Write the CNOT block `pairs` applied to `amps` into `out`, only moving
-    amplitudes: one gather through a cached permutation. A subset of a ring
-    pairing, as in a compressed circuit, goes through the pairing's
-    permutation, then swaps back the target halves of each pair it lacks (the
-    CNOTs commute and each is its own inverse), holding a half in `amps`,
-    which has been read by then and is overwritten."""
-    ring, missing = _ring_subset(n, pairs)
-    amps.take(_cnot_permutation(n, ring), out=out, mode="clip")  # in range; "raise" stages a copy
-    for control, target in missing:
-        t0, t1 = _target_halves(out, n, control, target)
-        held = amps[:t0.size].reshape(t0.shape)
-        np.copyto(held, t0)
-        t0[...], t1[...] = t1, held
 
 
 @functools.lru_cache(maxsize=2)  # only runs with losses read it: the profiles of intact circuits
@@ -286,7 +256,7 @@ def _evolve(amps: np.ndarray, n: int, gates: np.ndarray, losses: np.ndarray | No
         if pairs is not None:
             if losses is not None:
                 gaps += _cnot_gaps(amps, n, pairs)
-            _apply_cnots(amps, buf, n, pairs)
+            amps.take(_cnot_permutation(n, pairs), out=buf, mode="clip")  # in range; "raise" stages a copy
             amps, buf = buf, amps
             continue
         if ordinal % _FACTOR_BATCH == 0:

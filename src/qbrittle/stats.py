@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Axis, Circuit
-from .errors import InvalidParameterError, UndefinedStatisticError
+from .errors import InvalidParameterError, UndefinedStatisticError, _shown
 
 __all__ = [
     "AngleStats",
@@ -51,9 +51,10 @@ def _check_thresholds(classify_threshold: float = DEFAULT_CLASSIFY_THRESHOLD,
     """A classify threshold is a fidelity in [0, 1]; a small-angle threshold
     is a finite distance >= 0. NaN is neither."""
     if not 0.0 <= classify_threshold <= 1.0:
-        raise InvalidParameterError(f"classify_threshold must lie in [0, 1], got {classify_threshold}")
+        raise InvalidParameterError(f"classify_threshold must lie in [0, 1], got {_shown(classify_threshold)}")
     if not 0.0 <= small_angle_threshold < math.inf:
-        raise InvalidParameterError(f"small_angle_threshold must be finite and >= 0, got {small_angle_threshold}")
+        raise InvalidParameterError(
+            f"small_angle_threshold must be finite and >= 0, got {_shown(small_angle_threshold)}")
 
 
 class ClassLabel(str, Enum):
@@ -134,14 +135,20 @@ def angle_stats(circuit: Circuit, small_angle_threshold: float = DEFAULT_SMALL_A
     return AngleStats(whole.mean, whole.std, whole.small_angle_ratio, per_axis)
 
 
-def shannon_entropy(values) -> float:
-    """H = -sum(p_i ln p_i) of the scores normalized to sum 1 (0 ln 0 := 0)."""
+def _positive_scores(values, statistic: str) -> tuple[np.ndarray, float]:
+    """The scores and their sum; raise unless they are non-negative with a positive sum."""
     scores = _as_scores(values)
     if np.any(scores < 0):
         raise InvalidParameterError("importance scores must be non-negative")
     total = float(scores.sum())
     if total <= 0.0:
-        raise UndefinedStatisticError("entropy is undefined for an all-zero importance profile")
+        raise UndefinedStatisticError(f"{statistic} is undefined for an all-zero importance profile")
+    return scores, total
+
+
+def shannon_entropy(values) -> float:
+    """H = -sum(p_i ln p_i) of the scores normalized to sum 1 (0 ln 0 := 0)."""
+    scores, total = _positive_scores(values, "entropy")
     p = scores / total
     p = p[p > 0]
     return float(-np.sum(p * np.log(p)))
@@ -152,12 +159,7 @@ def gini(values) -> float:
 
     Computed via the equivalent sorted form 2*sum(i*x_(i))/(N*sum x) - (N+1)/N.
     """
-    scores = _as_scores(values)
-    if np.any(scores < 0):
-        raise InvalidParameterError("importance scores must be non-negative")
-    total = float(scores.sum())
-    if total <= 0.0:
-        raise UndefinedStatisticError("Gini coefficient is undefined for an all-zero importance profile")
+    scores, total = _positive_scores(values, "Gini coefficient")
     ordered = np.sort(scores)
     n = ordered.size
     ranks = np.arange(1, n + 1)
@@ -203,25 +205,16 @@ def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-
     h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)), -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
@@ -246,19 +239,23 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 def student_t_two_sided_p(t: float, df: float) -> float:
     """Two-sided tail probability of Student's t with `df` degrees of freedom."""
     if df <= 0:
-        raise InvalidParameterError(f"degrees of freedom must be positive, got {df}")
+        raise InvalidParameterError(f"degrees of freedom must be positive, got {_shown(df)}")
     x = df / (df + t * t)
     return min(max(regularized_incomplete_beta(0.5 * df, 0.5, x), 0.0), 1.0)
 
 
-def welch_t_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
-    """Welch's unequal-variance t-test with Welch-Satterthwaite df."""
+def _two_groups(a: Sequence[float], b: Sequence[float], statistic: str) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Both groups as float arrays and their sample variances; raise unless each has at least 2 samples."""
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
     if xa.size < 2 or xb.size < 2:
-        raise UndefinedStatisticError("Welch's test needs at least 2 samples per group")
-    va = float(np.var(xa, ddof=1))
-    vb = float(np.var(xb, ddof=1))
+        raise UndefinedStatisticError(f"{statistic} needs at least 2 samples per group")
+    return xa, xb, float(np.var(xa, ddof=1)), float(np.var(xb, ddof=1))
+
+
+def welch_t_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
+    """Welch's unequal-variance t-test with Welch-Satterthwaite df."""
+    xa, xb, va, vb = _two_groups(a, b, "Welch's test")
     if va == 0.0 or vb == 0.0:
         raise UndefinedStatisticError("Welch's test is undefined for a zero-variance sample")
     sa = va / xa.size
@@ -270,13 +267,8 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
 
 def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
     """Standardized mean difference with pooled (n-1-weighted) std."""
-    xa = np.asarray(a, dtype=float)
-    xb = np.asarray(b, dtype=float)
-    if xa.size < 2 or xb.size < 2:
-        raise UndefinedStatisticError("Cohen's d needs at least 2 samples per group")
-    pooled_var = ((xa.size - 1) * float(np.var(xa, ddof=1)) + (xb.size - 1) * float(np.var(xb, ddof=1))) / (
-        xa.size + xb.size - 2
-    )
+    xa, xb, va, vb = _two_groups(a, b, "Cohen's d")
+    pooled_var = ((xa.size - 1) * va + (xb.size - 1) * vb) / (xa.size + xb.size - 2)
     if pooled_var == 0.0:
         raise UndefinedStatisticError("Cohen's d is undefined for zero pooled variance")
     return (float(xa.mean()) - float(xb.mean())) / math.sqrt(pooled_var)

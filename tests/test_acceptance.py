@@ -24,6 +24,7 @@ import pytest
 from helpers import dense_reference_state, random_circuit
 from qbrittle.circuits import (
     GenerationParams,
+    Rotation,
     appended_count,
     circuit_depth,
     expected_gate_count,
@@ -139,7 +140,8 @@ def test_criterion_02_simulator_oracle():
 
 def test_criterion_03_unitarity_at_14q():
     circuit = generate_uniform(GenerationParams(14, 3.0, 0.2, seed=BASE_SEED))
-    drift = abs(run(circuit).norm_squared() - 1.0)
+    amplitudes = run(circuit).amplitudes
+    drift = abs(np.vdot(amplitudes, amplitudes).real - 1.0)
     check("criterion 3: 14q unitarity", [
         ("877-gate norm drift", drift < 1e-10, f"{drift:.3e}"),
     ])
@@ -151,7 +153,7 @@ def test_criterion_04_importance_bound():
     for seed in range(BASE_SEED, BASE_SEED + 10):
         circuit = generate_uniform(GenerationParams(10, 2.3, 0.28, seed))
         importances = importance_profile(circuit).importances
-        for i, gate in circuit.rotations():
+        for i, gate in ((i, g) for i, g in enumerate(circuit.gates) if isinstance(g, Rotation)):
             excess = importances[i] - math.sin(gate.theta / 2) ** 2
             worst_excess = max(worst_excess, float(excess))
             assert importances[i] >= 0.0

@@ -23,9 +23,12 @@ from qbrittle.circuits import (
     remove_gates,
     to_json,
 )
-from qbrittle.errors import CircuitFormatError, InvalidParameterError
+from qbrittle.codec import decode
+from qbrittle.errors import CircuitFormatError, InvalidParameterError, ResourceLimitError
+from qbrittle.protocol import EnsembleConfig, SweepConfig
+from qbrittle.pruning import removal_quota
 from qbrittle.simulator import apply_gate, run, zero_state
-from qbrittle.stats import angle_stats
+from qbrittle.stats import angle_stats, classify, student_t_two_sided_p
 
 REFERENCE_COUNTS = [
     # (n, alpha, rho) -> gate counts of the three reference ensemble families
@@ -317,3 +320,34 @@ def test_the_constructors_reject_what_the_json_cannot_hold(build):
     message = "must be a positive integer, got|params must be a GenerationParams or None, got"
     with pytest.raises(InvalidParameterError, match=message):
         build()
+
+
+HUGE = 10**5000  # beyond the default 4,300-digit limit of int-to-str conversion
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: Circuit(2, (Rotation(Axis.X, 0, HUGE),)), InvalidParameterError),
+    (lambda: Circuit(2, (Rotation(Axis.X, HUGE, 0.5),)), InvalidParameterError),
+    (lambda: Circuit(2, (Rotation(Axis.X, 0, 0.5, layer=HUGE),)), InvalidParameterError),
+    (lambda: Circuit(-HUGE, ()), InvalidParameterError),
+    (lambda: remove_gates(Circuit(2, ()), [HUGE]), InvalidParameterError),
+    (lambda: GenerationParams(4, 1.0, 0.1, HUGE), InvalidParameterError),
+    (lambda: GenerationParams(HUGE + 1, 1.0, 0.1, 0), InvalidParameterError),
+    (lambda: GenerationParams(4, 1.0, HUGE, 0), InvalidParameterError),
+    (lambda: layer_count(HUGE, 1), InvalidParameterError),
+    (lambda: expected_gate_count(4, 1.0, HUGE), InvalidParameterError),
+    (lambda: run(Circuit(HUGE, ())), ResourceLimitError),
+    (lambda: zero_state(-HUGE), InvalidParameterError),
+    (lambda: EnsembleConfig(4, 1.0, 0.1, 0.5, circuit_count=-HUGE), InvalidParameterError),
+    (lambda: EnsembleConfig(4, 1.0, 0.1, 0.5, pruning_mode=HUGE), InvalidParameterError),
+    (lambda: SweepConfig(4, 1.0, 0.1, kappa_start=HUGE), InvalidParameterError),
+    (lambda: removal_quota(HUGE, 10), InvalidParameterError),
+    (lambda: classify(0.5, HUGE), InvalidParameterError),
+    (lambda: student_t_two_sided_p(1.0, -HUGE), InvalidParameterError),
+    (lambda: decode(GenerationParams, {"n": 4, "alpha": HUGE, "rho": 0.0, "seed": 0}, "p"), CircuitFormatError),
+], ids=["angle", "qubit", "layer", "n_qubits", "gate index", "seed", "odd n", "rho", "layer_count n",
+        "expected_gate_count rho", "run", "zero_state", "circuit_count", "pruning_mode", "kappa_start", "kappa",
+        "classify threshold", "degrees of freedom", "decoded float"])
+def test_a_message_gives_the_size_of_an_integer_too_long_to_print(call, error):
+    with pytest.raises(error, match=r"(a negative|an) integer of 1661\d bits"):
+        call()

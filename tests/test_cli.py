@@ -114,6 +114,17 @@ def test_prune_rejects_malformed_input(tmp_path, capsys):
     assert "n_qubits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [("prune", ["--kappa", 0.5, "--out", "new/p.json"]), ("report", [])])
+def test_an_input_that_is_not_utf8_exits_2(tmp_path, capsys, monkeypatch, command, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bin.json").write_bytes(b"{\x80\xff}" * 25)
+    assert run_cli(command, "--in", "bin.json", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read bin.json: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "new").exists()
+
+
 def test_prune_honors_qubit_cap_env(tmp_path, small_circuit_file, monkeypatch, capsys):
     monkeypatch.setenv("QBRITTLE_MAX_QUBITS", "4")
     code = run_cli("prune", "--in", small_circuit_file, "--kappa", 0.15,

@@ -5,14 +5,12 @@ objects and encodes them. A generated circuit and one built from its gate
 objects must give the same encoding, the same bits from `run`, the same JSON,
 and, after `remove_gates`, the circuit that `helpers.reference_remove_gates`
 filters from the objects. The path from generation through pruning to an
-ensemble builds no gate object and checks none, and a compressed circuit's
-CNOT blocks reuse the cached permutations of the intact ring pairings. A
-hand-built circuit's JSON, QASM and pickle depend only on its value, not on
-the number types it was given.
+ensemble builds no gate object and checks none. A hand-built circuit's JSON,
+QASM and pickle depend only on its value, not on the number types it was
+given.
 """
 import json
 import pickle
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,7 +25,7 @@ from qbrittle.circuits import (GATE_DTYPE, Axis, Circuit, Cnot, GenerationParams
 from qbrittle.errors import InvalidParameterError
 from qbrittle.protocol import EnsembleConfig, run_ensemble
 from qbrittle.pruning import causal_prune, prune
-from qbrittle.simulator import _apply_cnots, _cnot_permutation, run
+from qbrittle.simulator import run
 
 PARAMS = st.builds(GenerationParams, st.sampled_from([4, 6, 10, 14]), st.sampled_from([0.5, 1.0, 2.3]),
                    st.sampled_from([0.0, 0.28, 1.0]), st.integers(0, 2**64 - 1))
@@ -143,26 +141,3 @@ def test_a_json_layer_must_fit_64_bits():
     doc = {"n_qubits": 2, "params": None, "gates": [{"type": "cnot", "control": 0, "target": 1, "layer": 2**63}]}
     with pytest.raises(InvalidParameterError, match=f"gate 0: layer must be a 64-bit integer, got {2**63}"):
         from_json(json.dumps(doc))
-
-
-@pytest.mark.parametrize("n", [4, 5, 6, 10])
-def test_a_cnot_block_moves_amplitudes_as_its_own_permutation(n):
-    rng = np.random.default_rng(n)
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    out = np.empty_like(amps)
-    for parity in (0, 1):
-        ring = [(2 * k + parity, (2 * k + 1 + parity) % n) for k in range(n // 2)]
-        for size in range(1, len(ring) + 1):
-            for pairs in combinations(ring, size):
-                _apply_cnots(amps.copy(), out, n, pairs)  # its input is overwritten
-                assert out.tobytes() == amps.take(_cnot_permutation.__wrapped__(n, pairs)).tobytes()
-    for pairs in (((1, 0),), ((0, 2),), ((2, 1), (3, 0))):  # in no ring pairing: their own permutation
-        _apply_cnots(amps.copy(), out, n, pairs)
-        assert out.tobytes() == amps.take(_cnot_permutation.__wrapped__(n, pairs)).tobytes()
-
-
-def test_pruned_circuits_reuse_the_ring_permutations():
-    _cnot_permutation.cache_clear()
-    for seed in range(20):
-        causal_prune(generate_uniform(GenerationParams(10, 2.3, 0.28, seed)), 0.2)
-    assert _cnot_permutation.cache_info().misses == 2  # one per ring pairing

@@ -54,7 +54,7 @@ def test_rotation_importance_respects_analytic_bound():
     circuits.append(generate_uniform(GenerationParams(6, 1.5, 0.3, seed=2)))
     for circuit in circuits:
         importances = importance_profile(circuit).importances
-        for i, gate in circuit.rotations():
+        for i, gate in ((i, g) for i, g in enumerate(circuit.gates) if isinstance(g, Rotation)):
             assert 0.0 <= importances[i] <= math.sin(gate.theta / 2) ** 2
 
 
