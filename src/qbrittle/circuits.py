@@ -112,8 +112,9 @@ def floor_product(a: float, b: float) -> int:
 
 def layer_count(n: int, alpha: float) -> int:
     """Number of rotation layers, floor(n * alpha); zero layers is an error,
-    and so is an infinite, NaN or oversized n * alpha (see MAX_GATES)."""
-    if not n * alpha <= MAX_GATES:
+    and so is an infinite, NaN or oversized n * alpha (see MAX_GATES). Each
+    layer holds n rotations, so n > MAX_GATES fails before the float product."""
+    if n > MAX_GATES or not n * alpha <= MAX_GATES:
         raise InvalidParameterError(f"alpha={_shown(alpha)} yields more than {MAX_GATES} gates for n={_shown(n)}")
     layers = floor_product(n, alpha)
     if layers < 1:

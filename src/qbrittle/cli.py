@@ -43,6 +43,7 @@ from .stats import (DEFAULT_CLASSIFY_THRESHOLD, DEFAULT_SMALL_ANGLE_THRESHOLD, _
                     classify)
 
 HISTOGRAM_BINS = 40
+MAX_HISTOGRAM_BINS = 10_000  # far past the 570 pixels of the SVG's plot
 # The exit code of each error a command reports as one line on stderr.
 EXIT_CODES = {InvalidParameterError: 2, CircuitFormatError: 2, UndefinedStatisticError: 2,
               NoTransitionError: 3, ResourceLimitError: 4}
@@ -218,8 +219,8 @@ def _print_summary(report) -> None:
 
 
 def cmd_ensemble(args) -> int:
-    if args.bins < 1:
-        raise InvalidParameterError(f"--bins must be at least 1, got {args.bins}")
+    if not 1 <= args.bins <= MAX_HISTOGRAM_BINS:
+        raise InvalidParameterError(f"--bins must be at least 1 and at most {MAX_HISTOGRAM_BINS}, got {args.bins}")
     config = _config_from_args(EnsembleConfig, args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -81,9 +81,6 @@ class EnsembleConfig:
         if self.circuit_count < 2:
             raise InvalidParameterError(f"circuit_count must be >= 2, got {_shown(self.circuit_count)}")
 
-    def seed_for(self, k: int) -> int:
-        return self.base_seed + k
-
 
 @dataclass(frozen=True)
 class CircuitRecord:
@@ -134,7 +131,7 @@ class EnsembleReport:
 
 
 def _build_record(config: EnsembleConfig, k: int) -> CircuitRecord:
-    seed = config.seed_for(k)
+    seed = config.base_seed + k
     circuit = generate_uniform(GenerationParams(config.n, config.alpha, config.rho, seed))
     profile = importance_profile(circuit)
     result = prune(circuit, config.kappa, config.pruning_mode, config.small_angle_threshold, profile)
@@ -145,19 +142,19 @@ def _build_record(config: EnsembleConfig, k: int) -> CircuitRecord:
         fidelity=result.fidelity,
         label=st.classify(result.fidelity, config.classify_threshold),
         angle_stats=st.angle_stats(circuit, config.small_angle_threshold),
-        angle_importance_r=_defined(st.angle_importance_r, circuit, profile),
-        importance_entropy=_defined(st.shannon_entropy, profile),
-        importance_gini=_defined(st.gini, profile),
+        angle_importance_r=_defined(st.angle_importance_r, circuit, profile.importances),
+        importance_entropy=_defined(st.shannon_entropy, profile.importances),
+        importance_gini=_defined(st.gini, profile.importances),
     )
 
 
 def _parallel_map(fn: Callable, items: Sequence, threads: int | None) -> list:
-    """Order-preserving map, optionally across worker processes."""
+    """Order-preserving map, optionally across worker processes, never more than the CPU count."""
     if threads is None:
         threads = os.cpu_count() or 1
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    workers = min(threads, len(items))
+    workers = min(threads, len(items), os.cpu_count() or 1)
     chunksize = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))

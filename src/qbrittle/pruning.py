@@ -1,4 +1,4 @@
-"""Leave-one-out gate importance, causal pruning, and the statistically-aware variant.
+"""Leave-one-out gate importance and pruning, causal or statistically aware.
 
 The importance of gate i is the fidelity loss from deleting it alone:
 I_i = 1 - |<psi|psi_without_i>|^2, always measured against the intact circuit
@@ -10,7 +10,8 @@ one-gate expectation value on a state that one forward pass visits anyway;
 rotation never exceeds sin^2(theta/2), and a phase gate on a basis state
 scores exactly 0. Causal pruning ranks gates by ascending importance (ties
 broken by gate index) and deletes the floor(kappa*N) least important ones in
-one batch.
+one batch; `prune`'s aware mode first protects the small angles of circuits
+that `stats.is_brittle` flags.
 """
 from __future__ import annotations
 
@@ -23,14 +24,14 @@ from .circuits import Circuit, Cnot, Rotation, floor_product, remove_gates
 from .codec import write_csv
 from .errors import InvalidParameterError, _shown
 from .simulator import StateVector, fidelity, run
-from .stats import DEFAULT_SMALL_ANGLE_THRESHOLD, _check_thresholds, angle_stats, identity_distance, is_brittle
+from .stats import (DEFAULT_SMALL_ANGLE_THRESHOLD, _check_length, _check_thresholds, angle_stats, identity_distance,
+                    is_brittle)
 
 __all__ = [
     "ImportanceProfile",
     "CompressionResult",
     "importance_profile",
     "causal_prune",
-    "aware_prune",
     "prune",
     "removal_quota",
     "PRUNING_MODES",
@@ -92,10 +93,7 @@ def _prune(circuit: Circuit, kappa: float, profile: ImportanceProfile | None,
     quota = removal_quota(kappa, len(circuit))
     if profile is None:
         profile = importance_profile(circuit)
-    elif len(profile) != len(circuit):
-        raise InvalidParameterError(
-            f"importance profile has {len(profile)} entries for a {len(circuit)}-gate circuit"
-        )
+    _check_length(profile, circuit)
     # Ascending importance; stable sort makes ties resolve by gate index.
     ranked = np.argsort(profile.importances, kind="stable")
     if len(protected):
@@ -123,27 +121,6 @@ def causal_prune(
     return _prune(circuit, kappa, profile, ())
 
 
-def aware_prune(
-    circuit: Circuit,
-    kappa: float,
-    small_angle_threshold: float = DEFAULT_SMALL_ANGLE_THRESHOLD,
-    profile: ImportanceProfile | None = None,
-) -> CompressionResult:
-    """Causal pruning that protects small-angle rotations of brittle circuits.
-
-    If `stats.is_brittle` does not flag the circuit's angle statistics, the
-    result is identical to causal_prune. Otherwise rotations whose
-    `identity_distance` is below small_angle_threshold are excluded from the
-    candidate pool; when the pool cannot cover the quota, every candidate is
-    removed and kappa_effective ends up below kappa.
-    """
-    protected = ()
-    if is_brittle(angle_stats(circuit, small_angle_threshold)):
-        gates = circuit.encoding
-        protected = np.flatnonzero((gates["kind"] < 3) & (identity_distance(gates["theta"]) < small_angle_threshold))
-    return _prune(circuit, kappa, profile, protected)
-
-
 def prune(
     circuit: Circuit,
     kappa: float,
@@ -151,18 +128,27 @@ def prune(
     small_angle_threshold: float = DEFAULT_SMALL_ANGLE_THRESHOLD,
     profile: ImportanceProfile | None = None,
 ) -> CompressionResult:
-    """Prune with the named mode: `causal_prune`, or `aware_prune` with the
-    given small-angle threshold, which is checked in either mode."""
+    """Prune with the named mode; the small-angle threshold is checked in either.
+
+    "causal" is `causal_prune`. "aware" is the same unless `stats.is_brittle`
+    flags the circuit's angle statistics; then rotations whose
+    `identity_distance` is below small_angle_threshold are excluded from the
+    candidate pool, and when the pool cannot cover the quota every candidate
+    is removed and kappa_effective ends up below kappa.
+    """
     _check_thresholds(small_angle_threshold=small_angle_threshold)
-    if mode == "causal":
-        return causal_prune(circuit, kappa, profile=profile)
-    if mode == "aware":
-        return aware_prune(circuit, kappa, small_angle_threshold, profile)
-    raise InvalidParameterError(f"pruning mode must be one of {PRUNING_MODES}, got {mode!r}")
+    if mode not in PRUNING_MODES:
+        raise InvalidParameterError(f"pruning mode must be one of {PRUNING_MODES}, got {mode!r}")
+    if mode == "aware" and is_brittle(angle_stats(circuit, small_angle_threshold)):
+        gates = circuit.encoding
+        protected = np.flatnonzero((gates["kind"] < 3) & (identity_distance(gates["theta"]) < small_angle_threshold))
+        return _prune(circuit, kappa, profile, protected)
+    return causal_prune(circuit, kappa, profile)
 
 
 def write_importance_csv(stream: IO[str], circuit: Circuit, profile: ImportanceProfile) -> None:
     """Emit rows of gate_index, gate_type, axis, qubits, theta, importance."""
+    _check_length(profile, circuit)
     write_csv(stream, ["gate_index", "gate_type", "axis", "qubits", "theta", "importance"], (
         (i, Rotation.TAG, gate.axis, gate.qubit, gate.theta, score) if isinstance(gate, Rotation)
         else (i, Cnot.TAG, None, f"{gate.control};{gate.target}", None, score)

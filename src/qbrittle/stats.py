@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Sequence, Sized
 
 import numpy as np
 
@@ -44,6 +44,9 @@ DEFAULT_CLASSIFY_THRESHOLD = 0.9
 # fragile-class angle statistics of the 10-qubit reference ensemble.
 MIN_STD_THETA = 0.5255
 MIN_SMALL_ANGLE_RATIO = 0.28
+# `_beta_cf` stops at a relative step below _CF_EPS, or fails after _CF_MAX_TERMS terms.
+_CF_EPS = 1e-15
+_CF_MAX_TERMS = 300
 
 
 def _check_thresholds(classify_threshold: float = DEFAULT_CLASSIFY_THRESHOLD,
@@ -55,6 +58,12 @@ def _check_thresholds(classify_threshold: float = DEFAULT_CLASSIFY_THRESHOLD,
     if not 0.0 <= small_angle_threshold < math.inf:
         raise InvalidParameterError(
             f"small_angle_threshold must be finite and >= 0, got {_shown(small_angle_threshold)}")
+
+
+def _check_length(scores: Sized, circuit: Circuit) -> None:
+    """Raise unless there is one importance score per gate of the circuit."""
+    if len(scores) != len(circuit):
+        raise InvalidParameterError(f"importance profile has {len(scores)} entries for a {len(circuit)}-gate circuit")
 
 
 class ClassLabel(str, Enum):
@@ -89,11 +98,6 @@ class TestResult:
     statistic: float
     degrees_of_freedom: float
     p_value: float
-
-
-def _as_scores(values) -> np.ndarray:
-    """Accept a raw score sequence or any object exposing `.importances`."""
-    return np.asarray(getattr(values, "importances", values), dtype=float)
 
 
 def identity_distance(theta):
@@ -135,9 +139,9 @@ def angle_stats(circuit: Circuit, small_angle_threshold: float = DEFAULT_SMALL_A
     return AngleStats(whole.mean, whole.std, whole.small_angle_ratio, per_axis)
 
 
-def _positive_scores(values, statistic: str) -> tuple[np.ndarray, float]:
+def _positive_scores(values: Sequence[float], statistic: str) -> tuple[np.ndarray, float]:
     """The scores and their sum; raise unless they are non-negative with a positive sum."""
-    scores = _as_scores(values)
+    scores = np.asarray(values, dtype=float)
     if np.any(scores < 0):
         raise InvalidParameterError("importance scores must be non-negative")
     total = float(scores.sum())
@@ -146,7 +150,7 @@ def _positive_scores(values, statistic: str) -> tuple[np.ndarray, float]:
     return scores, total
 
 
-def shannon_entropy(values) -> float:
+def shannon_entropy(values: Sequence[float]) -> float:
     """H = -sum(p_i ln p_i) of the scores normalized to sum 1 (0 ln 0 := 0)."""
     scores, total = _positive_scores(values, "entropy")
     p = scores / total
@@ -154,7 +158,7 @@ def shannon_entropy(values) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def gini(values) -> float:
+def gini(values: Sequence[float]) -> float:
     """Gini coefficient of the scores: sum_ij |x_i - x_j| / (2 N sum x).
 
     Computed via the equivalent sorted form 2*sum(i*x_(i))/(N*sum x) - (N+1)/N.
@@ -182,16 +186,14 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     return min(max(float(np.dot(dx, dy)) / denom, -1.0), 1.0)
 
 
-def angle_importance_r(circuit: Circuit, profile) -> float:
-    """Pearson correlation between rotation angles and their importances."""
-    scores = _as_scores(profile)
-    indices = np.flatnonzero(circuit.encoding["kind"] < 3)
-    if indices.size > scores.size:
-        raise InvalidParameterError("importance profile is shorter than the circuit")
-    return pearson_r(circuit.encoding["theta"][indices], scores[indices])
+def angle_importance_r(circuit: Circuit, scores: Sequence[float]) -> float:
+    """Pearson correlation between rotation angles and their importance scores, one score per gate."""
+    _check_length(scores, circuit)
+    rotation = circuit.encoding["kind"] < 3
+    return pearson_r(circuit.encoding["theta"][rotation], np.asarray(scores, dtype=float)[rotation])
 
 
-def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-15) -> float:
+def _beta_cf(a: float, b: float, x: float) -> float:
     # Lentz's algorithm for the continued fraction of I_x(a, b).
     tiny = 1e-300
     qab = a + b
@@ -203,7 +205,7 @@ def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, _CF_MAX_TERMS + 1):
         m2 = 2 * m
         for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)), -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
             d = 1.0 + aa * d
@@ -215,7 +217,7 @@ def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-
             d = 1.0 / d
             delta = d * c
             h *= delta
-        if abs(delta - 1.0) < eps:
+        if abs(delta - 1.0) < _CF_EPS:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 

@@ -31,7 +31,7 @@ from qbrittle.circuits import (
     generate_uniform,
     layer_count,
 )
-from qbrittle.pruning import causal_prune, importance_profile
+from qbrittle.pruning import causal_prune, importance_profile, prune
 from qbrittle.protocol import EnsembleConfig, SweepConfig, kappa_sweep, run_ensemble
 from qbrittle.simulator import run
 from qbrittle.stats import ClassLabel, angle_stats, cohens_d, gini, is_brittle, pearson_r, shannon_entropy, welch_t_test
@@ -282,8 +282,7 @@ def test_criterion_09_pruning_contracts():
     for seed in range(BASE_SEED, BASE_SEED + 5):
         brittle_circuit = generate_uniform(GenerationParams(10, 2.3, 0.1, seed))
         assert is_brittle(angle_stats(brittle_circuit))  # small-angle ratio ~0.1 < 0.28
-        from qbrittle.pruning import aware_prune
-        result = aware_prune(brittle_circuit, 0.11)
+        result = prune(brittle_circuit, 0.11, mode="aware")
         quota = math.floor(round(0.11 * len(brittle_circuit.gates), 9))
         assert len(result.removed_indices) == quota  # unprotected pool covers the quota
         for i in result.removed_indices:

@@ -50,6 +50,15 @@ def test_generate_rejects_odd_n(tmp_path, capsys):
     assert "even" in capsys.readouterr().err
 
 
+def test_generate_rejects_a_qubit_count_beyond_a_float(tmp_path, capsys):
+    code = run_cli("generate", "--n", 10**400, "--alpha", 1.0, "--rho", 0.1, "--seed", 0,
+                   "--out", tmp_path / "new" / "x.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha=1.0 yields more than 1000000 gates for n=1000") and "Traceback" not in err
+    assert not (tmp_path / "new").exists()
+
+
 def test_generate_qasm_sidecar(tmp_path):
     out = tmp_path / "c.json"
     qasm = tmp_path / "c.qasm"
@@ -323,12 +332,14 @@ def test_sweep_without_transition_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", [(), ("--svg",)])
-def test_ensemble_rejects_bins_below_one(tmp_path, capsys, extra):
-    code = run_cli("ensemble", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--kappa", 0.15,
-                   "--count", 4, "--out-dir", tmp_path / "ens", "--threads", 1, "--bins", 0, *extra)
-    assert code == 2
-    assert "--bins must be at least 1" in capsys.readouterr().err
-    assert not (tmp_path / "ens").exists()
+def test_ensemble_rejects_bins_below_one(tmp_path, capsys, monkeypatch, extra):
+    monkeypatch.setattr(cli, "run_ensemble", no_compute)
+    for bins in (0, 10**12):
+        code = run_cli("ensemble", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--kappa", 0.15,
+                       "--count", 4, "--out-dir", tmp_path / "ens", "--threads", 1, "--bins", bins, *extra)
+        assert code == 2
+        assert f"--bins must be at least 1 and at most 10000, got {bins}" in capsys.readouterr().err
+        assert not (tmp_path / "ens").exists()
 
 
 def test_sweep_rejects_oversized_grid_before_building_it(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import re
 
@@ -315,3 +316,29 @@ def test_configs_reject_wrong_types(cls, field, bad, expected):
     fields = {"n": 6, "alpha": 1.0, "rho": 0.3, **({"kappa": 0.2} if cls is EnsembleConfig else {}), field: bad}
     with pytest.raises(InvalidParameterError, match=re.escape(f"{field} must be {expected}, got {bad!r}")):
         cls(**fields)
+
+
+def test_the_worker_pool_never_exceeds_the_cpu_count(monkeypatch):
+    asked = []
+
+    class SerialPool:  # records the worker count it is asked for and starts no process
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(protocol, "ProcessPoolExecutor", SerialPool)
+    items = list(range(40))
+    cpus = os.cpu_count() or 1
+    assert protocol._parallel_map(abs, items, threads=5000) == items
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 3)
+    for threads in (5000, None, 2):
+        assert protocol._parallel_map(abs, items, threads) == items
+    assert asked == [min(len(items), cpus), 3, 3, 2]

@@ -15,14 +15,14 @@ from qbrittle.circuits import (
 )
 from qbrittle.errors import InvalidParameterError, UndefinedStatisticError
 from qbrittle.pruning import (
-    aware_prune,
+    ImportanceProfile,
     causal_prune,
     importance_profile,
     prune,
     write_importance_csv,
 )
 from qbrittle.simulator import fidelity, run
-from qbrittle.stats import angle_stats, is_brittle
+from qbrittle.stats import angle_importance_r, angle_stats, identity_distance, is_brittle
 
 
 def test_terminal_phase_gate_has_zero_importance():
@@ -128,7 +128,7 @@ def test_is_brittle_small_angle_ratio():
 
 def test_aware_prune_needs_two_rotations():
     with pytest.raises(UndefinedStatisticError):
-        aware_prune(Circuit(2, (Rotation(Axis.X, 0, 1.0), Cnot(0, 1))), 0.5)
+        prune(Circuit(2, (Rotation(Axis.X, 0, 1.0), Cnot(0, 1))), 0.5, mode="aware")
 
 
 def test_aware_prune_checks_its_threshold():
@@ -175,14 +175,14 @@ def test_aware_prune_is_noop_for_non_brittle():
     circuit = _non_brittle_circuit()
     assert not is_brittle(angle_stats(circuit))
     causal = causal_prune(circuit, 0.25)
-    aware = aware_prune(circuit, 0.25)
+    aware = prune(circuit, 0.25, mode="aware")
     assert aware == causal
 
 
 def test_aware_prune_protects_small_angles():
     circuit = _brittle_circuit()
     assert is_brittle(angle_stats(circuit))
-    result = aware_prune(circuit, 0.3)  # quota 3 <= 8 unprotected gates
+    result = prune(circuit, 0.3, mode="aware")  # quota 3 <= 8 unprotected gates
     assert len(result.removed_indices) == 3
     for i in result.removed_indices:
         gate = circuit.gates[i]
@@ -197,7 +197,7 @@ def test_aware_prune_partial_pool_removes_what_it_can():
     gates += [Rotation(Axis.Y, 1, 0.9), Rotation(Axis.Y, 2, 0.9)]
     circuit = Circuit(3, tuple(gates))
     assert is_brittle(angle_stats(circuit))
-    result = aware_prune(circuit, 0.4)  # quota floor(3.2) = 3 > 2 candidates
+    result = prune(circuit, 0.4, mode="aware")  # quota floor(3.2) = 3 > 2 candidates
     assert len(result.removed_indices) == 2
     assert set(result.removed_indices) == {6, 7}
     assert result.kappa_effective == pytest.approx(0.25)
@@ -207,7 +207,7 @@ def test_aware_prune_exhaustion_reports_lower_kappa():
     gates = tuple(Rotation(Axis.Z, 0, 0.01 + 0.001 * i) for i in range(4))
     circuit = Circuit(1, gates)
     assert is_brittle(angle_stats(circuit))
-    result = aware_prune(circuit, 0.5)  # quota 2, but every gate is protected
+    result = prune(circuit, 0.5, mode="aware")  # quota 2, but every gate is protected
     assert result.removed_indices == ()
     assert result.kappa_effective == 0.0
     assert result.fidelity == pytest.approx(1.0, abs=1e-12)
@@ -222,7 +222,7 @@ def test_aware_prune_protects_by_wrapped_angle():
     stats = angle_stats(circuit)
     assert stats.small_angle_ratio == 0.25 and is_brittle(stats)
     assert causal_prune(circuit, 0.25).removed_indices == (0,)  # least important
-    result = aware_prune(circuit, 0.25)
+    result = prune(circuit, 0.25, mode="aware")
     assert 0 not in result.removed_indices
     assert len(result.removed_indices) == 1
 
@@ -246,10 +246,26 @@ def test_prune_dispatches_by_mode():
     assert is_brittle(angle_stats(circuit))
     assert prune(circuit, 0.15, "causal", profile=profile) == causal_prune(circuit, 0.15, profile=profile)
     aware = prune(circuit, 0.15, "aware", profile=profile)
-    assert aware == aware_prune(circuit, 0.15, profile=profile)
     assert aware.removed_indices != causal_prune(circuit, 0.15, profile=profile).removed_indices
-    wide = prune(circuit, 0.15, "aware", 1.0, profile)  # the threshold reaches aware_prune
-    assert wide == aware_prune(circuit, 0.15, 1.0, profile)
+    wide = prune(circuit, 0.15, "aware", 1.0, profile)  # the threshold reaches the aware rule
     assert wide.removed_indices != aware.removed_indices
+    distances = identity_distance(circuit.encoding["theta"])
+    is_rotation = circuit.encoding["kind"] < 3
+    assert all(distances[i] >= 0.1 for i in aware.removed_indices if is_rotation[i])
+    assert all(distances[i] >= 1.0 for i in wide.removed_indices if is_rotation[i])
+    assert any(0.1 <= distances[i] < 1.0 for i in aware.removed_indices if is_rotation[i])
     with pytest.raises(InvalidParameterError, match="pruning mode"):
         prune(circuit, 0.15, "greedy", profile=profile)
+
+
+@pytest.mark.parametrize("extra", [-1, 5], ids=["short", "long"])
+@pytest.mark.parametrize("consumer", [
+    angle_importance_r,
+    lambda circuit, scores: write_importance_csv(io.StringIO(), circuit, ImportanceProfile(scores, run(circuit))),
+], ids=["angle_importance_r", "write_importance_csv"])
+def test_a_profile_of_the_wrong_length_is_an_input_error(consumer, extra):
+    circuit = generate_uniform(GenerationParams(4, 1.0, 0.0, 0))
+    scores = np.resize(importance_profile(circuit).importances, len(circuit) + extra)
+    message = f"importance profile has {len(circuit) + extra} entries for a {len(circuit)}-gate circuit"
+    with pytest.raises(InvalidParameterError, match=message):
+        consumer(circuit, scores)

@@ -139,7 +139,7 @@ def test_angle_importance_r_positive_on_monotone_chain():
     gates = tuple(Rotation(Axis.Y, q, 0.2 + 0.25 * q) for q in range(5))
     circuit = Circuit(5, gates)
     profile = importance_profile(circuit)
-    assert angle_importance_r(circuit, profile) > 0.9
+    assert angle_importance_r(circuit, profile.importances) > 0.9
 
 
 def test_angle_importance_r_ignores_cnots():
@@ -148,7 +148,7 @@ def test_angle_importance_r_ignores_cnots():
     rotations = [(i, g) for i, g in enumerate(circuit.gates) if isinstance(g, Rotation)]
     thetas = [g.theta for _, g in rotations]
     scores = [profile.importances[i] for i, _ in rotations]
-    assert angle_importance_r(circuit, profile) == pytest.approx(pearson_r(thetas, scores), abs=1e-15)
+    assert angle_importance_r(circuit, profile.importances) == pytest.approx(pearson_r(thetas, scores), abs=1e-15)
 
 
 def test_incomplete_beta_against_scipy():
