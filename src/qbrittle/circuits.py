@@ -24,12 +24,12 @@ import math
 from dataclasses import dataclass, make_dataclass
 from enum import Enum
 from functools import cached_property
-from typing import ClassVar, Iterable, Union
+from typing import ClassVar, Iterable, Sized, Union
 
 import numpy as np
 
-from .codec import check_types, decode, encode
-from .errors import CircuitFormatError, InvalidParameterError, _shown
+from .codec import check_types, decode, encode, loads
+from .errors import InvalidParameterError, _shown
 
 __all__ = [
     "Axis",
@@ -113,7 +113,9 @@ def floor_product(a: float, b: float) -> int:
 def layer_count(n: int, alpha: float) -> int:
     """Number of rotation layers, floor(n * alpha); zero layers is an error,
     and so is an infinite, NaN or oversized n * alpha (see MAX_GATES). Each
-    layer holds n rotations, so n > MAX_GATES fails before the float product."""
+    layer holds n rotations, so n < 1 and n > MAX_GATES fail before the float product."""
+    if n < 1:
+        raise InvalidParameterError(f"qubit count must be a positive integer, got {_shown(n)}")
     if n > MAX_GATES or not n * alpha <= MAX_GATES:
         raise InvalidParameterError(f"alpha={_shown(alpha)} yields more than {MAX_GATES} gates for n={_shown(n)}")
     layers = floor_product(n, alpha)
@@ -217,6 +219,12 @@ class Circuit:
 
     def __hash__(self) -> int:
         return hash((self.n_qubits, self.params))
+
+
+def _check_per_gate(values: Sized, circuit: Circuit, what: str) -> None:
+    """Raise unless `values`, named `what`, holds one entry per gate of the circuit."""
+    if len(values) != len(circuit):
+        raise InvalidParameterError(f"{what} has {len(values)} entries for a {len(circuit)}-gate circuit")
 
 
 def _check_gate(n: int, i: int, gate: Gate) -> None:
@@ -388,11 +396,7 @@ def from_json(text: str) -> Circuit:
     """Parse a circuit document; raises CircuitFormatError naming the JSON path
     of the first offending value, or InvalidParameterError if the parsed
     circuit is invalid."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
-        raise CircuitFormatError(f"document is not valid JSON: {exc}") from None
-    doc = decode(_Document, doc, "circuit")
+    doc = decode(_Document, loads(text, "document"), "circuit")
     return Circuit(doc.n_qubits, doc.gates, doc.params)
 
 

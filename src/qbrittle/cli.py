@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .circuits import (GenerationParams, circuit_depth, expected_gate_count, export_qasm, from_json,
                        generate_uniform, to_json)
-from .codec import write_csv
+from .codec import loads, write_csv
 from .errors import (CircuitFormatError, InvalidParameterError, NoTransitionError, ResourceLimitError,
                      UndefinedStatisticError)
 from .pruning import PRUNING_MODES, importance_profile, prune, removal_quota, write_importance_csv
@@ -30,6 +30,7 @@ from .protocol import (
     EnsembleConfig,
     SweepConfig,
     _by_class,
+    _check_threads,
     _fmt,
     compare_classes,
     kappa_sweep,
@@ -272,12 +273,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     path = Path(args.in_path)
-    text = _read_text(path)
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
-        raise CircuitFormatError(f"{path} is not valid JSON: {exc}") from None
-    report = report_from_dict(obj)
+    report = report_from_dict(loads(_read_text(path), path))
 
     c = report.config
     print(f"ensemble: n={c.n} alpha={c.alpha} rho={c.rho} kappa={c.kappa} "
@@ -360,7 +356,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        qubit_cap()  # a malformed QBRITTLE_MAX_QUBITS exits 2 before any work
+        qubit_cap()  # a malformed QBRITTLE_MAX_QUBITS exits 2 before any work,
+        _check_threads(getattr(args, "threads", None))  # and so does a bad --threads
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,19 +3,21 @@
 A dataclass is a JSON object in field order; a field may name its key with
 `field(metadata={"key": ...})`. A dataclass with a `TAG` class attribute is a
 member of a tagged union: its object carries the tag under "type", first.
-An enum is its value and a tuple an array. Decoding follows the type hints
-and checks every value; the first bad one raises CircuitFormatError with its
-JSON path.
+An enum is its value and a tuple an array. A table `dict[K, V]` is an
+object keyed by exactly the values of K, a string enum or a Literal of
+strings. Decoding follows the type hints and checks every value; the first
+bad one raises CircuitFormatError with its JSON path.
 """
 from __future__ import annotations
 
 import csv
+import json
 import reprlib
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import cache
 from types import NoneType, UnionType
-from typing import IO, Any, Callable, Iterable, Union, get_args, get_origin, get_type_hints
+from typing import IO, Any, Callable, Iterable, Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -67,6 +69,14 @@ def encode(value):
     return value
 
 
+def loads(text: str, name: str):
+    """json.loads(text); text that does not parse raises CircuitFormatError naming it `name`."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
+        raise CircuitFormatError(f"{name} is not valid JSON: {exc}") from None
+
+
 def decode(tp, obj, path: str):
     """Rebuild a value of type `tp` from `encode` output. `path` names `obj`
     in error messages, e.g. `report.class_summary.robust.fraction`."""
@@ -96,6 +106,13 @@ def _choose(choices: dict, obj, path: str):
     return choices[obj]
 
 
+def _values(tp) -> dict:
+    """{JSON string: value} of a string enum or a Literal of strings; empty for any other type."""
+    if get_origin(tp) is Literal:
+        return {v: v for v in get_args(tp)}
+    return {m.value: m for m in tp} if isinstance(tp, type) and issubclass(tp, Enum) else {}
+
+
 @cache
 def _decoder(tp) -> Callable[[Any, str], Any]:
     """The decoder of the annotated type `tp`, built once per type."""
@@ -119,12 +136,15 @@ def _decoder(tp) -> Callable[[Any, str], Any]:
         item = _decoder(args[0])
         return lambda obj, path: tuple(
             item(v, f"{path}[{i}]") for i, v in enumerate(_expect(obj, list, "an array", path)))
-    if origin is dict:
-        key, val = _decoder(args[0]), _decoder(args[1])
-        return lambda obj, path: {
-            key(k, path): val(v, f"{path}.{k}") for k, v in _expect(obj, dict, "an object", path).items()}
-    if isinstance(tp, type) and issubclass(tp, Enum):  # string-valued
-        values = {m.value: m for m in tp}
+    if origin is dict and _values(args[0]):  # a table, keyed by exactly K's values
+        keys, val = _values(args[0]), _decoder(args[1])
+
+        def table(obj, path: str):
+            if set(_expect(obj, dict, "an object", path)) != set(keys):
+                raise CircuitFormatError(f"{path}: keys must be {list(keys)}, got {list(obj)}")
+            return {keys[k]: val(v, f"{path}.{k}") for k, v in obj.items()}
+        return table
+    if values := _values(tp):
         return lambda obj, path: _choose(values, obj, path)
     if is_dataclass(tp):
         hints = get_type_hints(tp)

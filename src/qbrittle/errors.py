@@ -23,7 +23,7 @@ class CircuitFormatError(QbrittleError, ValueError):
 
 
 class ResourceLimitError(QbrittleError):
-    """A simulation would exceed the configured qubit cap."""
+    """A simulation would exceed the configured qubit cap, or its state cannot be allocated."""
 
 
 class UndefinedStatisticError(QbrittleError):

@@ -14,12 +14,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Literal, Sequence, get_args
 
 from . import stats as st
 from .circuits import Axis, GenerationParams, circuit_depth, expected_gate_count, generate_uniform
 from .codec import check_types, decode, encode, write_csv
-from .errors import CircuitFormatError, InvalidParameterError, NoTransitionError, UndefinedStatisticError, _shown
+from .errors import InvalidParameterError, NoTransitionError, UndefinedStatisticError, _shown
 from .pruning import PRUNING_MODES, importance_profile, prune, removal_quota
 from .stats import AngleStats, ClassLabel
 
@@ -49,14 +49,18 @@ SWEEP_SEED_STRIDE = 100
 # Largest kappa grid a sweep accepts (the default grid has 12 points).
 MAX_SWEEP_POINTS = 1000
 # The AngleStats fields the report compares between the classes.
-FINGERPRINT_STATS = ("mean_theta", "std_theta", "small_angle_ratio")
+FingerprintStat = Literal["mean_theta", "std_theta", "small_angle_ratio"]
+FINGERPRINT_STATS = get_args(FingerprintStat)
 
 
-def _validate_run(config: EnsembleConfig | SweepConfig, kappa: float) -> None:
-    """The checks both run configs share: the generator parameters, the
-    thresholds, the pruning mode, and a kappa that removes at least one gate
-    of every circuit."""
+def _validate_run(config: EnsembleConfig | SweepConfig, kappa: float, last_seed: int) -> None:
+    """The checks both run configs share: the generator parameters, a last
+    seed that is still a seed, the thresholds, the pruning mode, and a kappa
+    that removes at least one gate of every circuit."""
     GenerationParams(config.n, config.alpha, config.rho, config.base_seed)
+    if last_seed >= 2**64:
+        raise InvalidParameterError(f"base_seed={_shown(config.base_seed)} puts the run's last seed at "
+                                    f"{_shown(last_seed)}, beyond the unsigned 64-bit range")
     st._check_thresholds(config.classify_threshold, config.small_angle_threshold)
     if config.pruning_mode not in PRUNING_MODES:
         raise InvalidParameterError(f"pruning_mode must be one of {PRUNING_MODES}, got {config.pruning_mode!r}")
@@ -77,7 +81,7 @@ class EnsembleConfig:
 
     def __post_init__(self) -> None:
         check_types(self)
-        _validate_run(self, self.kappa)
+        _validate_run(self, self.kappa, self.base_seed + self.circuit_count - 1)
         if self.circuit_count < 2:
             raise InvalidParameterError(f"circuit_count must be >= 2, got {_shown(self.circuit_count)}")
 
@@ -122,11 +126,11 @@ class CorrelationSummary:
 class EnsembleReport:
     config: EnsembleConfig
     records: tuple[CircuitRecord, ...]
-    class_summary: dict[str, ClassSummary]
+    class_summary: dict[ClassLabel, ClassSummary]
     fidelity_gap: float | None
     cohens_d_fidelity: float | None
-    angle_fingerprint: dict[str, FingerprintEntry]
-    per_axis_p: dict[str, float | None]
+    angle_fingerprint: dict[FingerprintStat, FingerprintEntry]
+    per_axis_p: dict[Axis, float | None]
     correlation_summary: CorrelationSummary
 
 
@@ -148,8 +152,15 @@ def _build_record(config: EnsembleConfig, k: int) -> CircuitRecord:
     )
 
 
+def _check_threads(threads: int | None) -> None:
+    """A worker count is None (all cores) or a positive int, not a bool."""
+    if threads is not None and (isinstance(threads, bool) or not isinstance(threads, int) or threads < 1):
+        raise InvalidParameterError(f"threads must be a positive integer or None, got {_shown(threads, repr)}")
+
+
 def _parallel_map(fn: Callable, items: Sequence, threads: int | None) -> list:
     """Order-preserving map, optionally across worker processes, never more than the CPU count."""
+    _check_threads(threads)
     if threads is None:
         threads = os.cpu_count() or 1
     if threads <= 1 or len(items) <= 1:
@@ -194,8 +205,8 @@ def _aggregate(config: EnsembleConfig, records: Sequence[CircuitRecord]) -> Ense
         config=config,
         records=tuple(records),
         class_summary={
-            label.value: ClassSummary(count=len(group), fraction=len(group) / len(records),
-                                      mean_fidelity=_mean_or_none(group))
+            label: ClassSummary(count=len(group), fraction=len(group) / len(records),
+                                mean_fidelity=_mean_or_none(group))
             for label, group in zip(ClassLabel, fidelities)
         },
         fidelity_gap=_defined(st.fidelity_gap, *fidelities),
@@ -205,7 +216,7 @@ def _aggregate(config: EnsembleConfig, records: Sequence[CircuitRecord]) -> Ense
             for stat in FINGERPRINT_STATS
         },
         per_axis_p={
-            axis.value: _compare(records, lambda r: r.angle_stats.per_axis[axis].mean)[2] for axis in Axis
+            axis: _compare(records, lambda r: r.angle_stats.per_axis[axis].mean)[2] for axis in Axis
         },
         correlation_summary=CorrelationSummary(*_compare(records, lambda r: r.angle_importance_r)),
     )
@@ -238,8 +249,9 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         check_types(self)
-        if self.probe_count < 2:
-            raise InvalidParameterError(f"probe_count must be >= 2, got {_shown(self.probe_count)}")
+        if not 2 <= self.probe_count <= SWEEP_SEED_STRIDE:  # more would share seeds with the next grid point
+            raise InvalidParameterError(
+                f"probe_count must lie in [2, {SWEEP_SEED_STRIDE}], got {_shown(self.probe_count)}")
         if not 0.0 < self.kappa_start <= self.kappa_stop < 1.0:
             raise InvalidParameterError(
                 f"kappa grid [{_shown(self.kappa_start)}, {_shown(self.kappa_stop)}] must lie inside (0, 1)")
@@ -250,7 +262,8 @@ class SweepConfig:
             raise InvalidParameterError(
                 f"kappa grid would have {points} points; at most {MAX_SWEEP_POINTS} are allowed"
             )
-        _validate_run(self, round(self.kappa_start, 9))  # the first grid point: the quota grows with kappa
+        # The first grid point, since the quota grows with kappa, and the last probe's seed.
+        _validate_run(self, round(self.kappa_start, 9), _probe_seed(self, points - 1, self.probe_count - 1))
 
 
 @dataclass(frozen=True)
@@ -280,9 +293,14 @@ def sweep_grid(config: SweepConfig) -> list[float]:
     return [round(config.kappa_start + i * config.kappa_step, 9) for i in range(_grid_size(config))]
 
 
+def _probe_seed(config: SweepConfig, grid_index: int, k: int) -> int:
+    """The seed of probe k at grid point `grid_index`."""
+    return config.base_seed + SWEEP_SEED_OFFSET + grid_index * SWEEP_SEED_STRIDE + k
+
+
 def _probe_fidelity(config: SweepConfig, task: tuple[int, float, int]) -> float:
     grid_index, kappa, k = task
-    seed = config.base_seed + SWEEP_SEED_OFFSET + grid_index * SWEEP_SEED_STRIDE + k
+    seed = _probe_seed(config, grid_index, k)
     circuit = generate_uniform(GenerationParams(config.n, config.alpha, config.rho, seed))
     return prune(circuit, kappa, config.pruning_mode, config.small_angle_threshold).fidelity
 
@@ -293,7 +311,9 @@ def kappa_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
 
     A grid point is valid only when both classes are non-empty; if no point
     is valid the configuration exhibits no transition and NoTransitionError
-    is raised. Probe seeds are disjoint from main-ensemble seeds.
+    is raised. Each grid point has its own probe seeds; they are disjoint
+    from an ensemble's seeds when the ensemble has the same base seed and at
+    most SWEEP_SEED_OFFSET circuits.
     """
     grid = sweep_grid(config)
     tasks = [(gi, kappa, k) for gi, kappa in enumerate(grid) for k in range(config.probe_count)]
@@ -335,7 +355,7 @@ def compare_classes(report: EnsembleReport) -> str:
     lines.append("Per-axis angle comparison (Welch p-value on per-circuit axis means)")
     lines.append(f"  {'axis':<6}p-value")
     for axis in Axis:
-        lines.append(f"  r{axis.value:<5}{_fmt(report.per_axis_p[axis.value], '0.4g', marker)}")
+        lines.append(f"  r{axis.value:<5}{_fmt(report.per_axis_p[axis], '0.4g', marker)}")
 
     lines.append("")
     lines.append("Angle-importance correlation by class")
@@ -363,14 +383,6 @@ def write_records_csv(stream: IO[str], records: Iterable[CircuitRecord]) -> None
     ))
 
 
-# The keys `_aggregate` writes into each keyed table; the report printers index them.
-_TABLE_KEYS = {
-    "class_summary": tuple(label.value for label in ClassLabel),
-    "angle_fingerprint": FINGERPRINT_STATS,
-    "per_axis_p": tuple(axis.value for axis in Axis),
-}
-
-
 def report_to_dict(report: EnsembleReport) -> dict:
     return encode(report)
 
@@ -378,9 +390,4 @@ def report_to_dict(report: EnsembleReport) -> dict:
 def report_from_dict(obj: dict) -> EnsembleReport:
     """Rebuild a report from `report_to_dict` output; a malformed document
     raises CircuitFormatError (a ValueError) naming the JSON path."""
-    report = decode(EnsembleReport, obj, "report")
-    for name, keys in _TABLE_KEYS.items():
-        table = getattr(report, name)
-        if sorted(table) != sorted(keys):
-            raise CircuitFormatError(f"report.{name}: keys must be {list(keys)}, got {list(table)}")
-    return report
+    return decode(EnsembleReport, obj, "report")

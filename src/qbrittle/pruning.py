@@ -20,12 +20,11 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Cnot, Rotation, floor_product, remove_gates
+from .circuits import Circuit, Cnot, Rotation, _check_per_gate, floor_product, remove_gates
 from .codec import write_csv
 from .errors import InvalidParameterError, _shown
 from .simulator import StateVector, fidelity, run
-from .stats import (DEFAULT_SMALL_ANGLE_THRESHOLD, _check_length, _check_thresholds, angle_stats, identity_distance,
-                    is_brittle)
+from .stats import DEFAULT_SMALL_ANGLE_THRESHOLD, _check_thresholds, angle_stats, identity_distance, is_brittle
 
 __all__ = [
     "ImportanceProfile",
@@ -47,9 +46,6 @@ class ImportanceProfile:
 
     importances: np.ndarray
     baseline_state: StateVector
-
-    def __len__(self) -> int:
-        return int(self.importances.size)
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ def _prune(circuit: Circuit, kappa: float, profile: ImportanceProfile | None,
     quota = removal_quota(kappa, len(circuit))
     if profile is None:
         profile = importance_profile(circuit)
-    _check_length(profile, circuit)
+    _check_per_gate(profile.importances, circuit, "importance profile")
     # Ascending importance; stable sort makes ties resolve by gate index.
     ranked = np.argsort(profile.importances, kind="stable")
     if len(protected):
@@ -148,7 +144,7 @@ def prune(
 
 def write_importance_csv(stream: IO[str], circuit: Circuit, profile: ImportanceProfile) -> None:
     """Emit rows of gate_index, gate_type, axis, qubits, theta, importance."""
-    _check_length(profile, circuit)
+    _check_per_gate(profile.importances, circuit, "importance profile")
     write_csv(stream, ["gate_index", "gate_type", "axis", "qubits", "theta", "importance"], (
         (i, Rotation.TAG, gate.axis, gate.qubit, gate.theta, score) if isinstance(gate, Rotation)
         else (i, Cnot.TAG, None, f"{gate.control};{gate.target}", None, score)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, _check_per_gate
 from .errors import InvalidParameterError, ResourceLimitError, _shown
 
 __all__ = ["StateVector", "zero_state", "apply_gate", "run", "fidelity", "qubit_cap", "DEFAULT_MAX_QUBITS"]
@@ -103,7 +103,10 @@ def zero_state(n: int) -> StateVector:
     cap = qubit_cap()
     if n > cap:
         raise ResourceLimitError(f"{_shown(n)} qubits exceeds the simulator cap of {cap}")
-    amplitudes = np.zeros(1 << n, dtype=np.complex128)
+    try:
+        amplitudes = np.zeros(1 << n, dtype=np.complex128)
+    except (MemoryError, ValueError) as exc:  # numpy raises ValueError from 60 qubits up
+        raise ResourceLimitError(f"cannot allocate the state of {_shown(n)} qubits: {exc}") from None
     amplitudes[0] = 1.0
     return StateVector(n, amplitudes)
 
@@ -308,8 +311,8 @@ def run(circuit: Circuit, losses: np.ndarray | None = None) -> StateVector:
     state f_i just before gate i (equivalently, at the start of its block).
     The returned state is the same either way.
     """
-    if losses is not None and len(losses) != len(circuit):
-        raise InvalidParameterError(f"losses has {len(losses)} entries for a {len(circuit)}-gate circuit")
+    if losses is not None:
+        _check_per_gate(losses, circuit, "losses")
     state = zero_state(circuit.n_qubits)
     state.amplitudes = _evolve(state.amplitudes, state.n_qubits, circuit.encoding, losses)
     return state

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Sized
+from typing import Sequence
 
 import numpy as np
 
-from .circuits import Axis, Circuit
+from .circuits import Axis, Circuit, _check_per_gate
 from .errors import InvalidParameterError, UndefinedStatisticError, _shown
 
 __all__ = [
@@ -58,12 +58,6 @@ def _check_thresholds(classify_threshold: float = DEFAULT_CLASSIFY_THRESHOLD,
     if not 0.0 <= small_angle_threshold < math.inf:
         raise InvalidParameterError(
             f"small_angle_threshold must be finite and >= 0, got {_shown(small_angle_threshold)}")
-
-
-def _check_length(scores: Sized, circuit: Circuit) -> None:
-    """Raise unless there is one importance score per gate of the circuit."""
-    if len(scores) != len(circuit):
-        raise InvalidParameterError(f"importance profile has {len(scores)} entries for a {len(circuit)}-gate circuit")
 
 
 class ClassLabel(str, Enum):
@@ -188,7 +182,7 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def angle_importance_r(circuit: Circuit, scores: Sequence[float]) -> float:
     """Pearson correlation between rotation angles and their importance scores, one score per gate."""
-    _check_length(scores, circuit)
+    _check_per_gate(scores, circuit, "importance profile")
     rotation = circuit.encoding["kind"] < 3
     return pearson_r(circuit.encoding["theta"][rotation], np.asarray(scores, dtype=float)[rotation])
 

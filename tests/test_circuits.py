@@ -336,6 +336,7 @@ HUGE = 10**5000  # beyond the default 4,300-digit limit of int-to-str conversion
     (lambda: GenerationParams(4, 1.0, HUGE, 0), InvalidParameterError),
     (lambda: layer_count(HUGE, 1), InvalidParameterError),
     (lambda: layer_count(HUGE, 1.0), InvalidParameterError),
+    (lambda: layer_count(-HUGE, 1.0), InvalidParameterError),
     (lambda: expected_gate_count(4, 1.0, HUGE), InvalidParameterError),
     (lambda: run(Circuit(HUGE, ())), ResourceLimitError),
     (lambda: zero_state(-HUGE), InvalidParameterError),
@@ -348,9 +349,9 @@ HUGE = 10**5000  # beyond the default 4,300-digit limit of int-to-str conversion
     (lambda: student_t_two_sided_p(1.0, -HUGE), InvalidParameterError),
     (lambda: decode(GenerationParams, {"n": 4, "alpha": HUGE, "rho": 0.0, "seed": 0}, "p"), CircuitFormatError),
 ], ids=["angle", "qubit", "layer", "n_qubits", "gate index", "seed", "odd n", "rho", "layer_count n",
-        "layer_count n float alpha", "expected_gate_count rho", "run", "zero_state", "EnsembleConfig n",
-        "circuit_count", "pruning_mode", "kappa_start", "kappa", "classify threshold", "degrees of freedom",
-        "decoded float"])
+        "layer_count n float alpha", "layer_count negative n", "expected_gate_count rho", "run", "zero_state",
+        "EnsembleConfig n", "circuit_count", "pruning_mode", "kappa_start", "kappa", "classify threshold",
+        "degrees of freedom", "decoded float"])
 def test_a_message_gives_the_size_of_an_integer_too_long_to_print(call, error):
     with pytest.raises(error, match=r"(a negative|an) integer of 1661\d bits"):
         call()

@@ -510,3 +510,52 @@ def test_bad_thresholds_exit_2_before_any_directory(tmp_path, small_circuit_file
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
     assert not out.exists()
+
+
+SEED_BEYOND = "puts the run's last seed at {}, beyond the unsigned 64-bit range"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ensemble", "--kappa", 0.2, "--count", 3, "--threads", 1, "--base-seed", 2**64 - 2, "--out-dir", "{new}"],
+     "base_seed=18446744073709551614 " + SEED_BEYOND.format(18446744073709551616)),
+    (["sweep", "--probes", 2, "--threads", 1, "--base-seed", 18446744073709551000, "--out-csv", "{new}/s.csv"],
+     "base_seed=18446744073709551000 " + SEED_BEYOND.format(18446744073709562101)),
+    (["sweep", "--probes", 101, "--threads", 1, "--out-csv", "{new}/s.csv"],
+     "probe_count must lie in [2, 100], got 101"),
+    (["ensemble", "--kappa", 0.2, "--count", 3, "--threads", 0, "--out-dir", "{new}"],
+     "threads must be a positive integer or None, got 0"),
+    (["sweep", "--probes", 2, "--threads", -3, "--out-csv", "{new}/s.csv"],
+     "threads must be a positive integer or None, got -3"),
+], ids=["ensemble seed", "sweep seed", "probes", "ensemble threads", "sweep threads"])
+def test_a_bad_run_input_exits_2_before_any_work_or_directory(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(protocol, "generate_uniform", no_compute)
+    new = tmp_path / "new"
+    command, *flags = [str(a).replace("{new}", str(new)) for a in argv]
+    assert run_cli(command, "--n", 4, "--alpha", 1, "--rho", 0.3, *flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not new.exists()
+
+
+def test_report_command_rejects_a_record_without_an_axis(tmp_path, capsys):
+    out_dir = tmp_path / "ens"
+    assert run_cli("ensemble", "--n", 4, "--alpha", 1.0, "--rho", 0.3, "--kappa", 0.2,
+                   "--count", 3, "--out-dir", out_dir, "--threads", 1) == 0
+    doc = json.loads((out_dir / "report.json").read_text())
+    del doc["records"][0]["angle_stats"]["per_axis"]["y"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("report", "--in", path) == 2
+    assert capsys.readouterr().err == (
+        "error: report.records[0].angle_stats.per_axis: keys must be ['x', 'y', 'z'], got ['x', 'z']\n")
+
+
+@pytest.mark.parametrize("n", [58, 60])
+def test_a_state_that_cannot_be_allocated_exits_4(tmp_path, capsys, monkeypatch, n):
+    # Numpy refuses 4 EiB and more at once on any address space, so no memory is touched.
+    monkeypatch.setenv("QBRITTLE_MAX_QUBITS", str(n))
+    path = tmp_path / "c.json"
+    path.write_text(to_json(Circuit(n, (Rotation(Axis.X, 0, 0.5), Rotation(Axis.Y, 1, 0.5)))))
+    assert run_cli("prune", "--in", path, "--kappa", 0.5) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot allocate the state of {n} qubits: ") and err.count("\n") == 1

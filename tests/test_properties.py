@@ -193,12 +193,13 @@ def keyed(keys, values):
 REPORTS = st.builds(
     EnsembleReport,
     config=st.builds(EnsembleConfig, st.sampled_from([4, 6, 8, 10]), st.floats(0.25, 3.0), st.floats(0.0, 1.0),
-                     st.floats(0.25, 0.95), st.integers(2, 10**6), SEEDS, st.floats(0.0, 1.0), st.floats(0.0, 4.0),
+                     st.floats(0.25, 0.95), st.integers(2, 10**6), st.integers(0, 2**64 - 10**6),  # last seed fits
+                     st.floats(0.0, 1.0), st.floats(0.0, 4.0),
                      st.sampled_from(PRUNING_MODES)),
     records=st.lists(st.builds(
         CircuitRecord, SEEDS, COUNTS, COUNTS, FLOATS, st.sampled_from(ClassLabel),
-        st.builds(AngleStats, FLOATS, FLOATS, FLOATS, st.dictionaries(
-            st.sampled_from(Axis), st.builds(AxisAngleStats, OPTIONAL_FLOATS, OPTIONAL_FLOATS, OPTIONAL_FLOATS, COUNTS))),
+        st.builds(AngleStats, FLOATS, FLOATS, FLOATS, keyed(
+            list(Axis), st.builds(AxisAngleStats, OPTIONAL_FLOATS, OPTIONAL_FLOATS, OPTIONAL_FLOATS, COUNTS))),
         OPTIONAL_FLOATS, OPTIONAL_FLOATS, OPTIONAL_FLOATS), max_size=4).map(tuple),
     class_summary=keyed([label.value for label in ClassLabel], st.builds(ClassSummary, COUNTS, FLOATS, OPTIONAL_FLOATS)),
     fidelity_gap=OPTIONAL_FLOATS,

@@ -105,7 +105,7 @@ MISSING = object()  # deletes the field instead of replacing it
     ("records", 5), ("class_summary", []), ("per_axis_p", "x"), ("config", None),
     ("class_summary.robust.fraction", "0.5"), ("records.0.fidelity", True),
     ("class_summary.robust.count", "3"), ("records.0.label", "medium"),
-    ("class_summary.fragile", MISSING),
+    ("class_summary.fragile", MISSING), ("records.0.angle_stats.per_axis.z", MISSING),
 ])
 def test_report_from_dict_rejects_malformed_fields(small_report, field, bad):
     obj = json.loads(json.dumps(report_to_dict(small_report)))
@@ -342,3 +342,42 @@ def test_the_worker_pool_never_exceeds_the_cpu_count(monkeypatch):
     for threads in (5000, None, 2):
         assert protocol._parallel_map(abs, items, threads) == items
     assert asked == [min(len(items), cpus), 3, 3, 2]
+
+
+# The base seed whose last seed is 2**64 - 1, for a 3-circuit ensemble and a
+# 2-probe sweep over the default 12-point grid.
+LAST_ENSEMBLE_BASE = 2**64 - 3
+LAST_SWEEP_BASE = 2**64 - 1 - protocol.SWEEP_SEED_OFFSET - 11 * protocol.SWEEP_SEED_STRIDE - 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda base: EnsembleConfig(4, 1.0, 0.3, 0.2, circuit_count=3, base_seed=LAST_ENSEMBLE_BASE + base),
+    lambda base: SweepConfig(10, 2.3, 0.28, base_seed=LAST_SWEEP_BASE + base, probe_count=2),
+], ids=["ensemble", "sweep"])
+def test_every_seed_of_a_run_is_checked_up_front(build):
+    build(0)
+    with pytest.raises(InvalidParameterError, match="puts the run's last seed at 18446744073709551616, beyond"):
+        build(1)
+
+
+def test_each_grid_point_has_its_own_probe_seeds():
+    config = SweepConfig(10, 2.3, 0.28, probe_count=protocol.SWEEP_SEED_STRIDE)
+    seeds = [protocol._probe_seed(config, i, k) for i in range(len(sweep_grid(config)))
+             for k in range(config.probe_count)]
+    assert len(set(seeds)) == len(seeds)
+    with pytest.raises(InvalidParameterError, match=re.escape("probe_count must lie in [2, 100], got 101")):
+        SweepConfig(10, 2.3, 0.28, probe_count=101)
+
+
+@pytest.mark.parametrize("threads", [0, -3, True, 2.0])
+@pytest.mark.parametrize("experiment, config", [
+    (run_ensemble, EnsembleConfig(4, 1.0, 0.3, 0.2, circuit_count=3)),
+    (kappa_sweep, SweepConfig(4, 1.0, 0.3, probe_count=2)),
+], ids=["ensemble", "sweep"])
+def test_threads_must_be_a_positive_integer(monkeypatch, experiment, config, threads):
+    def no_compute(params):
+        raise AssertionError("nothing may be computed")
+
+    monkeypatch.setattr(protocol, "generate_uniform", no_compute)
+    with pytest.raises(InvalidParameterError, match=f"threads must be a positive integer or None, got {threads!r}"):
+        experiment(config, threads=threads)

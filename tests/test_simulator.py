@@ -29,6 +29,14 @@ def test_zero_state_respects_cap(monkeypatch):
         zero_state(0)
 
 
+@pytest.mark.parametrize("n", [58, 60])  # numpy raises MemoryError at 58 and ValueError at 60
+def test_a_state_that_cannot_be_allocated_is_a_resource_limit(monkeypatch, n):
+    # Numpy refuses 4 EiB and more at once on any address space, so no memory is touched.
+    monkeypatch.setenv("QBRITTLE_MAX_QUBITS", str(n))
+    with pytest.raises(ResourceLimitError, match=f"cannot allocate the state of {n} qubits: "):
+        zero_state(n)
+
+
 def test_qubit_cap_reads_the_environment(monkeypatch):
     monkeypatch.delenv("QBRITTLE_MAX_QUBITS", raising=False)
     assert qubit_cap() == DEFAULT_MAX_QUBITS == 24
