@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, make_dataclass
 from enum import Enum
 from functools import cached_property
@@ -181,8 +182,7 @@ class Circuit:
     params: GenerationParams | None = None
 
     def __init__(self, n_qubits: int, gates: Iterable[Gate], params: GenerationParams | None = None) -> None:
-        if isinstance(n_qubits, bool) or not isinstance(n_qubits, int) or n_qubits < 1:
-            raise InvalidParameterError(f"n_qubits must be a positive integer, got {_shown(n_qubits)}")
+        n_qubits = _width(n_qubits, "n_qubits")
         if params is not None and not isinstance(params, GenerationParams):
             raise InvalidParameterError(f"params must be a GenerationParams or None, got {params!r}")
         self._fill(n_qubits, _encode(n_qubits, tuple(gates)), params)
@@ -221,14 +221,21 @@ class Circuit:
         return hash((self.n_qubits, self.params))
 
 
+def _width(n, name: str) -> int:
+    """A qubit count `n`, named `name`, as an int: a positive int or numpy integer, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, _INTEGERS) or n < 1:
+        raise InvalidParameterError(f"{name} must be a positive integer, got {_shown(n)}")
+    return int(n)
+
+
 def _check_per_gate(values: Sized, circuit: Circuit, what: str) -> None:
     """Raise unless `values`, named `what`, holds one entry per gate of the circuit."""
     if len(values) != len(circuit):
         raise InvalidParameterError(f"{what} has {len(values)} entries for a {len(circuit)}-gate circuit")
 
 
-def _check_gate(n: int, i: int, gate: Gate) -> None:
-    """Raise, naming gate i, if `gate` is not a valid gate on n qubits."""
+def _check_gate(n: int, i: int, gate: Gate) -> tuple:
+    """Gate i's encoding row; raise, naming gate i, if `gate` is not a valid gate on n qubits."""
     if isinstance(gate, Rotation):
         if not isinstance(gate.axis, Axis):
             raise InvalidParameterError(f"gate {i}: axis must be an Axis member, got {gate.axis!r}")
@@ -241,29 +248,29 @@ def _check_gate(n: int, i: int, gate: Gate) -> None:
         if gate.provenance not in PROVENANCES:
             raise InvalidParameterError(f"gate {i}: unknown provenance {gate.provenance!r}")
         _check_wire(n, i, gate.qubit)
+        row = (_KINDS[gate.axis], gate.qubit, -1, gate.theta, gate.layer, gate.provenance == "appended")
     elif isinstance(gate, Cnot):
         _check_wire(n, i, gate.control)
         _check_wire(n, i, gate.target)
         if gate.control == gate.target:
             raise InvalidParameterError(f"gate {i}: CNOT control and target coincide at {gate.control}")
+        row = (3, gate.control, gate.target, 0.0, gate.layer, False)
     else:
         raise InvalidParameterError(f"gate {i}: unsupported gate object {gate!r}")
     if not isinstance(gate.layer, _INTEGERS) or isinstance(gate.layer, bool) or not -2**63 <= gate.layer < 2**63:
         raise InvalidParameterError(f"gate {i}: layer must be a 64-bit integer, got {_shown(gate.layer, repr)}")
+    return row
 
 
 def _check_wire(n: int, i: int, wire: int) -> None:
-    if not isinstance(wire, _INTEGERS) or isinstance(wire, bool) or not 0 <= wire < n:
-        raise InvalidParameterError(f"gate {i}: qubit {_shown(wire, repr)} must be an integer in [0, {n})")
+    bound = min(n, 2**63)  # the encoding holds a wire as an int64
+    if not isinstance(wire, _INTEGERS) or isinstance(wire, bool) or not 0 <= wire < bound:
+        raise InvalidParameterError(f"gate {i}: qubit {_shown(wire, repr)} must be an integer in [0, {bound})")
 
 
 def _encode(n: int, gates: tuple) -> np.ndarray:
     """Check gate objects on n qubits, each in turn, and encode them field by field."""
-    for i, gate in enumerate(gates):
-        _check_gate(n, i, gate)
-    rows = [(_KINDS[gate.axis], gate.qubit, -1, gate.theta, gate.layer, gate.provenance == "appended")
-            if isinstance(gate, Rotation) else (3, gate.control, gate.target, 0.0, gate.layer, False)
-            for gate in gates]
+    rows = [_check_gate(n, i, gate) for i, gate in enumerate(gates)]
     encoding = np.zeros(len(rows), GATE_DTYPE)
     for name, column in zip(GATE_DTYPE.names, zip(*rows)):
         encoding[name] = column
@@ -355,14 +362,14 @@ def generate_uniform(params: GenerationParams) -> Circuit:
 
 
 def circuit_depth(circuit: Circuit) -> int:
-    """Greedy-layering depth: each gate sits at 1 + max level of its qubits."""
-    levels = [0] * circuit.n_qubits
+    """Greedy-layering depth: each gate sits at 1 + max level of its qubits (only touched ones hold a level)."""
+    levels = defaultdict(int)
     for qubit, target in zip(circuit.encoding["qubit"].tolist(), circuit.encoding["target"].tolist()):
         if target < 0:
             levels[qubit] += 1
         else:
             levels[qubit] = levels[target] = 1 + max(levels[qubit], levels[target])
-    return max(levels, default=0)
+    return max(levels.values(), default=0)
 
 
 def remove_gates(circuit: Circuit, indices: Iterable[int]) -> Circuit:

@@ -199,7 +199,7 @@ def cmd_prune(args) -> int:
     amplitudes = profile.baseline_state.amplitudes
     _write_outputs(manifest, "prune", config, [str(in_path)], {
         args.out and Path(args.out): lambda stream: stream.write(to_json(result.compressed) + "\n"),
-        args.importance_csv: partial(write_importance_csv, circuit=circuit, profile=profile),
+        args.importance_csv: partial(write_importance_csv, profile=profile),
         args.dump_state_csv: partial(write_csv, header=["index", "re", "im"],
                                      rows=((i, amp.real, amp.imag) for i, amp in enumerate(amplitudes))),
     })

@@ -1,12 +1,11 @@
 """File formats: the JSON codec for circuits and reports, and the CSV writer.
 
-A dataclass is a JSON object in field order; a field may name its key with
-`field(metadata={"key": ...})`. A dataclass with a `TAG` class attribute is a
-member of a tagged union: its object carries the tag under "type", first.
-An enum is its value and a tuple an array. A table `dict[K, V]` is an
-object keyed by exactly the values of K, a string enum or a Literal of
-strings. Decoding follows the type hints and checks every value; the first
-bad one raises CircuitFormatError with its JSON path.
+A dataclass is a JSON object keyed by its field names, in field order; one
+with a `TAG` class attribute is a member of a tagged union, its object
+carrying the tag under "type", first. An enum is its value and a tuple an
+array. A table `dict[K, V]` is an object keyed by exactly the values of K, a
+string enum or a Literal of strings. Decoding follows the type hints and checks
+every value; the first bad one raises CircuitFormatError with its JSON path.
 """
 from __future__ import annotations
 
@@ -26,12 +25,6 @@ from .errors import CircuitFormatError, InvalidParameterError, _shown
 TAG_KEY = "type"
 # JSON type checks of the primitive field types: (accepted Python types, description).
 _PRIMITIVES = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
-
-
-@cache
-def _keys(cls) -> tuple[tuple[str, str], ...]:
-    """(field name, JSON key) of each field of dataclass `cls`, in field order."""
-    return tuple((f.name, f.metadata.get("key", f.name)) for f in fields(cls))
 
 
 @cache
@@ -58,7 +51,7 @@ def encode(value):
         return value
     if is_dataclass(value):
         cls = type(value)
-        obj = {key: encode(getattr(value, name)) for name, key in _keys(cls)}
+        obj = {f.name: encode(getattr(value, f.name)) for f in fields(cls)}
         return {TAG_KEY: cls.TAG, **obj} if hasattr(cls, "TAG") else obj
     if isinstance(value, Enum):
         return value.value
@@ -148,9 +141,8 @@ def _decoder(tp) -> Callable[[Any, str], Any]:
         return lambda obj, path: _choose(values, obj, path)
     if is_dataclass(tp):
         hints = get_type_hints(tp)
-        parts = [(name, key, _decoder(hints[name])) for name, key in _keys(tp)]
-        return lambda obj, path: tp(**{
-            name: dec(_member(obj, key, path), f"{path}.{key}") for name, key, dec in parts})
+        parts = [(f.name, _decoder(hints[f.name])) for f in fields(tp)]
+        return lambda obj, path: tp(**{name: dec(_member(obj, name, path), f"{path}.{name}") for name, dec in parts})
     raise TypeError(f"no JSON decoder for {tp!r}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import IO, Callable, Iterable, Literal, Sequence, get_args
 
@@ -43,7 +43,8 @@ __all__ = [
     "RECORD_CSV_COLUMNS",
 ]
 
-# Seed offset separating sweep probe circuits from main-ensemble circuits.
+# Seed offset separating sweep probe circuits from main-ensemble circuits; also
+# the most circuits an ensemble may hold, so the two seed ranges never meet.
 SWEEP_SEED_OFFSET = 10_000
 SWEEP_SEED_STRIDE = 100
 # Largest kappa grid a sweep accepts (the default grid has 12 points).
@@ -81,9 +82,10 @@ class EnsembleConfig:
 
     def __post_init__(self) -> None:
         check_types(self)
+        if not 2 <= self.circuit_count <= SWEEP_SEED_OFFSET:
+            raise InvalidParameterError(
+                f"circuit_count must lie in [2, {SWEEP_SEED_OFFSET}], got {_shown(self.circuit_count)}")
         _validate_run(self, self.kappa, self.base_seed + self.circuit_count - 1)
-        if self.circuit_count < 2:
-            raise InvalidParameterError(f"circuit_count must be >= 2, got {_shown(self.circuit_count)}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,8 @@ class ClassSummary:
 
 @dataclass(frozen=True)
 class FingerprintEntry:
-    robust_mean: float | None = field(metadata={"key": "robust"})
-    fragile_mean: float | None = field(metadata={"key": "fragile"})
+    robust: float | None
+    fragile: float | None
     p_value: float | None
 
 
@@ -312,8 +314,7 @@ def kappa_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
     A grid point is valid only when both classes are non-empty; if no point
     is valid the configuration exhibits no transition and NoTransitionError
     is raised. Each grid point has its own probe seeds; they are disjoint
-    from an ensemble's seeds when the ensemble has the same base seed and at
-    most SWEEP_SEED_OFFSET circuits.
+    from the seeds of an ensemble with the same base seed.
     """
     grid = sweep_grid(config)
     tasks = [(gi, kappa, k) for gi, kappa in enumerate(grid) for k in range(config.probe_count)]
@@ -349,7 +350,7 @@ def compare_classes(report: EnsembleReport) -> str:
     for title, key in zip(titles, FINGERPRINT_STATS):
         entry = report.angle_fingerprint[key]
         p = _fmt(entry.p_value, "0.4g", marker)
-        lines.append(f"  {title:<20}{_fmt(entry.robust_mean):>10}{_fmt(entry.fragile_mean):>10}  {p}")
+        lines.append(f"  {title:<20}{_fmt(entry.robust):>10}{_fmt(entry.fragile):>10}  {p}")
 
     lines.append("")
     lines.append("Per-axis angle comparison (Welch p-value on per-circuit axis means)")

@@ -42,10 +42,14 @@ PRUNING_MODES = ("causal", "aware")
 
 @dataclass(frozen=True)
 class ImportanceProfile:
-    """Per-gate leave-one-out importances plus the intact circuit's final state."""
+    """Per-gate leave-one-out importances of `circuit`, one per gate, plus its final state."""
 
+    circuit: Circuit
     importances: np.ndarray
     baseline_state: StateVector
+
+    def __post_init__(self) -> None:
+        _check_per_gate(self.importances, self.circuit, "importance profile")
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,7 @@ def importance_profile(circuit: Circuit) -> ImportanceProfile:
         raise InvalidParameterError("importance profile of an empty circuit is undefined")
     importances = np.empty(len(circuit))
     state = run(circuit, importances)
-    return ImportanceProfile(importances, state)
+    return ImportanceProfile(circuit, importances, state)
 
 
 def removal_quota(kappa: float, n_gates: int) -> int:
@@ -89,7 +93,8 @@ def _prune(circuit: Circuit, kappa: float, profile: ImportanceProfile | None,
     quota = removal_quota(kappa, len(circuit))
     if profile is None:
         profile = importance_profile(circuit)
-    _check_per_gate(profile.importances, circuit, "importance profile")
+    elif profile.circuit is not circuit and profile.circuit != circuit:
+        raise InvalidParameterError("importance profile was computed for another circuit")
     # Ascending importance; stable sort makes ties resolve by gate index.
     ranked = np.argsort(profile.importances, kind="stable")
     if len(protected):
@@ -142,11 +147,10 @@ def prune(
     return causal_prune(circuit, kappa, profile)
 
 
-def write_importance_csv(stream: IO[str], circuit: Circuit, profile: ImportanceProfile) -> None:
-    """Emit rows of gate_index, gate_type, axis, qubits, theta, importance."""
-    _check_per_gate(profile.importances, circuit, "importance profile")
+def write_importance_csv(stream: IO[str], profile: ImportanceProfile) -> None:
+    """Emit rows of gate_index, gate_type, axis, qubits, theta, importance of the profile's circuit."""
     write_csv(stream, ["gate_index", "gate_type", "axis", "qubits", "theta", "importance"], (
         (i, Rotation.TAG, gate.axis, gate.qubit, gate.theta, score) if isinstance(gate, Rotation)
         else (i, Cnot.TAG, None, f"{gate.control};{gate.target}", None, score)
-        for i, (gate, score) in enumerate(zip(circuit.gates, profile.importances))
+        for i, (gate, score) in enumerate(zip(profile.circuit.gates, profile.importances))
     ))

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, _check_per_gate
+from .circuits import Circuit, Gate, _check_per_gate, _width
 from .errors import InvalidParameterError, ResourceLimitError, _shown
 
 __all__ = ["StateVector", "zero_state", "apply_gate", "run", "fidelity", "qubit_cap", "DEFAULT_MAX_QUBITS"]
@@ -91,15 +91,17 @@ def qubit_cap() -> int:
     if not raw:
         return DEFAULT_MAX_QUBITS
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise InvalidParameterError(f"QBRITTLE_MAX_QUBITS must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise InvalidParameterError(f"QBRITTLE_MAX_QUBITS must be at least 1, got {raw!r}")
+    return cap
 
 
 def zero_state(n: int) -> StateVector:
     """The all-zeros computational basis state |0...0> on n qubits."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidParameterError(f"qubit count must be a positive integer, got {_shown(n)}")
+    n = _width(n, "qubit count")
     cap = qubit_cap()
     if n > cap:
         raise ResourceLimitError(f"{_shown(n)} qubits exceeds the simulator cap of {cap}")
@@ -306,12 +308,16 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 def run(circuit: Circuit, losses: np.ndarray | None = None) -> StateVector:
     """Apply the circuit's gates in order to the all-zeros state.
 
-    If `losses` (a float array with one entry per gate) is given, losses[i]
+    If `losses` (a 1-D float64 array with one entry per gate) is given, losses[i]
     receives gate i's deletion loss 1 - |<f_i|G_i|f_i>|^2, evaluated on the
     state f_i just before gate i (equivalently, at the start of its block).
     The returned state is the same either way.
     """
     if losses is not None:
+        if not (isinstance(losses, np.ndarray) and losses.dtype == np.float64 and losses.ndim == 1):
+            shown = (f"an array of dtype {losses.dtype} and shape {losses.shape}" if isinstance(losses, np.ndarray)
+                     else type(losses).__name__)
+            raise InvalidParameterError(f"losses must be a 1-D float64 array, got {shown}")
         _check_per_gate(losses, circuit, "losses")
     state = zero_state(circuit.n_qubits)
     state.amplitudes = _evolve(state.amplitudes, state.n_qubits, circuit.encoding, losses)

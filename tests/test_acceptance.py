@@ -224,12 +224,12 @@ def test_criterion_07_fingerprint_direction(ensemble_10q, ensemble_12q):
         for field, direction in (("mean_theta", "higher"), ("std_theta", "lower"),
                                  ("small_angle_ratio", "lower")):
             entry = fingerprint[field]
-            defined = entry.robust_mean is not None and entry.fragile_mean is not None
+            defined = entry.robust is not None and entry.fragile is not None
             if direction == "higher":
-                ok = defined and entry.fragile_mean > entry.robust_mean
+                ok = defined and entry.fragile > entry.robust
             else:
-                ok = defined and entry.fragile_mean < entry.robust_mean
-            detail = f"robust {entry.robust_mean} fragile {entry.fragile_mean}"
+                ok = defined and entry.fragile < entry.robust
+            detail = f"robust {entry.robust} fragile {entry.fragile}"
             clauses.append((f"{name} fragile has {direction} {field}", ok, detail))
     check("criterion 7: fragility fingerprint direction", clauses)
 

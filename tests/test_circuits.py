@@ -311,15 +311,37 @@ def test_a_json_integer_too_long_to_parse_is_a_format_error():
 
 @pytest.mark.parametrize("build", [
     lambda: Circuit(True, ()),
-    lambda: Circuit(np.int64(2), ()),
     lambda: Circuit(2, (), params=5),
     lambda: Circuit(4, (), params={"n": 4, "alpha": 1.0, "rho": 0.0, "seed": 0}),
     lambda: zero_state(True),
-], ids=["bool n_qubits", "numpy n_qubits", "int params", "dict params", "bool zero_state"])
+], ids=["bool n_qubits", "int params", "dict params", "bool zero_state"])
 def test_the_constructors_reject_what_the_json_cannot_hold(build):
     message = "must be a positive integer, got|params must be a GenerationParams or None, got"
     with pytest.raises(InvalidParameterError, match=message):
         build()
+
+
+def test_a_numpy_integer_width_is_an_int():
+    circuit, state = Circuit(np.int64(3), (Rotation(Axis.X, 2, 0.5),)), zero_state(np.uint8(3))
+    assert type(circuit.n_qubits) is int and type(state.n_qubits) is int
+    assert circuit == Circuit(3, (Rotation(Axis.X, 2, 0.5),)) and len(state.amplitudes) == 8
+    assert from_json(to_json(circuit)) == circuit
+
+
+@pytest.mark.parametrize("gate", [Rotation(Axis.X, 2**63, 0.1), Cnot(0, 2**63)], ids=["rotation", "cnot"])
+def test_a_wire_beyond_int64_is_an_input_error_on_any_width(gate):
+    message = f"gate 0: qubit {2**63} must be an integer in [0, {2**63})"
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        Circuit(2**64, (gate,))
+    wide = Circuit(2**64, (Rotation(Axis.X, 2**63 - 1, 0.1),))
+    assert wide.gates[0].qubit == 2**63 - 1
+    with pytest.raises(ResourceLimitError):
+        run(wide)
+
+
+def test_depth_costs_per_gate_not_per_qubit():
+    assert circuit_depth(Circuit(10**12, (Rotation(Axis.X, 0, 0.1),))) == 1
+    assert circuit_depth(Circuit(10**12, (Rotation(Axis.X, 0, 0.1), Cnot(10**11, 0), Rotation(Axis.Y, 5, 0.2)))) == 2
 
 
 HUGE = 10**5000  # beyond the default 4,300-digit limit of int-to-str conversion

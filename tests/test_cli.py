@@ -172,6 +172,15 @@ def test_malformed_qubit_cap_env_fails_before_any_output(tmp_path, monkeypatch, 
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_a_qubit_cap_below_one_exits_2_before_any_output(tmp_path, small_circuit_file, monkeypatch, capsys, raw):
+    monkeypatch.setenv("QBRITTLE_MAX_QUBITS", raw)
+    monkeypatch.setattr(cli, "importance_profile", no_compute)
+    assert run_cli("prune", "--in", small_circuit_file, "--kappa", 0.5, "--out", tmp_path / "new" / "p.json") == 2
+    assert capsys.readouterr().err == f"error: QBRITTLE_MAX_QUBITS must be at least 1, got '{raw}'\n"
+    assert not (tmp_path / "new").exists()
+
+
 def test_prune_aware_equals_causal_for_non_brittle(tmp_path):
     # alternating tiny/large angles: high spread, many small angles -> not brittle
     gates = tuple(
@@ -209,6 +218,15 @@ def test_prune_aware_without_angle_statistics_makes_no_directory(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr == "error: angle statistics need at least 2 rotation gates, found 1\n"
+    assert not (tmp_path / "new").exists()
+
+
+def test_prune_of_a_wire_beyond_int64_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(to_json(Circuit(2, (Rotation(Axis.X, 1, 0.1),))).replace('"n_qubits": 2', f'"n_qubits": {2**64}')
+                    .replace('"qubit": 1', f'"qubit": {2**63}'))
+    assert run_cli("prune", "--in", path, "--kappa", 0.5, "--out", tmp_path / "new" / "p.json") == 2
+    assert capsys.readouterr().err == f"error: gate 0: qubit {2**63} must be an integer in [0, {2**63})\n"
     assert not (tmp_path / "new").exists()
 
 
@@ -522,11 +540,13 @@ SEED_BEYOND = "puts the run's last seed at {}, beyond the unsigned 64-bit range"
      "base_seed=18446744073709551000 " + SEED_BEYOND.format(18446744073709562101)),
     (["sweep", "--probes", 101, "--threads", 1, "--out-csv", "{new}/s.csv"],
      "probe_count must lie in [2, 100], got 101"),
+    (["ensemble", "--kappa", 0.2, "--count", 10001, "--threads", 1, "--out-dir", "{new}"],
+     "circuit_count must lie in [2, 10000], got 10001"),
     (["ensemble", "--kappa", 0.2, "--count", 3, "--threads", 0, "--out-dir", "{new}"],
      "threads must be a positive integer or None, got 0"),
     (["sweep", "--probes", 2, "--threads", -3, "--out-csv", "{new}/s.csv"],
      "threads must be a positive integer or None, got -3"),
-], ids=["ensemble seed", "sweep seed", "probes", "ensemble threads", "sweep threads"])
+], ids=["ensemble seed", "sweep seed", "probes", "count", "ensemble threads", "sweep threads"])
 def test_a_bad_run_input_exits_2_before_any_work_or_directory(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.setattr(protocol, "generate_uniform", no_compute)
     new = tmp_path / "new"

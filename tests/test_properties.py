@@ -23,8 +23,8 @@ from qbrittle.circuits import (Axis, Circuit, Cnot, GenerationParams, Rotation, 
                                generate_uniform, to_json)
 from qbrittle.errors import NoTransitionError
 from qbrittle.protocol import (FINGERPRINT_STATS, CircuitRecord, ClassSummary, CorrelationSummary, EnsembleConfig,
-                               EnsembleReport, FingerprintEntry, SweepConfig, kappa_sweep, report_from_dict,
-                               report_to_dict, run_ensemble)
+                               EnsembleReport, FingerprintEntry, SWEEP_SEED_OFFSET, SweepConfig, kappa_sweep,
+                               report_from_dict, report_to_dict, run_ensemble)
 from qbrittle.pruning import PRUNING_MODES, importance_profile
 from qbrittle.simulator import run
 from qbrittle.stats import AngleStats, AxisAngleStats, ClassLabel, gini, identity_distance, shannon_entropy
@@ -193,7 +193,8 @@ def keyed(keys, values):
 REPORTS = st.builds(
     EnsembleReport,
     config=st.builds(EnsembleConfig, st.sampled_from([4, 6, 8, 10]), st.floats(0.25, 3.0), st.floats(0.0, 1.0),
-                     st.floats(0.25, 0.95), st.integers(2, 10**6), st.integers(0, 2**64 - 10**6),  # last seed fits
+                     st.floats(0.25, 0.95), st.integers(2, SWEEP_SEED_OFFSET),
+                     st.integers(0, 2**64 - SWEEP_SEED_OFFSET),  # last seed fits
                      st.floats(0.0, 1.0), st.floats(0.0, 4.0),
                      st.sampled_from(PRUNING_MODES)),
     records=st.lists(st.builds(

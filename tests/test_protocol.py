@@ -209,15 +209,15 @@ def test_bifurcation_and_fingerprint_at_critical_kappa():
     assert summary["fragile"].mean_fidelity < 0.9
     assert abs(report.cohens_d_fidelity) > 2
     fp = report.angle_fingerprint
-    assert fp["mean_theta"].fragile_mean > fp["mean_theta"].robust_mean
-    assert fp["std_theta"].fragile_mean < fp["std_theta"].robust_mean
-    assert fp["small_angle_ratio"].fragile_mean < fp["small_angle_ratio"].robust_mean
+    assert fp["mean_theta"].fragile > fp["mean_theta"].robust
+    assert fp["std_theta"].fragile < fp["std_theta"].robust
+    assert fp["small_angle_ratio"].fragile < fp["small_angle_ratio"].robust
     assert all(e.p_value < 0.05 for e in fp.values())
 
 
 def _synthetic_report(p_value):
     config = EnsembleConfig(n=6, alpha=1.0, rho=0.3, kappa=0.15, circuit_count=4)
-    entry = FingerprintEntry(robust_mean=0.75, fragile_mean=0.78, p_value=p_value)
+    entry = FingerprintEntry(robust=0.75, fragile=0.78, p_value=p_value)
     return EnsembleReport(
         config=config,
         records=(),
@@ -358,6 +358,16 @@ def test_every_seed_of_a_run_is_checked_up_front(build):
     build(0)
     with pytest.raises(InvalidParameterError, match="puts the run's last seed at 18446744073709551616, beyond"):
         build(1)
+
+
+def test_an_ensemble_is_capped_below_the_probe_seeds():
+    largest = EnsembleConfig(4, 1.0, 0.3, 0.2, circuit_count=protocol.SWEEP_SEED_OFFSET, base_seed=7)
+    first_probe = protocol._probe_seed(SweepConfig(4, 1.0, 0.3, base_seed=7), 0, 0)
+    assert largest.base_seed + largest.circuit_count - 1 < first_probe
+    for count in (protocol.SWEEP_SEED_OFFSET + 1, 10**12):
+        message = f"circuit_count must lie in [2, 10000], got {count}"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            EnsembleConfig(4, 1.0, 0.3, 0.2, circuit_count=count)
 
 
 def test_each_grid_point_has_its_own_probe_seeds():

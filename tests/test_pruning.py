@@ -231,7 +231,7 @@ def test_importance_csv_layout():
     circuit = Circuit(2, (Rotation(Axis.X, 0, 0.5), Cnot(0, 1)))
     profile = importance_profile(circuit)
     buf = io.StringIO()
-    write_importance_csv(buf, circuit, profile)
+    write_importance_csv(buf, profile)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "gate_index,gate_type,axis,qubits,theta,importance"
     assert len(lines) == 3
@@ -258,10 +258,20 @@ def test_prune_dispatches_by_mode():
         prune(circuit, 0.15, "greedy", profile=profile)
 
 
+@pytest.mark.parametrize("pruner", [causal_prune, prune])
+def test_a_profile_of_another_circuit_is_an_input_error(pruner):
+    c1, c2 = (generate_uniform(GenerationParams(6, 1.0, 0.3, seed)) for seed in (1, 2))
+    assert len(c1) == len(c2)
+    with pytest.raises(InvalidParameterError, match="importance profile was computed for another circuit"):
+        pruner(c1, 0.3, profile=importance_profile(c2))
+    copy = generate_uniform(GenerationParams(6, 1.0, 0.3, 1))  # an equal circuit is the same circuit
+    assert pruner(c1, 0.3, profile=importance_profile(copy)) == pruner(c1, 0.3)
+
+
 @pytest.mark.parametrize("extra", [-1, 5], ids=["short", "long"])
 @pytest.mark.parametrize("consumer", [
     angle_importance_r,
-    lambda circuit, scores: write_importance_csv(io.StringIO(), circuit, ImportanceProfile(scores, run(circuit))),
+    lambda circuit, scores: write_importance_csv(io.StringIO(), ImportanceProfile(circuit, scores, run(circuit))),
 ], ids=["angle_importance_r", "write_importance_csv"])
 def test_a_profile_of_the_wrong_length_is_an_input_error(consumer, extra):
     circuit = generate_uniform(GenerationParams(4, 1.0, 0.0, 0))

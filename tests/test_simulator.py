@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -43,6 +44,10 @@ def test_qubit_cap_reads_the_environment(monkeypatch):
     monkeypatch.setenv("QBRITTLE_MAX_QUBITS", "x")
     with pytest.raises(InvalidParameterError, match="must be an integer"):
         zero_state(2)
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("QBRITTLE_MAX_QUBITS", raw)
+        with pytest.raises(InvalidParameterError, match=f"QBRITTLE_MAX_QUBITS must be at least 1, got '{raw}'"):
+            qubit_cap()
 
 
 def test_rz_changes_phase_only():
@@ -167,6 +172,18 @@ def test_run_losses_must_match_gate_count():
     circuit = Circuit(1, (Rotation(Axis.X, 0, 0.3), Rotation(Axis.Y, 0, 0.4)))
     with pytest.raises(InvalidParameterError):
         run(circuit, losses=np.empty(3))
+
+
+@pytest.mark.parametrize("losses, shown", [
+    ([0.0] * 23, "list"),
+    (np.zeros(23, dtype=np.int64), "an array of dtype int64 and shape (23,)"),
+    (np.zeros((23, 2)), "an array of dtype float64 and shape (23, 2)"),
+], ids=["list", "int array", "2-D array"])
+def test_run_losses_must_be_a_float_array(losses, shown):
+    circuit = generate_uniform(GenerationParams(4, 1.0, 0.3, 0))
+    assert len(circuit) == 23
+    with pytest.raises(InvalidParameterError, match=re.escape(f"losses must be a 1-D float64 array, got {shown}")):
+        run(circuit, losses)
 
 
 def _pairings(n: int) -> list[list[tuple[int, int]]]:
