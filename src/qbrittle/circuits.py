@@ -185,7 +185,11 @@ class Circuit:
         n_qubits = _width(n_qubits, "n_qubits")
         if params is not None and not isinstance(params, GenerationParams):
             raise InvalidParameterError(f"params must be a GenerationParams or None, got {params!r}")
-        self._fill(n_qubits, _encode(n_qubits, tuple(gates)), params)
+        rows = [_check_gate(n_qubits, i, gate) for i, gate in enumerate(gates)]
+        encoding = np.zeros(len(rows), GATE_DTYPE)
+        for name, column in zip(GATE_DTYPE.names, zip(*rows)):
+            encoding[name] = column
+        self._fill(n_qubits, encoding, params)
 
     @classmethod
     def _from_arrays(cls, n_qubits: int, encoding: np.ndarray, params: GenerationParams | None) -> Circuit:
@@ -266,15 +270,6 @@ def _check_wire(n: int, i: int, wire: int) -> None:
     bound = min(n, 2**63)  # the encoding holds a wire as an int64
     if not isinstance(wire, _INTEGERS) or isinstance(wire, bool) or not 0 <= wire < bound:
         raise InvalidParameterError(f"gate {i}: qubit {_shown(wire, repr)} must be an integer in [0, {bound})")
-
-
-def _encode(n: int, gates: tuple) -> np.ndarray:
-    """Check gate objects on n qubits, each in turn, and encode them field by field."""
-    rows = [_check_gate(n, i, gate) for i, gate in enumerate(gates)]
-    encoding = np.zeros(len(rows), GATE_DTYPE)
-    for name, column in zip(GATE_DTYPE.names, zip(*rows)):
-        encoding[name] = column
-    return encoding
 
 
 def _bulk_draws(words: np.ndarray, count: int, bound: int, doubles: int) -> tuple[np.ndarray, np.ndarray] | None:

@@ -161,13 +161,11 @@ def _check_threads(threads: int | None) -> None:
 
 
 def _parallel_map(fn: Callable, items: Sequence, threads: int | None) -> list:
-    """Order-preserving map, optionally across worker processes, never more than the CPU count."""
+    """Order-preserving map over min(threads, items, CPUs) worker processes; in process if that is at most 1."""
     _check_threads(threads)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads or math.inf, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    workers = min(threads, len(items), os.cpu_count() or 1)
     chunksize = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))

@@ -40,9 +40,9 @@ __all__ = [
 PRUNING_MODES = ("causal", "aware")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImportanceProfile:
-    """Per-gate leave-one-out importances of `circuit`, one per gate, plus its final state."""
+    """Per-gate leave-one-out importances of `circuit`, one per gate, plus its final state; == is identity."""
 
     circuit: Circuit
     importances: np.ndarray

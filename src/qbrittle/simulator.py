@@ -41,7 +41,6 @@ threads may run at once.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import threading
@@ -75,9 +74,9 @@ _IDENTITY = np.eye(2, dtype=complex)
 _scratch = threading.local()
 
 
-@dataclass
+@dataclass(eq=False)
 class StateVector:
-    """2^n complex amplitudes of an n-qubit pure state."""
+    """2^n complex amplitudes of an n-qubit pure state; == is identity."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -122,7 +121,7 @@ def _compile(gates: np.ndarray, n: int) -> tuple[list, np.ndarray, np.ndarray]:
     masks = (1 << gates["qubit"]) | (1 << np.where(rotation, gates["qubit"], gates["target"]))
     flags = rotation.tolist()
     starts, spans, used, kind = [], [], 0, None
-    for i, flag, mask in zip(itertools.count(), flags, masks.tolist()):
+    for i, (flag, mask) in enumerate(zip(flags, masks.tolist())):
         if flag is not kind or used & mask:
             starts.append(i)
             spans.append(used)  # the mask of the block this gate ends
@@ -189,12 +188,10 @@ def _cnot_permutation(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
 @functools.lru_cache(maxsize=2)  # only runs with losses read it: the profiles of intact circuits
 def _gap_halves(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     """halves[h, k]: the labels of pair k's control=1 amplitudes with the
-    target clear (h = 0) and set (h = 1), in the order of `_target_halves`."""
-    labels = np.arange(1 << n)
-    halves = np.empty((2, len(pairs), 1 << (n - 2)), dtype=np.intp)
-    for k, pair in enumerate(pairs):
-        for h, view in enumerate(_target_halves(labels, n, *pair)):
-            halves[h, k].reshape(view.shape)[...] = view
+    target clear (h = 0) and set (h = 1), ascending as in `_target_halves`."""
+    labels = np.arange(1 << n, dtype=np.intp)
+    clear = np.array([labels[(labels >> control & 1) > (labels >> target & 1)] for control, target in pairs])
+    halves = np.stack([clear, clear | np.array([[1 << target] for _, target in pairs])])
     halves.flags.writeable = False  # cached: shared by every caller
     return halves
 
@@ -308,7 +305,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 def run(circuit: Circuit, losses: np.ndarray | None = None) -> StateVector:
     """Apply the circuit's gates in order to the all-zeros state.
 
-    If `losses` (a 1-D float64 array with one entry per gate) is given, losses[i]
+    If `losses` (a writeable 1-D float64 array, one entry per gate) is given, losses[i]
     receives gate i's deletion loss 1 - |<f_i|G_i|f_i>|^2, evaluated on the
     state f_i just before gate i (equivalently, at the start of its block).
     The returned state is the same either way.
@@ -318,6 +315,8 @@ def run(circuit: Circuit, losses: np.ndarray | None = None) -> StateVector:
             shown = (f"an array of dtype {losses.dtype} and shape {losses.shape}" if isinstance(losses, np.ndarray)
                      else type(losses).__name__)
             raise InvalidParameterError(f"losses must be a 1-D float64 array, got {shown}")
+        if not losses.flags.writeable:
+            raise InvalidParameterError("losses must be a writeable array, got a read-only one")
         _check_per_gate(losses, circuit, "losses")
     state = zero_state(circuit.n_qubits)
     state.amplitudes = _evolve(state.amplitudes, state.n_qubits, circuit.encoding, losses)

@@ -133,9 +133,22 @@ def angle_stats(circuit: Circuit, small_angle_threshold: float = DEFAULT_SMALL_A
     return AngleStats(whole.mean, whole.std, whole.small_angle_ratio, per_axis)
 
 
+def _sample(values: Sequence[float], what: str) -> np.ndarray:
+    """`values`, named `what`, as a float array; raise unless it is a 1-D sequence of finite numbers."""
+    try:
+        sample = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{what} must be a sequence of numbers") from None
+    if sample.ndim != 1:
+        raise InvalidParameterError(f"{what} must be 1-D, got shape {sample.shape}")
+    if not np.isfinite(sample).all():
+        raise InvalidParameterError(f"{what} must be finite, got {sample[~np.isfinite(sample)][0]}")
+    return sample
+
+
 def _positive_scores(values: Sequence[float], statistic: str) -> tuple[np.ndarray, float]:
     """The scores and their sum; raise unless they are non-negative with a positive sum."""
-    scores = np.asarray(values, dtype=float)
+    scores = _sample(values, "importance scores")
     if np.any(scores < 0):
         raise InvalidParameterError("importance scores must be non-negative")
     total = float(scores.sum())
@@ -166,8 +179,7 @@ def gini(values: Sequence[float]) -> float:
 
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation, clamped into [-1, 1]."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
+    x, y = _sample(xs, "correlation xs"), _sample(ys, "correlation ys")
     if x.size != y.size:
         raise InvalidParameterError(f"sequence lengths differ: {x.size} vs {y.size}")
     if x.size < 2:
@@ -217,9 +229,12 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if not (a > 0 and b > 0):
-        raise InvalidParameterError("incomplete beta requires positive shape parameters")
+    """I_x(a, b) for finite a, b > 0 and x in [0, 1] (clamped into it)."""
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise InvalidParameterError(
+            f"incomplete beta requires finite positive shape parameters, got {_shown(a)} and {_shown(b)}")
+    if math.isnan(x):
+        raise InvalidParameterError("incomplete beta requires a number x, got nan")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -233,17 +248,18 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def student_t_two_sided_p(t: float, df: float) -> float:
-    """Two-sided tail probability of Student's t with `df` degrees of freedom."""
-    if df <= 0:
-        raise InvalidParameterError(f"degrees of freedom must be positive, got {_shown(df)}")
+    """Two-sided tail probability of Student's t with finite `df` > 0 degrees of freedom; 0 for t = +-inf."""
+    if not 0 < df < math.inf:
+        raise InvalidParameterError(f"degrees of freedom must be positive and finite, got {_shown(df)}")
+    if math.isnan(t):
+        raise InvalidParameterError("t statistic must be a number, got nan")
     x = df / (df + t * t)
     return min(max(regularized_incomplete_beta(0.5 * df, 0.5, x), 0.0), 1.0)
 
 
 def _two_groups(a: Sequence[float], b: Sequence[float], statistic: str) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Both groups as float arrays and their sample variances; raise unless each has at least 2 samples."""
-    xa = np.asarray(a, dtype=float)
-    xb = np.asarray(b, dtype=float)
+    xa, xb = _sample(a, f"{statistic} group a"), _sample(b, f"{statistic} group b")
     if xa.size < 2 or xb.size < 2:
         raise UndefinedStatisticError(f"{statistic} needs at least 2 samples per group")
     return xa, xb, float(np.var(xa, ddof=1)), float(np.var(xb, ddof=1))
@@ -285,6 +301,7 @@ def is_brittle(stats: AngleStats) -> bool:
 
 def fidelity_gap(robust_fids: Sequence[float], fragile_fids: Sequence[float]) -> float:
     """min(robust) - max(fragile); negative when the classes overlap."""
-    if len(robust_fids) == 0 or len(fragile_fids) == 0:
+    robust, fragile = _sample(robust_fids, "robust fidelities"), _sample(fragile_fids, "fragile fidelities")
+    if robust.size == 0 or fragile.size == 0:
         raise UndefinedStatisticError("fidelity gap needs both classes non-empty")
-    return float(min(robust_fids)) - float(max(fragile_fids))
+    return float(robust.min()) - float(fragile.max())

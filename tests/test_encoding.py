@@ -63,8 +63,7 @@ def _forbidden(*args, **kwargs):
 def test_generate_prune_and_ensemble_build_no_gate_objects(monkeypatch):
     for cls in (Rotation, Cnot):
         monkeypatch.setattr(cls, "__init__", _forbidden)
-    for checker in ("_encode", "_check_gate"):
-        monkeypatch.setattr(circuits, checker, _forbidden)
+    monkeypatch.setattr(circuits, "_check_gate", _forbidden)
     circuit = generate_uniform(GenerationParams(6, 1.0, 0.3, 3))
     causal_prune(circuit, 0.2)
     prune(circuit, 0.2, "aware")

@@ -341,7 +341,16 @@ def test_the_worker_pool_never_exceeds_the_cpu_count(monkeypatch):
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 3)
     for threads in (5000, None, 2):
         assert protocol._parallel_map(abs, items, threads) == items
-    assert asked == [min(len(items), cpus), 3, 3, 2]
+    assert asked == [min(len(items), cpus)] * (cpus > 1) + [3, 3, 2]  # one worker runs in process
+
+
+def test_a_run_on_one_cpu_starts_no_pool(monkeypatch, small_report):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(protocol, "ProcessPoolExecutor", no_pool)
+    assert run_ensemble(SMALL, threads=2) == small_report
 
 
 # The base seed whose last seed is 2**64 - 1, for a 3-circuit ensemble and a

@@ -279,3 +279,10 @@ def test_a_profile_of_the_wrong_length_is_an_input_error(consumer, extra):
     message = f"importance profile has {len(circuit) + extra} entries for a {len(circuit)}-gate circuit"
     with pytest.raises(InvalidParameterError, match=message):
         consumer(circuit, scores)
+
+
+def test_profiles_compare_by_identity_and_results_by_value():
+    circuit = generate_uniform(GenerationParams(4, 1.0, 0.3, 0))
+    profile = importance_profile(circuit)
+    assert profile == profile and (profile == importance_profile(circuit)) is False
+    assert causal_prune(circuit, 0.2, profile=profile) == causal_prune(circuit, 0.2)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import cnot_block_losses, dense_reference_state, random_circuit, reference_run
+from qbrittle import simulator
 from qbrittle.circuits import Axis, Circuit, Cnot, GenerationParams, Rotation, generate_uniform
 from qbrittle.errors import InvalidParameterError, ResourceLimitError
 from qbrittle.simulator import DEFAULT_MAX_QUBITS, StateVector, apply_gate, fidelity, qubit_cap, run, zero_state
@@ -184,6 +185,21 @@ def test_run_losses_must_be_a_float_array(losses, shown):
     assert len(circuit) == 23
     with pytest.raises(InvalidParameterError, match=re.escape(f"losses must be a 1-D float64 array, got {shown}")):
         run(circuit, losses)
+
+
+def test_run_losses_must_be_writeable(monkeypatch):
+    circuit = generate_uniform(GenerationParams(4, 1.0, 0.3, 0))
+    losses = np.zeros(len(circuit))
+    losses.flags.writeable = False
+    monkeypatch.setattr(simulator, "zero_state", None)  # raises before the state is made
+    with pytest.raises(InvalidParameterError, match="losses must be a writeable array, got a read-only one"):
+        run(circuit, losses)
+
+
+def test_states_compare_by_identity():
+    circuit = generate_uniform(GenerationParams(4, 1.0, 0.3, 0))
+    state = run(circuit)
+    assert state == state and (state == run(circuit)) is False and state != run(circuit)
 
 
 def _pairings(n: int) -> list[list[tuple[int, int]]]:

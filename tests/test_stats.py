@@ -163,7 +163,7 @@ def test_incomplete_beta_against_scipy():
 
 
 def test_student_t_tail_against_scipy():
-    for t in (-8.0, -2.5, -0.3, 0.0, 0.7, 3.1, 12.0):
+    for t in (-math.inf, -8.0, -2.5, -0.3, 0.0, 0.7, 3.1, 12.0, math.inf):  # p = 0 at t = +-inf
         for df in (1.0, 2.5, 4.0, 17.3, 120.0):
             ours = student_t_two_sided_p(t, df)
             reference = 2 * float(scipy.stats.t.sf(abs(t), df))
@@ -254,3 +254,34 @@ def test_fidelity_gap():
         fidelity_gap([], [0.5])
     with pytest.raises(UndefinedStatisticError):
         fidelity_gap([0.95], [])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: shannon_entropy([NAN, 1.0]), "importance scores must be finite, got nan"),
+    (lambda: gini([1.0, INF]), "importance scores must be finite, got inf"),
+    (lambda: gini([[1.0, 2.0], [3.0, 4.0]]), r"importance scores must be 1-D, got shape \(2, 2\)"),
+    (lambda: shannon_entropy([[1.0, 2.0]]), r"importance scores must be 1-D, got shape \(1, 2\)"),
+    (lambda: gini(["x", 1.0]), "importance scores must be a sequence of numbers"),
+    (lambda: pearson_r([NAN, 1.0, 2.0], [1.0, 2.0, 3.0]), "correlation xs must be finite, got nan"),
+    (lambda: pearson_r([[1.0, 2.0]], [[1.0, 2.0]]), r"correlation xs must be 1-D, got shape \(1, 2\)"),
+    (lambda: pearson_r([1.0, 2.0], [1.0, -INF]), "correlation ys must be finite, got -inf"),
+    (lambda: welch_t_test([NAN, 1.0], [1.0, 2.0]), "Welch's test group a must be finite, got nan"),
+    (lambda: welch_t_test([INF, 1.0], [1.0, 2.0]), "Welch's test group a must be finite, got inf"),
+    (lambda: welch_t_test([1.0, 2.0], [[1.0, 2.0]]), r"Welch's test group b must be 1-D, got shape \(1, 2\)"),
+    (lambda: cohens_d([NAN, 1.0], [1.0, 2.0]), "Cohen's d group a must be finite, got nan"),
+    (lambda: cohens_d([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0]), r"Cohen's d group a must be 1-D, got shape \(2, 2\)"),
+    (lambda: fidelity_gap([0.95, NAN], [0.7]), "robust fidelities must be finite, got nan"),
+    (lambda: fidelity_gap([0.95], [[0.7]]), r"fragile fidelities must be 1-D, got shape \(1, 1\)"),
+    (lambda: student_t_two_sided_p(NAN, 3), "t statistic must be a number, got nan"),
+    (lambda: student_t_two_sided_p(1.0, INF), "degrees of freedom must be positive and finite, got inf"),
+    (lambda: student_t_two_sided_p(1.0, NAN), "degrees of freedom must be positive and finite, got nan"),
+    (lambda: regularized_incomplete_beta(2, 3, NAN), "incomplete beta requires a number x, got nan"),
+    (lambda: regularized_incomplete_beta(INF, 3, 0.5), "finite positive shape parameters, got inf and 3"),
+    (lambda: regularized_incomplete_beta(2, NAN, 0.5), "finite positive shape parameters, got 2 and nan"),
+])
+def test_the_statistics_take_only_1d_finite_samples(call, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        call()
