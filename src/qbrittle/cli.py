@@ -44,7 +44,6 @@ from .stats import (DEFAULT_CLASSIFY_THRESHOLD, DEFAULT_SMALL_ANGLE_THRESHOLD, _
                     classify)
 
 HISTOGRAM_BINS = 40
-MAX_HISTOGRAM_BINS = 10_000  # far past the 570 pixels of the SVG's plot
 # The exit code of each error a command reports as one line on stderr.
 EXIT_CODES = {InvalidParameterError: 2, CircuitFormatError: 2, UndefinedStatisticError: 2,
               NoTransitionError: 3, ResourceLimitError: 4}
@@ -105,15 +104,14 @@ def _config_from_args(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
-def histogram_rows(robust_vals, fragile_vals, lo: float, hi: float,
-                   bins: int = HISTOGRAM_BINS) -> list[tuple[float, float, int, int]]:
-    """Shared-edge counts of both classes over [lo, hi]."""
-    edges = np.linspace(lo, hi, bins + 1)
+def histogram_rows(robust_vals, fragile_vals, lo: float, hi: float) -> list[tuple[float, float, int, int]]:
+    """Shared-edge counts of both classes in HISTOGRAM_BINS equal bins over [lo, hi]."""
+    edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
     robust_counts, _ = np.histogram(np.asarray(robust_vals, dtype=float), bins=edges)
     fragile_counts, _ = np.histogram(np.asarray(fragile_vals, dtype=float), bins=edges)
     return [
         (float(edges[i]), float(edges[i + 1]), int(robust_counts[i]), int(fragile_counts[i]))
-        for i in range(bins)
+        for i in range(HISTOGRAM_BINS)
     ]
 
 
@@ -220,8 +218,6 @@ def _print_summary(report) -> None:
 
 
 def cmd_ensemble(args) -> int:
-    if not 1 <= args.bins <= MAX_HISTOGRAM_BINS:
-        raise InvalidParameterError(f"--bins must be at least 1 and at most {MAX_HISTOGRAM_BINS}, got {args.bins}")
     config = _config_from_args(EnsembleConfig, args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -234,8 +230,8 @@ def cmd_ensemble(args) -> int:
     fidelities = _by_class((r.label, r.fidelity) for r in report.records)
     correlations = _by_class((r.label, r.angle_importance_r) for r in report.records)
     histograms = [
-        ("fidelity", "Post-compression fidelity", "fidelity", histogram_rows(*fidelities, 0.0, 1.0, args.bins)),
-        ("correlation", "Angle-importance correlation", "r", histogram_rows(*correlations, -1.0, 1.0, args.bins)),
+        ("fidelity", "Post-compression fidelity", "fidelity", histogram_rows(*fidelities, 0.0, 1.0)),
+        ("correlation", "Angle-importance correlation", "r", histogram_rows(*correlations, -1.0, 1.0)),
     ]
     for name, _, _, rows in histograms:
         outputs[out_dir / f"{name}_hist.csv"] = partial(
@@ -332,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     ens.add_argument("--count", dest="circuit_count", metavar="COUNT", type=int, default=EnsembleConfig.circuit_count,
                      help="number of circuits")
     ens.add_argument("--out-dir", required=True)
-    ens.add_argument("--bins", type=int, default=HISTOGRAM_BINS, help="histogram bin count")
     ens.add_argument("--svg", action="store_true", help="also render histogram SVGs")
     ens.set_defaults(func=cmd_ensemble)
 

@@ -9,12 +9,17 @@ regardless of scheduling.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 from typing import IO, Callable, Iterable, Literal, Sequence, get_args
+
+import numpy as np
 
 from . import stats as st
 from .circuits import Axis, GenerationParams, circuit_depth, expected_gate_count, generate_uniform
@@ -52,6 +57,11 @@ MAX_SWEEP_POINTS = 1000
 # The AngleStats fields the report compares between the classes.
 FingerprintStat = Literal["mean_theta", "std_theta", "small_angle_ratio"]
 FINGERPRINT_STATS = get_args(FingerprintStat)
+# The thread-count setter numpy's bundled OpenBLAS exports, and its call that
+# stops the helper threads the setter starts in a forked worker, where each
+# would otherwise busy-wait for about 0.1 s of CPU.
+_SET_BLAS_THREADS = "scipy_openblas_set_num_threads64_"
+_STOP_BLAS_THREADS = "blas_thread_shutdown_"
 
 
 def _validate_run(config: EnsembleConfig | SweepConfig, kappa: float, last_seed: int) -> None:
@@ -160,14 +170,43 @@ def _check_threads(threads: int | None) -> None:
         raise InvalidParameterError(f"threads must be a positive integer or None, got {_shown(threads, repr)}")
 
 
+@cache
+def _blas_library() -> str | None:
+    """The path of numpy's bundled OpenBLAS if it exports _SET_BLAS_THREADS and
+    _STOP_BLAS_THREADS; otherwise None, said once on stderr."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_-*.so")):
+        try:
+            library = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        if hasattr(library, _SET_BLAS_THREADS) and hasattr(library, _STOP_BLAS_THREADS):
+            return str(path)
+    print("warning: numpy's OpenBLAS thread calls were not found; pool workers keep their default BLAS threads",
+          file=sys.stderr)
+    return None
+
+
+def _one_blas_thread(library: str | None) -> None:
+    """Pool initializer: hold this worker's OpenBLAS to one thread, so the
+    pool's workers do not oversubscribe the cores they already fill."""
+    if library is not None:
+        blas = ctypes.CDLL(library)
+        set_threads, stop_threads = getattr(blas, _SET_BLAS_THREADS), getattr(blas, _STOP_BLAS_THREADS)
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        stop_threads.argtypes, stop_threads.restype = [], ctypes.c_int
+        set_threads(1)
+        stop_threads()
+
+
 def _parallel_map(fn: Callable, items: Sequence, threads: int | None) -> list:
-    """Order-preserving map over min(threads, items, CPUs) worker processes; in process if that is at most 1."""
+    """Order-preserving map over min(threads, items, CPUs) worker processes, each
+    with one BLAS thread; in process, where nothing is changed, if that is at most 1."""
     _check_threads(threads)
     workers = min(threads or math.inf, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
     chunksize = max(1, len(items) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread, initargs=(_blas_library(),)) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Axis, Circuit, _check_per_gate
+from .circuits import _REALS, Axis, Circuit, _check_per_gate
 from .errors import InvalidParameterError, UndefinedStatisticError, _shown
 
 __all__ = [
@@ -287,8 +287,10 @@ def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def classify(fidelity: float, threshold: float = DEFAULT_CLASSIFY_THRESHOLD) -> ClassLabel:
-    """Robust iff fidelity >= threshold (boundary inclusive)."""
+    """Robust iff fidelity >= threshold (boundary inclusive); a fidelity is a number in [0, 1]."""
     _check_thresholds(classify_threshold=threshold)
+    if isinstance(fidelity, bool) or not isinstance(fidelity, _REALS) or not 0.0 <= fidelity <= 1.0:
+        raise InvalidParameterError(f"fidelity must be a number in [0, 1], got {_shown(fidelity, repr)}")
     return ClassLabel.ROBUST if fidelity >= threshold else ClassLabel.FRAGILE
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -231,6 +232,8 @@ BAD_GATES = {
     "bool angle": (Rotation(Axis.X, 0, True), "angle must be a finite real number"),
     "infinite angle": (Rotation(Axis.X, 0, math.inf), "angle must be a finite real number"),
     "complex angle": (Rotation(Axis.X, 0, 1j), "angle must be a finite real number"),
+    "unknown provenance": (Rotation(Axis.X, 0, 1.0, "pruned"), "unknown provenance 'pruned'"),
+    "unsupported gate object": ("rx q0", "unsupported gate object 'rx q0'"),
 }
 
 
@@ -239,6 +242,16 @@ BAD_GATES = {
 def test_programmatic_gates_are_checked_like_json_ones(via, gate, message):
     with pytest.raises(InvalidParameterError, match=f"gate 0: {message}"):
         Circuit(2, (gate,)) if via == "Circuit" else apply_gate(zero_state(2), gate)
+
+
+def test_equal_circuits_hash_equal():
+    generated = generate_uniform(GenerationParams(4, 1.0, 0.5, 0))
+    built = Circuit(2, (Rotation(Axis.X, 0, 0.5, "appended", 3), Cnot(0, 1)))
+    for circuit in (generated, built):
+        copies = (from_json(to_json(circuit)), pickle.loads(pickle.dumps(circuit)),
+                  Circuit(circuit.n_qubits, circuit.gates, circuit.params))
+        assert all(copy == circuit and hash(copy) == hash(circuit) for copy in copies)
+        assert len({circuit, *copies}) == 1
 
 
 def test_numpy_scalar_gate_values_act_as_python_numbers():

@@ -11,7 +11,7 @@ import pytest
 
 from qbrittle import cli, protocol
 from qbrittle.circuits import Axis, Circuit, Cnot, GenerationParams, Rotation, from_json, to_json
-from qbrittle.cli import entry, histogram_rows, main, render_histogram_svg
+from qbrittle.cli import HISTOGRAM_BINS, entry, histogram_rows, main, render_histogram_svg
 from qbrittle.protocol import RECORD_CSV_COLUMNS, EnsembleConfig, SweepConfig
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -349,17 +349,6 @@ def test_sweep_without_transition_exits_3(tmp_path, capsys):
     assert "no compression transition" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [(), ("--svg",)])
-def test_ensemble_rejects_bins_below_one(tmp_path, capsys, monkeypatch, extra):
-    monkeypatch.setattr(cli, "run_ensemble", no_compute)
-    for bins in (0, 10**12):
-        code = run_cli("ensemble", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--kappa", 0.15,
-                       "--count", 4, "--out-dir", tmp_path / "ens", "--threads", 1, "--bins", bins, *extra)
-        assert code == 2
-        assert f"--bins must be at least 1 and at most 10000, got {bins}" in capsys.readouterr().err
-        assert not (tmp_path / "ens").exists()
-
-
 def test_sweep_rejects_oversized_grid_before_building_it(tmp_path, capsys, monkeypatch):
     def no_grid(config):
         raise AssertionError("the grid must not be built")
@@ -430,11 +419,13 @@ def test_manifest_config_is_the_run_config(tmp_path):
 
 
 def test_histogram_rows_counts_both_classes():
-    rows = histogram_rows([0.96, 0.97, 1.0], [0.1, 0.12], 0.0, 1.0, bins=10)
-    assert len(rows) == 10
+    rows = histogram_rows([0.96, 0.97, 1.0], [0.1, 0.12], 0.0, 1.0)
+    assert len(rows) == HISTOGRAM_BINS == 40
+    assert (rows[0][0], rows[-1][1]) == (0.0, 1.0)
     assert sum(rc for _, _, rc, _ in rows) == 3
     assert sum(fc for _, _, _, fc in rows) == 2
-    assert rows[-1][2] == 3  # the 1.0 edge lands in the final bin
+    assert [rc for _, _, rc, _ in rows[-2:]] == [2, 1]  # the 1.0 edge lands in the final bin
+    assert rows[4][3] == 2  # 0.1 and 0.12 share [0.1, 0.125)
     svg = render_histogram_svg(rows, "demo", "fidelity")
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 

@@ -1,3 +1,4 @@
+import ctypes
 import io
 import json
 import os
@@ -322,7 +323,7 @@ def test_the_worker_pool_never_exceeds_the_cpu_count(monkeypatch):
     asked = []
 
     class SerialPool:  # records the worker count it is asked for and starts no process
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):  # the BLAS initializer is not run in this process
             asked.append(max_workers)
 
         def __enter__(self):
@@ -351,6 +352,38 @@ def test_a_run_on_one_cpu_starts_no_pool(monkeypatch, small_report):
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(protocol, "ProcessPoolExecutor", no_pool)
     assert run_ensemble(SMALL, threads=2) == small_report
+
+
+def _blas_threads(_item=None) -> tuple[int, int]:
+    """The calling process's OpenBLAS thread count and its number of OS threads."""
+    get_threads = ctypes.CDLL(protocol._blas_library()).scipy_openblas_get_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads(), len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a worker pool needs at least 2 CPUs")
+def test_pool_workers_run_one_blas_thread():
+    library = protocol._blas_library()
+    if library is None or not hasattr(ctypes.CDLL(library), "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy's OpenBLAS exports no thread setter and getter here")
+    before = _blas_threads()[0]
+    # one BLAS thread, and no idle BLAS helper thread left busy-waiting beside the worker
+    assert protocol._parallel_map(_blas_threads, [0, 1], threads=2) == [(1, 1), (1, 1)]
+    run_ensemble(SMALL, threads=2)
+    assert _blas_threads()[0] == before  # the caller's own BLAS is never touched
+
+
+def test_a_missing_blas_setter_is_said_once_on_stderr(monkeypatch, capsys):
+    monkeypatch.setattr(protocol, "_SET_BLAS_THREADS", "no_such_symbol")
+    protocol._blas_library.cache_clear()
+    try:
+        assert protocol._blas_library() is None
+        assert protocol._blas_library() is None
+        protocol._one_blas_thread(None)  # the worker then keeps its default threads
+    finally:
+        protocol._blas_library.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("OpenBLAS thread calls were not found") == 1
 
 
 # The base seed whose last seed is 2**64 - 1, for a 3-circuit ensemble and a

@@ -123,6 +123,9 @@ def test_pearson_examples():
         pearson_r([1.0, 1.0, 1.0], xs)
     with pytest.raises(InvalidParameterError):
         pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
+    for short in ([], [1.0]):
+        with pytest.raises(UndefinedStatisticError, match="correlation needs at least 2 points"):
+            pearson_r(short, short)
 
 
 def test_pearson_affine_invariance():
@@ -229,6 +232,7 @@ def test_classify_threshold_semantics():
     assert classify(0.704) is ClassLabel.FRAGILE
     assert classify(0.9) is ClassLabel.ROBUST  # boundary inclusive
     assert classify(0.95, threshold=0.99) is ClassLabel.FRAGILE
+    assert [classify(f) for f in (0, 1, np.float32(0.95))] == [ClassLabel.FRAGILE, ClassLabel.ROBUST, ClassLabel.ROBUST]
     # monotone
     labels = [classify(f) for f in np.linspace(0, 1, 21)]
     first_robust = labels.index(ClassLabel.ROBUST)
@@ -239,6 +243,12 @@ def test_classify_threshold_semantics():
 def test_classify_checks_its_threshold(threshold):
     with pytest.raises(InvalidParameterError, match="classify_threshold must lie in"):
         classify(0.95, threshold)
+
+
+@pytest.mark.parametrize("fidelity", [math.nan, -1.0, -1e-300, 1.0 + 1e-15, math.inf, -math.inf, True, "0.95", None])
+def test_classify_checks_its_fidelity(fidelity):
+    with pytest.raises(InvalidParameterError, match=r"fidelity must be a number in \[0, 1\]"):
+        classify(fidelity)
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), -1.0, math.inf])
