@@ -3,9 +3,10 @@
 Each ensemble generates `circuit_count` circuits from consecutive seeds
 (base_seed + k), compresses every circuit at the configured ratio, classifies
 the outcome as robust or fragile, and aggregates class-level statistics.
-Circuits are processed independently (optionally across processes) and the
-records are always assembled in seed order, so reports are deterministic
-regardless of scheduling.
+Circuits are processed independently, in process one at a time or across
+worker processes in batches of consecutive seeds that are simulated together
+(see `_parallel_map`), and the records are always assembled in seed order, so
+reports are deterministic regardless of scheduling.
 """
 from __future__ import annotations
 
@@ -22,10 +23,11 @@ from typing import IO, Callable, Iterable, Literal, Sequence, get_args
 import numpy as np
 
 from . import stats as st
-from .circuits import Axis, GenerationParams, circuit_depth, expected_gate_count, generate_uniform
+from .circuits import Axis, Circuit, GenerationParams, circuit_depth, expected_gate_count, generate_uniform
 from .codec import check_types, decode, encode, write_csv
 from .errors import InvalidParameterError, NoTransitionError, UndefinedStatisticError, _shown
-from .pruning import PRUNING_MODES, importance_profile, prune, removal_quota
+from .pruning import PRUNING_MODES, ImportanceProfile, _pruned, importance_profile, prune, removal_quota
+from .simulator import _batch_limit
 from .stats import AngleStats, ClassLabel
 
 __all__ = [
@@ -146,22 +148,38 @@ class EnsembleReport:
     correlation_summary: CorrelationSummary
 
 
-def _build_record(config: EnsembleConfig, k: int) -> CircuitRecord:
-    seed = config.base_seed + k
-    circuit = generate_uniform(GenerationParams(config.n, config.alpha, config.rho, seed))
-    profile = importance_profile(circuit)
-    result = prune(circuit, config.kappa, config.pruning_mode, config.small_angle_threshold, profile)
+def _circuit(config: EnsembleConfig | SweepConfig, seed: int) -> Circuit:
+    return generate_uniform(GenerationParams(config.n, config.alpha, config.rho, seed))
+
+
+def _record(config: EnsembleConfig, circuit: Circuit, profile: ImportanceProfile, fidelity: float) -> CircuitRecord:
     return CircuitRecord(
-        seed=seed,
+        seed=circuit.params.seed,
         gate_count=len(circuit),
         depth=circuit_depth(circuit),
-        fidelity=result.fidelity,
-        label=st.classify(result.fidelity, config.classify_threshold),
+        fidelity=fidelity,
+        label=st.classify(fidelity, config.classify_threshold),
         angle_stats=st.angle_stats(circuit, config.small_angle_threshold),
         angle_importance_r=_defined(st.angle_importance_r, circuit, profile.importances),
         importance_entropy=_defined(st.shannon_entropy, profile.importances),
         importance_gini=_defined(st.gini, profile.importances),
     )
+
+
+def _build_record(config: EnsembleConfig, k: int) -> CircuitRecord:
+    """The record of seed base_seed + k through the per-circuit functions."""
+    circuit = _circuit(config, config.base_seed + k)
+    profile = importance_profile(circuit)
+    result = prune(circuit, config.kappa, config.pruning_mode, config.small_angle_threshold, profile)
+    return _record(config, circuit, profile, result.fidelity)
+
+
+def _build_records(config: EnsembleConfig, ks: Sequence[int]) -> list[CircuitRecord]:
+    """The records of seeds base_seed + k for k in ks, the same as
+    `_build_record` gives, from circuits simulated as one batch."""
+    circuits = [_circuit(config, config.base_seed + k) for k in ks]
+    profiles, fidelities = _pruned(circuits, config.kappa, config.pruning_mode, config.small_angle_threshold)
+    return [_record(config, *row) for row in zip(circuits, profiles, fidelities)]
 
 
 def _check_threads(threads: int | None) -> None:
@@ -198,16 +216,44 @@ def _one_blas_thread(library: str | None) -> None:
         stop_threads()
 
 
-def _parallel_map(fn: Callable, items: Sequence, threads: int | None) -> list:
-    """Order-preserving map over min(threads, items, CPUs) worker processes, each
-    with one BLAS thread; in process, where nothing is changed, if that is at most 1."""
+def _batches(count: int, group: int, workers: int, size: int) -> list[range]:
+    """Consecutive batches of the indices 0 .. count - 1 that stay inside groups
+    of `group` indices: each group splits into near-equal batches of at most
+    `size`, as many as a multiple of `workers` where the group has that many
+    indices, so the workers finish together."""
+    batches = []
+    for start in range(0, count, group):
+        length = min(group, count - start)
+        needed = -(-length // size)
+        parts = min(length, needed + -needed % workers)
+        bounds = [start + length * i // parts for i in range(parts + 1)]
+        batches += [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return batches
+
+
+def _parallel_map(fn: Callable, items: Sequence, threads: int | None, batch_fn: Callable | None = None,
+                  size: int = 1, group: int | None = None) -> list:
+    """Order-preserving map of fn over items, on min(threads, items, CPUs)
+    workers. One worker runs in process, where nothing is changed, and calls
+    fn per item: the per-circuit calls that perfbench's traced run times layer
+    by layer. More workers run as processes with one BLAS thread each; with
+    batch_fn they call it on batches of items (see `_batches`; `size` and
+    `group`, by default all items), and it returns the results of fn for the
+    batch."""
     _check_threads(threads)
     workers = min(threads or math.inf, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
-    chunksize = max(1, len(items) // (4 * workers))
+    if batch_fn is None:
+        batch_fn, size = partial(_each, fn), 1
+    batches = [items[b.start:b.stop] for b in _batches(len(items), group or len(items), workers, size)]
+    chunksize = max(1, len(batches) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread, initargs=(_blas_library(),)) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        return [result for batch in pool.map(batch_fn, batches, chunksize=chunksize) for result in batch]
+
+
+def _each(fn: Callable, items: Sequence) -> list:
+    return [fn(item) for item in items]
 
 
 def _defined(stat: Callable, *args):
@@ -268,7 +314,8 @@ def run_ensemble(config: EnsembleConfig, threads: int | None = None) -> Ensemble
     Aggregate fields involving an empty class are reported as None rather
     than fabricated.
     """
-    records = _parallel_map(partial(_build_record, config), range(config.circuit_count), threads)
+    records = _parallel_map(partial(_build_record, config), range(config.circuit_count), threads,
+                            partial(_build_records, config), _batch_limit(config.n))
     return _aggregate(config, records)
 
 
@@ -339,9 +386,14 @@ def _probe_seed(config: SweepConfig, grid_index: int, k: int) -> int:
 
 def _probe_fidelity(config: SweepConfig, task: tuple[int, float, int]) -> float:
     grid_index, kappa, k = task
-    seed = _probe_seed(config, grid_index, k)
-    circuit = generate_uniform(GenerationParams(config.n, config.alpha, config.rho, seed))
+    circuit = _circuit(config, _probe_seed(config, grid_index, k))
     return prune(circuit, kappa, config.pruning_mode, config.small_angle_threshold).fidelity
+
+
+def _probe_fidelities(config: SweepConfig, tasks: Sequence[tuple[int, float, int]]) -> list[float]:
+    """`_probe_fidelity` of each task, all of one grid point, from circuits simulated as one batch."""
+    circuits = [_circuit(config, _probe_seed(config, grid_index, k)) for grid_index, _, k in tasks]
+    return _pruned(circuits, tasks[0][1], config.pruning_mode, config.small_angle_threshold)[1]
 
 
 def kappa_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
@@ -355,7 +407,8 @@ def kappa_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
     """
     grid = sweep_grid(config)
     tasks = [(gi, kappa, k) for gi, kappa in enumerate(grid) for k in range(config.probe_count)]
-    fidelities = _parallel_map(partial(_probe_fidelity, config), tasks, threads)
+    fidelities = _parallel_map(partial(_probe_fidelity, config), tasks, threads, partial(_probe_fidelities, config),
+                               _batch_limit(config.n), config.probe_count)
 
     points = []
     for gi, kappa in enumerate(grid):

@@ -11,7 +11,10 @@ rotation never exceeds sin^2(theta/2), and a phase gate on a basis state
 scores exactly 0. Causal pruning ranks gates by ascending importance (ties
 broken by gate index) and deletes the floor(kappa*N) least important ones in
 one batch; `prune`'s aware mode first protects the small angles of circuits
-that `stats.is_brittle` flags.
+that `stats.is_brittle` flags. The compressed circuit's fidelity comes from
+the intact circuit run with the removed gates masked (see `simulator`).
+Ensembles and sweeps get the same profiles and fidelities for many circuits
+at once from `_pruned`.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 from .circuits import Circuit, Cnot, Rotation, _check_per_gate, floor_product, remove_gates
 from .codec import write_csv
 from .errors import InvalidParameterError, _shown
-from .simulator import StateVector, fidelity, run
+from .simulator import StateVector, _runs, fidelity, run
 from .stats import DEFAULT_SMALL_ANGLE_THRESHOLD, _check_thresholds, angle_stats, identity_distance, is_brittle
 
 __all__ = [
@@ -87,24 +90,66 @@ def removal_quota(kappa: float, n_gates: int) -> int:
     return quota
 
 
+def _removals(importances: np.ndarray, quota: int, protected: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """For each row of importances (circuits, N) and of `protected` (bool, same
+    shape): which gates a prune keeps, and the floor(kappa*N) = `quota` least
+    important unprotected gates it removes, in removal order."""
+    ranked = np.argsort(importances, axis=1, kind="stable")  # ascending; ties resolve by gate index
+    candidate = ~np.take_along_axis(protected, ranked, axis=1)
+    chosen = candidate & (np.cumsum(candidate, axis=1) <= quota)
+    keep = np.empty_like(chosen)
+    np.put_along_axis(keep, ranked, ~chosen, axis=1)
+    return keep, [row[taken].tolist() for row, taken in zip(ranked, chosen)]
+
+
+def _fidelities(n: int, gates: np.ndarray, keep: np.ndarray, baselines: np.ndarray) -> list[float]:
+    """The fidelity of each row of `baselines` with the state of that row's
+    circuit (a row of `gates`) run with only its `keep` gates, as run(compressed) gives it."""
+    return [fidelity(StateVector(n, baseline), StateVector(n, state))
+            for baseline, state in zip(baselines, _runs(n, gates, keep=keep))]
+
+
+def _protected(circuit: Circuit, mode: str, small_angle_threshold: float) -> np.ndarray:
+    """The gates `mode` keeps out of the removal pool: in aware mode on a
+    circuit `stats.is_brittle` flags, the rotations with a small angle."""
+    gates = circuit.encoding
+    if mode == "aware" and is_brittle(angle_stats(circuit, small_angle_threshold)):
+        return (gates["kind"] < 3) & (identity_distance(gates["theta"]) < small_angle_threshold)
+    return np.zeros(len(gates), dtype=bool)
+
+
+def _pruned(circuits: Sequence[Circuit], kappa: float, mode: str,
+            small_angle_threshold: float) -> tuple[list[ImportanceProfile], list[float]]:
+    """The importance profiles of circuits with as many gates on as many
+    qubits (generated circuits of one (n, alpha, rho), say) and their
+    fidelities after `prune(circuit, kappa, mode, small_angle_threshold)`, bit
+    for bit: one batched profile pass and one batched run of the intact
+    circuits with the removed gates masked; no compressed circuit is built."""
+    n = circuits[0].n_qubits
+    gates = np.stack([circuit.encoding for circuit in circuits])
+    importances = np.empty(gates.shape)
+    baselines = _runs(n, gates, importances)
+    profiles = [ImportanceProfile(circuit, row, StateVector(n, baseline))
+                for circuit, row, baseline in zip(circuits, importances, baselines)]
+    protected = np.stack([_protected(circuit, mode, small_angle_threshold) for circuit in circuits])
+    keep, _ = _removals(importances, removal_quota(kappa, gates.shape[1]), protected)
+    return profiles, _fidelities(n, gates, keep, baselines)
+
+
 def _prune(circuit: Circuit, kappa: float, profile: ImportanceProfile | None,
-           protected: Sequence[int]) -> CompressionResult:
-    """Delete the floor(kappa*N) least important gates outside `protected` in one batch."""
+           protected: np.ndarray) -> CompressionResult:
+    """Delete the floor(kappa*N) least important gates outside `protected` (a mask) in one batch."""
     quota = removal_quota(kappa, len(circuit))
     if profile is None:
         profile = importance_profile(circuit)
     elif profile.circuit is not circuit and profile.circuit != circuit:
         raise InvalidParameterError("importance profile was computed for another circuit")
-    # Ascending importance; stable sort makes ties resolve by gate index.
-    ranked = np.argsort(profile.importances, kind="stable")
-    if len(protected):
-        ranked = ranked[np.isin(ranked, protected, invert=True)]
-    removed = ranked[:quota].tolist()
-    compressed = remove_gates(circuit, removed)
+    keep, (removed,) = _removals(profile.importances[None], quota, protected[None])
     return CompressionResult(
-        compressed=compressed,
+        compressed=remove_gates(circuit, removed),
         removed_indices=tuple(removed),
-        fidelity=fidelity(profile.baseline_state, run(compressed)),
+        fidelity=_fidelities(circuit.n_qubits, circuit.encoding[None], keep,
+                             profile.baseline_state.amplitudes[None])[0],
         kappa_effective=len(removed) / len(circuit),
     )
 
@@ -119,7 +164,7 @@ def causal_prune(
     `profile` may be passed to reuse a precomputed importance profile.
     removed_indices are reported in removal (ascending-importance) order.
     """
-    return _prune(circuit, kappa, profile, ())
+    return _prune(circuit, kappa, profile, np.zeros(len(circuit), dtype=bool))
 
 
 def prune(
@@ -140,9 +185,8 @@ def prune(
     _check_thresholds(small_angle_threshold=small_angle_threshold)
     if mode not in PRUNING_MODES:
         raise InvalidParameterError(f"pruning mode must be one of {PRUNING_MODES}, got {mode!r}")
-    if mode == "aware" and is_brittle(angle_stats(circuit, small_angle_threshold)):
-        gates = circuit.encoding
-        protected = np.flatnonzero((gates["kind"] < 3) & (identity_distance(gates["theta"]) < small_angle_threshold))
+    protected = _protected(circuit, mode, small_angle_threshold)
+    if protected.any():
         return _prune(circuit, kappa, profile, protected)
     return causal_prune(circuit, kappa, profile)
 

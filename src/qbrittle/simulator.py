@@ -12,6 +12,25 @@ rotation block is the tensor product of its 2x2 gates, applied as one small
 matmul per chunk of at most 5 adjacent qubits (a Kronecker factor of at most
 32 rows); a chunk without a gate is skipped.
 
+Batches: `_evolve` runs the rows of a stack of encodings, one circuit per
+row, on a stack of states. Rows that split into the same blocks (the same
+kinds at the same places; the qubits may differ) take each block together:
+one Kronecker batch, one batched matmul per chunk, one gather. Generated
+circuits of one (n, alpha, rho) differ only in the qubits of their appended
+gates, so they share every block up to the appended tail, and the rows that
+split the tail alike run it together. Each matmul of a batch is the matmul a
+row would make alone, so every row gets the bits of its own run; a row that
+a chunk's gates miss copies its amplitudes past the chunk, as its own run
+skips it. `run` is the batch of one. A batch holds at most
+_BATCH_AMPLITUDES amplitudes (`_batch_limit`): larger ones were measured no
+faster per circuit at 12 qubits and slower at 14, and they cost memory.
+With a `keep` mask, a batch runs each circuit with some gates removed on the
+intact circuit's blocks: a removed rotation leaves its qubit's identity
+slot, a removed CNOT its block's pairs. That has the bits of the compressed
+circuit's own run wherever the compressed circuit splits into the same
+blocks; a row where it would not (a removal that empties a CNOT block, say,
+so that two rotation blocks merge) runs its kept gates alone.
+
 With `losses`, `run` also writes each gate's deletion loss 1 - |<f|G|f>|^2,
 which is how the leave-one-out profile costs one pass. A loss depends only on
 the reduced state of the gate's own qubits, which the rest of its block does
@@ -28,15 +47,17 @@ gather of every pair's halves t0, t1 through an index cached per (n, pairs),
 one subtract and one sum, on states of up to _GATHER_QUBITS qubits; on
 larger states, where strided views stream faster, pair by pair.
 
-Memory: a run holds the state and one state-sized buffer that each block
-writes into. Reading a rotation block's losses adds one reordered copy of
-the state per chunk, freed before the next, whose conjugate goes into the
-buffer. The cache holds the permutations of the last four CNOT pairings as
-int32, a quarter of a state each. A 20-qubit run peaks at about 3.6 states
-of traced memory, and a test holds a warm 16-qubit run to 4.32 states. The
-Kronecker factors are built in per-thread buffers sized by the chunk layout
-and kept across runs, so a steady stream of runs takes no fresh pages and
-threads may run at once.
+Memory: a run holds the states and one buffer of their size that each block
+writes into. Reading a rotation block's losses reorders the state of a
+middle chunk (one whose qubits are neither the lowest nor the highest) into
+a copy, whose conjugate goes into the buffer. The cache holds the
+permutations of the last four CNOT pairings as int32, a quarter of a state
+each. A 16- or 20-qubit run with losses peaks at about 3.1 states of traced
+memory, and a test holds a warm 16-qubit run to 4.32 states. The Kronecker
+factors, the reordered copies and the CNOT gathers go into per-thread
+buffers kept across runs while they hold at most _KEPT_AMPLITUDES
+amplitudes, so a steady stream of batches takes no fresh pages and threads
+may run at once.
 """
 from __future__ import annotations
 
@@ -59,13 +80,19 @@ DEFAULT_MAX_QUBITS = 24
 
 # A chunk factor acts on at most this many adjacent qubits (2^5 rows).
 _CHUNK_QUBITS = 5
-# Rotation blocks whose chunk factors are built together: one batch of
-# Kronecker products instead of one per block, at a bounded memory cost.
+# Chunk factors built together: those of this many rotation blocks of one
+# circuit, or of one block of each circuit of a larger batch.
 _FACTOR_BATCH = 8
 # A CNOT block's gaps are read through one cached gather on states of at most
 # this many qubits; on larger ones per-pair strided views stream faster (the
 # gather measured as fast at 14 qubits and half as fast at 16 and 20).
 _GATHER_QUBITS = 12
+# Circuits simulated as one batch hold at most this many amplitudes together:
+# 8 circuits of 10 qubits, 2 of 12, and one from 13 up (see the module docstring).
+_BATCH_AMPLITUDES = 1 << 13
+# Scratch arrays of up to this many amplitudes, a batch's CNOT gathers
+# included, are kept per thread across runs (see `_kept`).
+_KEPT_AMPLITUDES = 4 * _BATCH_AMPLITUDES
 
 # R_A(theta) = cos(theta/2) I + sin(theta/2) (-iA), stacked by axis code.
 _MINUS_I_PAULI = np.array([[[0, -1j], [-1j, 0]], [[0, -1], [1, 0]], [[-1j, 0], [0, 1j]]])
@@ -101,40 +128,74 @@ def qubit_cap() -> int:
 def zero_state(n: int) -> StateVector:
     """The all-zeros computational basis state |0...0> on n qubits."""
     n = _width(n, "qubit count")
+    return StateVector(n, _zero_amplitudes(n, 1)[0])
+
+
+def _zero_amplitudes(n: int, rows: int) -> np.ndarray:
+    """`rows` copies of |0...0> on n qubits, one per row."""
     cap = qubit_cap()
     if n > cap:
         raise ResourceLimitError(f"{_shown(n)} qubits exceeds the simulator cap of {cap}")
     try:
-        amplitudes = np.zeros(1 << n, dtype=np.complex128)
+        amplitudes = np.zeros((rows, 1 << n), dtype=np.complex128)
     except (MemoryError, ValueError) as exc:  # numpy raises ValueError from 60 qubits up
         raise ResourceLimitError(f"cannot allocate the state of {_shown(n)} qubits: {exc}") from None
-    amplitudes[0] = 1.0
-    return StateVector(n, amplitudes)
+    amplitudes[:, 0] = 1.0
+    return amplitudes
 
 
-def _compile(gates: np.ndarray, n: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """Split the encoded gates greedily into blocks (qubit mask, CNOT pairs or None
-    for rotations) of consecutive gates of one kind on pairwise disjoint qubits.
-    Also return which gates are rotations, and each rotation's slot, its row in the
-    stack of per-qubit matrices: rotation block ordinal * count * width + qubit."""
-    rotation = gates["kind"] < 3
-    masks = (1 << gates["qubit"]) | (1 << np.where(rotation, gates["qubit"], gates["target"]))
-    flags = rotation.tolist()
-    starts, spans, used, kind = [], [], 0, None
-    for i, (flag, mask) in enumerate(zip(flags, masks.tolist())):
+def _batch_limit(n: int) -> int:
+    """The most n-qubit circuits one batch of `_evolve` should hold."""
+    return max(1, _BATCH_AMPLITUDES >> n)
+
+
+def _greedy(flags: list, masks: list) -> list[int]:
+    """Where the greedy split of gates with these rotation flags and qubit
+    masks opens its blocks: a gate opens one if its kind differs from the open
+    block's or it shares a qubit with it."""
+    starts, used, kind = [], 0, None
+    for i, (flag, mask) in enumerate(zip(flags, masks)):
         if flag is not kind or used & mask:
             starts.append(i)
-            spans.append(used)  # the mask of the block this gate ends
             used, kind = 0, flag
         used |= mask
-    stops = starts[1:] + [len(flags)]
-    qubits, targets = gates["qubit"].tolist(), gates["target"].tolist()
-    blocks = [(used, None if flags[start] else tuple(zip(qubits[start:stop], targets[start:stop])))
-              for start, stop, used in zip(starts, stops, spans[1:] + [used])]
-    lengths = [stop - start for start, stop in zip(starts, stops) if flags[start]]
-    count, width = _layout(n)
-    slots = np.repeat(np.arange(len(lengths)) * (count * width), lengths) + gates["qubit"][rotation]
-    return blocks, rotation, slots
+    return starts
+
+
+def _split(gates: np.ndarray, rotation: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, int]:
+    """Where each row's greedy blocks open, as a mask of `gates`' shape, and
+    the last gate up to which all rows split alike. Rows agree up to their
+    first gate of another kind or on other qubits, so until the last block
+    that opens before it they are split once, and from there row by row."""
+    diverge = ((gates["qubit"] != gates["qubit"][0]) | (gates["target"] != gates["target"][0])
+               | (rotation != rotation[0])).any(axis=0)
+    stop = int(diverge.argmax()) if diverge.any() else gates.shape[1]
+    starts = _greedy(rotation[0, :stop].tolist(), masks[0, :stop].tolist())
+    opens = np.zeros(gates.shape, dtype=bool)
+    opens[:, starts] = True
+    if stop == gates.shape[1]:
+        return opens, stop
+    last = starts[-1] if starts else 0
+    for row, flags, row_masks in zip(opens[:, last:], rotation[:, last:].tolist(), masks[:, last:].tolist()):
+        row[_greedy(flags, row_masks)] = True
+    return opens, stop if opens[:, stop].all() else last
+
+
+def _regrouped(rotation: np.ndarray, masks: np.ndarray, keep: np.ndarray, opens: np.ndarray) -> np.ndarray:
+    """Which rows' kept gates the greedy split would group otherwise than
+    their blocks (`opens` marks each block's first gate): where a block's first
+    kept gate would join the last non-empty block before it."""
+    rows, total = keep.shape
+    segments = np.flatnonzero(opens.ravel())  # every row opens a block at its gate 0
+    used = np.bitwise_or.reduceat(np.where(keep, masks, 0).ravel(), segments)
+    first = np.minimum.reduceat(np.where(keep.ravel(), np.arange(rows * total), rows * total), segments)
+    live = first < rows * total
+    first, used, row = first[live], used[live], segments[live] // total
+    flags, gate_masks = rotation.ravel()[first], masks.ravel()[first]
+    joins = (row[1:] == row[:-1]) & (flags[1:] == flags[:-1]) & (gate_masks[1:] & used[:-1] == 0)
+    regrouped = np.zeros(rows, dtype=bool)
+    regrouped[row[1:][joins]] = True
+    return regrouped
 
 
 def _layout(n: int) -> tuple[int, int]:
@@ -196,109 +257,213 @@ def _gap_halves(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     return halves
 
 
+def _kept(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A complex scratch array of this shape, valid until the next call with
+    this name on the same thread. Up to _KEPT_AMPLITUDES entries it is cut
+    from a buffer of the thread that is kept for the next run, so that
+    steady-state runs take no fresh pages; a larger one is allocated anew."""
+    size = math.prod(shape)
+    if size > _KEPT_AMPLITUDES:
+        return np.empty(shape, dtype=complex)
+    buffer = getattr(_scratch, name, None)
+    if buffer is None or len(buffer) < size:
+        buffer = np.empty(size, dtype=complex)
+        setattr(_scratch, name, buffer)
+    return buffer[:size].reshape(shape)
+
+
 def _kron_factors(mats: np.ndarray) -> np.ndarray:
     """mats[..., -1, :, :] (x) ... (x) mats[..., 0, :, :]: qubit 0 of a chunk is its lowest bit.
 
-    Built in two flat buffers of the calling thread in turn, sized for a
-    batch of factors of the chunk layout and kept for the next run, so that
-    steady-state runs take no fresh pages. The result is valid until the
-    next call on the same thread."""
+    Built in two kept buffers of the calling thread in turn (see `_kept`); the
+    result is valid until the next call on the same thread."""
     lead = mats.shape[:-3]
-    size = math.prod(lead) << 2 * mats.shape[-3]
-    buffers = getattr(_scratch, "factors", None)
-    if buffers is None or len(buffers[0]) < size:
-        buffers = _scratch.factors = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
     factors = mats[..., 0, :, :]
     for p in range(1, mats.shape[-3]):
         d = 2 * factors.shape[-1]
-        out = buffers[p % 2][:math.prod(lead) * d * d].reshape(*lead, 2, d // 2, 2, d // 2)
+        out = _kept(f"factors{p % 2}", (*lead, 2, d // 2, 2, d // 2))
         np.multiply(mats[..., p, :, None, :, None], factors[..., None, :, None, :], out=out)
         factors = out.reshape(*lead, d, d)
     return factors
 
 
-def _cnot_gaps(amps: np.ndarray, n: int, pairs: tuple[tuple[int, int], ...]) -> list[float]:
-    """|t0 - t1|^2 of each CNOT: the control=1 amplitudes with the target
-    clear minus set, summed as squares of the difference's float view."""
+def _cnot_gaps(amps: np.ndarray, n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """|t0 - t1|^2 of each CNOT in each row of `amps`, shape (rows, pairs): the
+    control=1 amplitudes with the target clear minus set, summed as squares of
+    the difference's float view."""
     if n <= _GATHER_QUBITS:
-        t = amps.take(_gap_halves(n, pairs))
-        diff = np.subtract(t[0], t[1], out=t[0]).view(np.float64)
+        t = amps.take(_gap_halves(n, pairs), axis=1, out=_kept("halves", (len(amps), 2, len(pairs), 1 << (n - 2))),
+                      mode="clip")  # in range; "raise" stages a copy
+        diff = np.subtract(t[:, 0], t[:, 1], out=t[:, 0]).view(np.float64)
         # einsum's iterator buffers 8192 elements; rows up to that long
         # (n <= 14) each sum as the per-pair einsum("i,i->") below would.
-        return list(np.einsum("pi,pi->p", diff, diff))
+        return np.einsum("bpi,bpi->bp", diff, diff)
     diff = np.empty(1 << (n - 2), dtype=complex)
     flat = diff.view(np.float64)
-    gaps = []
-    for control, target in pairs:
-        t0, t1 = _target_halves(amps, n, control, target)
-        np.subtract(t0, t1, out=diff.reshape(t0.shape))
-        gaps.append(np.einsum("i,i->", flat, flat))
+    gaps = np.empty((len(amps), len(pairs)))
+    for row, gap in zip(amps, gaps):
+        for k, (control, target) in enumerate(pairs):
+            t0, t1 = _target_halves(row, n, control, target)
+            np.subtract(t0, t1, out=diff.reshape(t0.shape))
+            gap[k] = np.einsum("i,i->", flat, flat)
     return gaps
 
 
-def _evolve(amps: np.ndarray, n: int, gates: np.ndarray, losses: np.ndarray | None) -> np.ndarray:
-    """Apply the gates block by block to `amps`, which is overwritten, and
-    return the array that holds the result; fill `losses` if it is given."""
-    blocks, rotation, slots = _compile(gates, n)
+def _evolve(amps: np.ndarray, n: int, gates: np.ndarray, losses: np.ndarray | None = None,
+            keep: np.ndarray | None = None) -> np.ndarray:
+    """Apply the gates of each row of the encodings `gates` (rows, G) to the same
+    row of `amps` (rows, 2^n), which is overwritten, and return the array that
+    holds the results; fill `losses` (rows, G) if it is given.
+
+    Rows that split into blocks alike run them as one batch, each row on its
+    own qubits; where the rows' splits part, the blocks before run for all rows
+    and each group of rows that split the rest alike runs it as a batch.
+    Greedy blocks restart at a block boundary, so every row gets the bits of
+    its own run. With `keep` (rows, G; not combined with `losses`) only the
+    kept gates act: a removed rotation leaves an identity slot, a removed CNOT
+    leaves its block's pairs. A row gets the bits of a run of its kept gates
+    alone, since that run forms the same blocks; a row whose kept gates would
+    group otherwise runs them alone."""
+    rotation = gates["kind"] < 3
+    masks = (1 << gates["qubit"]) | (1 << np.where(rotation, gates["qubit"], gates["target"]))
+    opens, cut = _split(gates, rotation, masks)
+    if keep is not None and gates.shape[1]:
+        regrouped = _regrouped(rotation, masks, keep, opens)
+        if regrouped.any():
+            for b in np.flatnonzero(regrouped):
+                amps[b] = _evolve(amps[b:b + 1], n, gates[b:b + 1, keep[b]])[0]
+            rest = ~regrouped
+            if rest.any():
+                amps[rest] = _evolve(amps[rest], n, gates[rest], None, keep[rest])
+            return amps
+    groups = {}
+    for b, (row_opens, row_rotation) in enumerate(zip(opens[:, cut:], rotation[:, cut:])):
+        groups.setdefault((row_opens.tobytes(), row_rotation.tobytes()), []).append(b)
+    if len(groups) == 1:
+        return _shared_run(amps, n, gates, rotation[0], masks, np.flatnonzero(opens[0]).tolist(), losses, keep)
+    head = (slice(None), slice(None, cut))
+    amps = _shared_run(amps, n, gates[head], rotation[0, :cut], masks[head], np.flatnonzero(opens[0, :cut]).tolist(),
+                       None if losses is None else losses[head], None if keep is None else keep[head])
+    for group in groups.values():
+        tail = (group, slice(cut, None))
+        part = None if losses is None else np.empty((len(group), gates.shape[1] - cut))
+        amps[group] = _shared_run(amps[group], n, gates[tail], rotation[group[0], cut:], masks[tail],
+                                  np.flatnonzero(opens[group[0], cut:]).tolist(), part,
+                                  None if keep is None else keep[tail])
+        if losses is not None:
+            losses[tail] = part
+    return amps
+
+
+def _shared_run(amps: np.ndarray, n: int, gates: np.ndarray, rotation: np.ndarray, masks: np.ndarray,
+                starts: list[int], losses: np.ndarray | None, keep: np.ndarray | None) -> np.ndarray:
+    """`_evolve` on rows whose blocks open at the same `starts`, with the
+    rotations that `rotation` flags; `masks` holds each gate's qubits."""
+    rows, total = gates.shape
+    flags, qubits, targets = rotation.tolist(), gates["qubit"][0].tolist(), gates["target"][0].tolist()
     count, width = _layout(n)
-    chunks = [(lo, min(lo + width, n), ((1 << width) - 1) << lo) for lo in range(0, n, width)]
-    rotation_blocks = sum(pairs is None for _, pairs in blocks)
-    axes, thetas = gates["kind"][rotation], gates["theta"][rotation]
-    half = 0.5 * thetas[:, None, None]
-    per_qubit = np.broadcast_to(_IDENTITY, (rotation_blocks * count * width, 2, 2)).copy()
-    per_qubit[slots] = np.cos(half) * _IDENTITY + np.sin(half) * _MINUS_I_PAULI[axes]
-    per_qubit = per_qubit.reshape(rotation_blocks, count, width, 2, 2)
+    chunks = [(i, lo, min(lo + width, n), ((1 << width) - 1) << lo) for i, lo in enumerate(range(0, n, width))]
+    stops = starts[1:] + [total]
+    lengths = [stop - start for start, stop in zip(starts, stops) if flags[start]]
+    slots = np.repeat(np.arange(len(lengths)) * (count * width), lengths) + gates["qubit"][:, rotation]
+    axes, thetas = gates["kind"][:, rotation], gates["theta"][:, rotation]
+    half = 0.5 * thetas[..., None, None]
+    mats = np.cos(half) * _IDENTITY + np.sin(half) * _MINUS_I_PAULI[axes]
+    if keep is not None:
+        mats[~keep[:, rotation]] = _IDENTITY
+        masks = np.where(keep, masks, 0)
+    per_qubit = np.broadcast_to(_IDENTITY, (rows, len(lengths) * count * width, 2, 2)).copy()
+    per_qubit[np.arange(rows)[:, None], slots] = mats
+    per_qubit = per_qubit.reshape(rows, len(lengths), count, width, 2, 2)
+    # Per block: the qubits of each row's (kept) gates, their union, whether
+    # all rows have the same, and the rows whose CNOTs are not the first row's.
+    used = np.bitwise_or.reduceat(masks, starts, axis=1) if starts else np.zeros((rows, 0), dtype=int)
+    union, alike = np.bitwise_or.reduce(used, axis=0).tolist(), (used == used[0]).all(axis=0).tolist()
+    apart = [()] * len(starts)
+    if rows > 1 or keep is not None:
+        other = (gates["qubit"] != gates["qubit"][0]) | (gates["target"] != gates["target"][0])
+        if keep is not None:
+            other |= ~keep
+        for j, column in zip(*np.nonzero(np.logical_or.reduceat(other, starts, axis=1).T)) if starts else ():
+            apart[j] += (column,)
+    # Factors of up to _FACTOR_BATCH blocks of one row, or of one block of each row, per build.
+    per_build = max(1, _FACTOR_BATCH // rows)
     if losses is not None:
-        rho = np.zeros((count, 1 << width, 1 << width), dtype=complex)
-        readings = np.empty((rotation_blocks, count, 3, width), dtype=complex)
+        rho = np.zeros((rows, count, 1 << width, 1 << width), dtype=complex)
+        readings = np.empty((len(lengths), rows, count, 3, width), dtype=complex)
         gaps = []
     buf = np.empty_like(amps)
     ordinal = 0
-    for used, pairs in blocks:
-        if pairs is not None:
+    for j, (start, stop) in enumerate(zip(starts, stops)):
+        if not flags[start]:
+            pairs = tuple(zip(qubits[start:stop], targets[start:stop]))
             if losses is not None:
-                gaps += _cnot_gaps(amps, n, pairs)
-            amps.take(_cnot_permutation(n, pairs), out=buf, mode="clip")  # in range; "raise" stages a copy
+                gaps.append(_cnot_gaps(amps, n, pairs))
+            amps.take(_cnot_permutation(n, pairs), axis=1, out=buf, mode="clip")  # in range; "raise" stages a copy
+            for b in apart[j]:
+                row_pairs = zip(gates["qubit"][b, start:stop].tolist(), gates["target"][b, start:stop].tolist())
+                own = tuple(pair for k, pair in enumerate(row_pairs, start) if keep is None or keep[b, k])
+                if losses is not None:
+                    gaps[-1][b] = _cnot_gaps(amps[b:b + 1], n, own)[0]
+                if own:
+                    amps[b].take(_cnot_permutation(n, own), out=buf[b], mode="clip")
+                else:
+                    buf[b] = amps[b]
             amps, buf = buf, amps
             continue
-        if ordinal % _FACTOR_BATCH == 0:
-            factors = _kron_factors(per_qubit[ordinal:ordinal + _FACTOR_BATCH])
-        touched = [(i, lo, hi) for i, (lo, hi, mask) in enumerate(chunks) if used & mask]
+        if ordinal % per_build == 0:
+            factors = _kron_factors(per_qubit[:, ordinal:ordinal + per_build])
+        touched = [chunk for chunk in chunks if union[j] & chunk[3]]
         if losses is not None:
-            for i, lo, hi in touched:
-                rows = amps.reshape(1 << (n - hi), -1, 1 << lo).transpose(1, 0, 2).reshape(1 << (hi - lo), -1)
-                conj = np.conjugate(rows, out=buf.reshape(rows.shape))  # buf is free until the matmuls below
-                np.matmul(rows, conj.T, out=rho[i, :len(rows), :len(rows)])
-                del rows  # a state-sized copy for most chunks: free it before the next one is made
+            for i, lo, hi, _ in touched:
+                d = 1 << (hi - lo)
+                chunk_rows = amps.reshape(rows, 1 << (n - hi), d, 1 << lo).transpose(0, 2, 1, 3)
+                if 0 < lo and hi < n:  # the rows of a middle chunk are no view of the state: reorder a copy
+                    copy = _kept("rows", chunk_rows.shape)
+                    np.copyto(copy, chunk_rows)
+                    chunk_rows = copy
+                chunk_rows = chunk_rows.reshape(rows, d, -1)
+                conj = np.conjugate(chunk_rows, out=buf.reshape(chunk_rows.shape))  # buf is free until the matmuls
+                np.matmul(chunk_rows, conj.transpose(0, 2, 1), out=rho[:, i, :d, :d])
             index, weights = _reading_index(width)
-            entries = rho.reshape(count, -1).take(index, axis=1)
-            np.matmul(entries, weights, out=readings[ordinal].reshape(count, -1))
-        for i, lo, hi in touched:
+            entries = rho.reshape(rows, count, -1).take(index, axis=2)
+            np.matmul(entries, weights, out=readings[ordinal].reshape(rows, count, -1))
+        for i, lo, hi, mask in touched:
             d = 1 << (hi - lo)
-            factor = factors[ordinal % _FACTOR_BATCH, i, :d, :d]
+            factor = factors[:, ordinal % per_build, i, :d, :d]
             if lo == 0:
-                np.matmul(amps.reshape(-1, d), factor.T, out=buf.reshape(-1, d))
+                np.matmul(amps.reshape(rows, -1, d), factor.transpose(0, 2, 1), out=buf.reshape(rows, -1, d))
             else:
-                shape = (1 << (n - hi), d, 1 << lo)
-                np.matmul(factor, amps.reshape(shape), out=buf.reshape(shape))
+                shape = (rows, 1 << (n - hi), d, 1 << lo)
+                np.matmul(factor[:, None], amps.reshape(shape), out=buf.reshape(shape))
+            if not alike[j]:
+                idle = used[:, j] & mask == 0
+                buf[idle] = amps[idle]  # a chunk that a row's gates miss keeps its bits, as in that row's own run
             amps, buf = buf, amps
         ordinal += 1
     if losses is not None:
-        overlap, p0, p1 = readings.transpose(2, 0, 1, 3).reshape(3, -1)[:, slots]
-        sin_half = np.array([math.sin(0.5 * theta) for theta in thetas.tolist()])
+        readings = readings.transpose(3, 1, 0, 2, 4).reshape(3, rows, len(lengths) * count * width)
+        overlap, p0, p1 = np.take_along_axis(readings, slots[None], axis=2)
+        sin_half = np.array([math.sin(0.5 * theta) for theta in thetas.ravel().tolist()]).reshape(thetas.shape)
         expectation = 2.0 * np.where(axes == 0, overlap.real, overlap.imag)
         factor = np.where(axes == 2, np.minimum(4.0 * p0.real * p1.real, 1.0),
                           1.0 - np.minimum(expectation * expectation, 1.0))
-        gap = np.minimum(np.array(gaps), 2.0)
-        losses[rotation] = sin_half * sin_half * factor
-        losses[~rotation] = gap * (2.0 - gap)
+        gap = np.minimum(np.concatenate(gaps, axis=1) if gaps else np.empty((rows, 0)), 2.0)
+        losses[:, rotation] = sin_half * sin_half * factor
+        losses[:, ~rotation] = gap * (2.0 - gap)
     return amps
+
+
+def _runs(n: int, gates: np.ndarray, losses: np.ndarray | None = None, keep: np.ndarray | None = None) -> np.ndarray:
+    """The final states, one row each, of the circuits on n qubits whose
+    encodings are the rows of `gates`, applied to the all-zeros state (see `_evolve`)."""
+    return _evolve(_zero_amplitudes(n, len(gates)), n, gates, losses, keep)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place and return the mutated state."""
     gates = Circuit(state.n_qubits, (gate,)).encoding  # checks the gate against the state
-    state.amplitudes[...] = _evolve(state.amplitudes.copy(), state.n_qubits, gates, None)
+    state.amplitudes[...] = _evolve(state.amplitudes[None].copy(), state.n_qubits, gates[None])[0]
     return state
 
 
@@ -318,9 +483,8 @@ def run(circuit: Circuit, losses: np.ndarray | None = None) -> StateVector:
         if not losses.flags.writeable:
             raise InvalidParameterError("losses must be a writeable array, got a read-only one")
         _check_per_gate(losses, circuit, "losses")
-    state = zero_state(circuit.n_qubits)
-    state.amplitudes = _evolve(state.amplitudes, state.n_qubits, circuit.encoding, losses)
-    return state
+    n = circuit.n_qubits
+    return StateVector(n, _runs(n, circuit.encoding[None], None if losses is None else losses[None])[0])
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -319,22 +319,28 @@ def test_configs_reject_wrong_types(cls, field, bad, expected):
         cls(**fields)
 
 
+class SerialPool:
+    """A worker pool that starts no process: it records the worker count it
+    is asked for (in `asked`) and maps in this process, without the BLAS initializer."""
+
+    asked: list = []
+
+    def __init__(self, max_workers, **options):
+        SerialPool.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
 def test_the_worker_pool_never_exceeds_the_cpu_count(monkeypatch):
     asked = []
-
-    class SerialPool:  # records the worker count it is asked for and starts no process
-        def __init__(self, max_workers, **options):  # the BLAS initializer is not run in this process
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
+    monkeypatch.setattr(SerialPool, "asked", asked)
     monkeypatch.setattr(protocol, "ProcessPoolExecutor", SerialPool)
     items = list(range(40))
     cpus = os.cpu_count() or 1
@@ -343,6 +349,41 @@ def test_the_worker_pool_never_exceeds_the_cpu_count(monkeypatch):
     for threads in (5000, None, 2):
         assert protocol._parallel_map(abs, items, threads) == items
     assert asked == [min(len(items), cpus)] * (cpus > 1) + [3, 3, 2]  # one worker runs in process
+
+    # With a batch function the workers take consecutive batches of near-equal
+    # size, as many as a multiple of the worker count, within each group.
+    for count, group, threads, size, expected in ((100, None, 2, 8, 14), (40, None, 3, 8, 6), (360, 30, 2, 8, 48),
+                                                  (8, None, 2, 1, 8), (3, None, 2, 8, 2), (100, None, 2, 2, 50)):
+        batches = []
+
+        def batch_fn(batch):
+            batches.append(list(batch))
+            return [-item for item in batch]
+
+        items = range(count)
+        assert protocol._parallel_map(abs, items, threads, batch_fn, size, group) == [-item for item in items]
+        sizes = [len(batch) for batch in batches]
+        assert [item for batch in batches for item in batch] == list(items)
+        assert len(batches) == expected and max(sizes) <= size and max(sizes) - min(sizes) <= 1
+        assert all(batch[0] // (group or count) == batch[-1] // (group or count) for batch in batches)
+    assert protocol._parallel_map(abs, [-1, -2], 1, batch_fn, 8) == [1, 2]  # in process, fn per item
+
+
+def test_batched_pool_runs_match_in_process_runs(monkeypatch, small_report):
+    # A pool of two workers simulates batches of circuits; in process each runs alone.
+    batch_sizes = []
+    pruned = protocol._pruned
+    monkeypatch.setattr(protocol, "_pruned", lambda circuits, *args: batch_sizes.append(len(circuits))
+                        or pruned(circuits, *args))
+    monkeypatch.setattr(protocol, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
+    assert run_ensemble(SMALL, threads=2) == small_report
+    assert batch_sizes == [6, 6]
+    sweep = SweepConfig(n=6, alpha=1.0, rho=0.2, base_seed=1, probe_count=6,
+                        kappa_start=0.25, kappa_stop=0.35, kappa_step=0.05)
+    batch_sizes.clear()
+    assert kappa_sweep(sweep, threads=2) == kappa_sweep(sweep, threads=1)
+    assert batch_sizes == [3, 3] * 3  # the probes of each grid point, in two batches
 
 
 def test_a_run_on_one_cpu_starts_no_pool(monkeypatch, small_report):
