@@ -9,6 +9,7 @@ and `fidelity(profile.baseline_state, run(remove_gates(c, removed)))`.
 import numpy as np
 import pytest
 
+from helpers import random_circuit
 from qbrittle import simulator
 from qbrittle.circuits import Axis, Circuit, Cnot, GenerationParams, Rotation, generate_uniform, remove_gates
 from qbrittle.pruning import PRUNING_MODES, _pruned, _removals, importance_profile, prune, removal_quota
@@ -103,3 +104,31 @@ def test_rows_that_split_their_tails_apart_each_keep_their_bits():
         single = np.empty(len(circuit))
         assert _same(state, run(circuit, single).amplitudes)
         assert _same(row, single)
+
+
+def _same_plan(rng, circuit: Circuit) -> list:
+    """The circuit's gates with fresh axes and angles: the same blocks, other numbers."""
+    return [Rotation((Axis.X, Axis.Y, Axis.Z)[rng.integers(3)], gate.qubit, float(rng.uniform(-6, 6)))
+            if isinstance(gate, Rotation) else gate for gate in circuit.gates]
+
+
+def test_random_batches_keep_each_rows_bits():
+    # Rows share a random prefix of blocks and then part (kinds, qubits and
+    # CNOT directions may all differ); n = 11 has a middle chunk.
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n, count = int(rng.choice([3, 5, 11])), int(rng.integers(4, 30))
+        base = random_circuit(rng, n, count)
+        circuits = []
+        for _ in range(int(rng.integers(2, 6))):
+            cut = int(rng.integers(0, count + 1))
+            circuits.append(Circuit(n, _same_plan(rng, base)[:cut] + list(random_circuit(rng, n, count - cut).gates)))
+        gates = np.stack([circuit.encoding for circuit in circuits])
+        losses = np.empty(gates.shape)
+        states = simulator._runs(n, gates, losses)
+        keep = rng.random(gates.shape) < 0.7
+        masked = simulator._runs(n, gates, keep=keep)
+        for circuit, state, row, kept, compressed in zip(circuits, states, losses, keep, masked):
+            single = np.empty(len(circuit))
+            assert _same(state, run(circuit, single).amplitudes) and _same(row, single)
+            assert _same(compressed, run(remove_gates(circuit, np.flatnonzero(~kept).tolist())).amplitudes)
