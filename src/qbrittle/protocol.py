@@ -178,7 +178,8 @@ def _build_records(config: EnsembleConfig, ks: Sequence[int]) -> list[CircuitRec
     """The records of seeds base_seed + k for k in ks, the same as
     `_build_record` gives, from circuits simulated as one batch."""
     circuits = [_circuit(config, config.base_seed + k) for k in ks]
-    profiles, fidelities = _pruned(circuits, config.kappa, config.pruning_mode, config.small_angle_threshold)
+    kappas = [config.kappa] * len(ks)
+    profiles, fidelities = _pruned(circuits, kappas, config.pruning_mode, config.small_angle_threshold)
     return [_record(config, *row) for row in zip(circuits, profiles, fidelities)]
 
 
@@ -216,44 +217,30 @@ def _one_blas_thread(library: str | None) -> None:
         stop_threads()
 
 
-def _batches(count: int, group: int, workers: int, size: int) -> list[range]:
-    """Consecutive batches of the indices 0 .. count - 1 that stay inside groups
-    of `group` indices: each group splits into near-equal batches of at most
-    `size`, as many as a multiple of `workers` where the group has that many
+def _batches(count: int, workers: int, size: int) -> list[range]:
+    """Consecutive near-equal batches of the indices 0 .. count - 1, each of at
+    most `size`, as many as a multiple of `workers` where there are that many
     indices, so the workers finish together."""
-    batches = []
-    for start in range(0, count, group):
-        length = min(group, count - start)
-        needed = -(-length // size)
-        parts = min(length, needed + -needed % workers)
-        bounds = [start + length * i // parts for i in range(parts + 1)]
-        batches += [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    return batches
+    needed = -(-count // size)
+    parts = min(count, needed + -needed % workers)
+    bounds = [count * i // parts for i in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _parallel_map(fn: Callable, items: Sequence, threads: int | None, batch_fn: Callable | None = None,
-                  size: int = 1, group: int | None = None) -> list:
+def _parallel_map(fn: Callable, batch_fn: Callable, items: Sequence, threads: int | None, size: int) -> list:
     """Order-preserving map of fn over items, on min(threads, items, CPUs)
     workers. One worker runs in process, where nothing is changed, and calls
     fn per item: the per-circuit calls that perfbench's traced run times layer
-    by layer. More workers run as processes with one BLAS thread each; with
-    batch_fn they call it on batches of items (see `_batches`; `size` and
-    `group`, by default all items), and it returns the results of fn for the
-    batch."""
+    by layer. More workers run as processes with one BLAS thread each and call
+    batch_fn on the batches of `_batches` (at most `size` items each); it
+    returns the results of fn for the batch."""
     _check_threads(threads)
     workers = min(threads or math.inf, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
-    if batch_fn is None:
-        batch_fn, size = partial(_each, fn), 1
-    batches = [items[b.start:b.stop] for b in _batches(len(items), group or len(items), workers, size)]
-    chunksize = max(1, len(batches) // (4 * workers))
+    batches = [items[b.start:b.stop] for b in _batches(len(items), workers, size)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread, initargs=(_blas_library(),)) as pool:
-        return [result for batch in pool.map(batch_fn, batches, chunksize=chunksize) for result in batch]
-
-
-def _each(fn: Callable, items: Sequence) -> list:
-    return [fn(item) for item in items]
+        return [result for batch in pool.map(batch_fn, batches) for result in batch]
 
 
 def _defined(stat: Callable, *args):
@@ -314,8 +301,8 @@ def run_ensemble(config: EnsembleConfig, threads: int | None = None) -> Ensemble
     Aggregate fields involving an empty class are reported as None rather
     than fabricated.
     """
-    records = _parallel_map(partial(_build_record, config), range(config.circuit_count), threads,
-                            partial(_build_records, config), _batch_limit(config.n))
+    records = _parallel_map(partial(_build_record, config), partial(_build_records, config),
+                            range(config.circuit_count), threads, _batch_limit(config.n))
     return _aggregate(config, records)
 
 
@@ -384,16 +371,16 @@ def _probe_seed(config: SweepConfig, grid_index: int, k: int) -> int:
     return config.base_seed + SWEEP_SEED_OFFSET + grid_index * SWEEP_SEED_STRIDE + k
 
 
-def _probe_fidelity(config: SweepConfig, task: tuple[int, float, int]) -> float:
-    grid_index, kappa, k = task
-    circuit = _circuit(config, _probe_seed(config, grid_index, k))
-    return prune(circuit, kappa, config.pruning_mode, config.small_angle_threshold).fidelity
+def _probe_fidelity(config: SweepConfig, task: tuple[int, float]) -> float:
+    """The fidelity of the probe circuit of seed `task[0]` pruned at kappa `task[1]`."""
+    seed, kappa = task
+    return prune(_circuit(config, seed), kappa, config.pruning_mode, config.small_angle_threshold).fidelity
 
 
-def _probe_fidelities(config: SweepConfig, tasks: Sequence[tuple[int, float, int]]) -> list[float]:
-    """`_probe_fidelity` of each task, all of one grid point, from circuits simulated as one batch."""
-    circuits = [_circuit(config, _probe_seed(config, grid_index, k)) for grid_index, _, k in tasks]
-    return _pruned(circuits, tasks[0][1], config.pruning_mode, config.small_angle_threshold)[1]
+def _probe_fidelities(config: SweepConfig, tasks: Sequence[tuple[int, float]]) -> list[float]:
+    """`_probe_fidelity` of each task, from circuits simulated as one batch."""
+    circuits = [_circuit(config, seed) for seed, _ in tasks]
+    return _pruned(circuits, [kappa for _, kappa in tasks], config.pruning_mode, config.small_angle_threshold)[1]
 
 
 def kappa_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
@@ -406,9 +393,9 @@ def kappa_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
     from the seeds of an ensemble with the same base seed.
     """
     grid = sweep_grid(config)
-    tasks = [(gi, kappa, k) for gi, kappa in enumerate(grid) for k in range(config.probe_count)]
-    fidelities = _parallel_map(partial(_probe_fidelity, config), tasks, threads, partial(_probe_fidelities, config),
-                               _batch_limit(config.n), config.probe_count)
+    tasks = [(_probe_seed(config, gi, k), kappa) for gi, kappa in enumerate(grid) for k in range(config.probe_count)]
+    fidelities = _parallel_map(partial(_probe_fidelity, config), partial(_probe_fidelities, config), tasks, threads,
+                               _batch_limit(config.n))
 
     points = []
     for gi, kappa in enumerate(grid):

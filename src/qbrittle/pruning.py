@@ -26,8 +26,9 @@ import numpy as np
 from .circuits import Circuit, Cnot, Rotation, _check_per_gate, floor_product, remove_gates
 from .codec import write_csv
 from .errors import InvalidParameterError, _shown
-from .simulator import StateVector, _runs, fidelity, run
-from .stats import DEFAULT_SMALL_ANGLE_THRESHOLD, _check_thresholds, angle_stats, identity_distance, is_brittle
+from .simulator import StateVector, _amplitudes, _runs, fidelity, run
+from .stats import (DEFAULT_SMALL_ANGLE_THRESHOLD, _check_thresholds, _sample, angle_stats, identity_distance,
+                    is_brittle)
 
 __all__ = [
     "ImportanceProfile",
@@ -52,7 +53,14 @@ class ImportanceProfile:
     baseline_state: StateVector
 
     def __post_init__(self) -> None:
+        if not isinstance(self.circuit, Circuit):
+            raise InvalidParameterError(f"a profile's circuit must be a Circuit, got {type(self.circuit).__name__}")
+        object.__setattr__(self, "importances", _sample(self.importances, "importance profile"))
         _check_per_gate(self.importances, self.circuit, "importance profile")
+        _amplitudes(self.baseline_state)
+        if self.baseline_state.n_qubits != self.circuit.n_qubits:
+            raise InvalidParameterError(f"importance profile's baseline state has {self.baseline_state.n_qubits} "
+                                        f"qubits for a {self.circuit.n_qubits}-qubit circuit")
 
 
 @dataclass(frozen=True)
@@ -90,10 +98,12 @@ def removal_quota(kappa: float, n_gates: int) -> int:
     return quota
 
 
-def _removals(importances: np.ndarray, quota: int, protected: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+def _removals(importances: np.ndarray, quota: int | np.ndarray,
+              protected: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
     """For each row of importances (circuits, N) and of `protected` (bool, same
-    shape): which gates a prune keeps, and the floor(kappa*N) = `quota` least
-    important unprotected gates it removes, in removal order."""
+    shape): which gates a prune keeps, and the floor(kappa*N) = `quota` (an
+    int, or one per row in shape (circuits, 1)) least important unprotected
+    gates it removes, in removal order."""
     ranked = np.argsort(importances, axis=1, kind="stable")  # ascending; ties resolve by gate index
     candidate = ~np.take_along_axis(protected, ranked, axis=1)
     chosen = candidate & (np.cumsum(candidate, axis=1) <= quota)
@@ -118,13 +128,13 @@ def _protected(circuit: Circuit, mode: str, small_angle_threshold: float) -> np.
     return np.zeros(len(gates), dtype=bool)
 
 
-def _pruned(circuits: Sequence[Circuit], kappa: float, mode: str,
+def _pruned(circuits: Sequence[Circuit], kappas: Sequence[float], mode: str,
             small_angle_threshold: float) -> tuple[list[ImportanceProfile], list[float]]:
     """The importance profiles of circuits with as many gates on as many
     qubits (generated circuits of one (n, alpha, rho), say) and their
-    fidelities after `prune(circuit, kappa, mode, small_angle_threshold)`, bit
-    for bit: one batched profile pass and one batched run of the intact
-    circuits with the removed gates masked; no compressed circuit is built."""
+    fidelities after `prune(circuit, kappa, mode, small_angle_threshold)` at
+    each circuit's own kappa, bit for bit: one batched profile pass and one
+    batched run of the intact circuits with the removed gates masked."""
     n = circuits[0].n_qubits
     gates = np.stack([circuit.encoding for circuit in circuits])
     importances = np.empty(gates.shape)
@@ -132,7 +142,8 @@ def _pruned(circuits: Sequence[Circuit], kappa: float, mode: str,
     profiles = [ImportanceProfile(circuit, row, StateVector(n, baseline))
                 for circuit, row, baseline in zip(circuits, importances, baselines)]
     protected = np.stack([_protected(circuit, mode, small_angle_threshold) for circuit in circuits])
-    keep, _ = _removals(importances, removal_quota(kappa, gates.shape[1]), protected)
+    quotas = np.array([[removal_quota(kappa, gates.shape[1])] for kappa in kappas])
+    keep, _ = _removals(importances, quotas, protected)
     return profiles, _fidelities(n, gates, keep, baselines)
 
 
@@ -142,6 +153,8 @@ def _prune(circuit: Circuit, kappa: float, profile: ImportanceProfile | None,
     quota = removal_quota(kappa, len(circuit))
     if profile is None:
         profile = importance_profile(circuit)
+    elif not isinstance(profile, ImportanceProfile):
+        raise InvalidParameterError(f"profile must be an ImportanceProfile or None, got {type(profile).__name__}")
     elif profile.circuit is not circuit and profile.circuit != circuit:
         raise InvalidParameterError("importance profile was computed for another circuit")
     keep, (removed,) = _removals(profile.importances[None], quota, protected[None])

@@ -487,9 +487,28 @@ def run(circuit: Circuit, losses: np.ndarray | None = None) -> StateVector:
     return StateVector(n, _runs(n, circuit.encoding[None], None if losses is None else losses[None])[0])
 
 
+def _amplitudes(state: StateVector) -> np.ndarray:
+    """The amplitudes of `state`; raise unless it is a StateVector whose
+    amplitudes are a 1-D numeric array of 2^n_qubits entries."""
+    if not isinstance(state, StateVector):
+        raise InvalidParameterError(f"a state must be a StateVector, got {type(state).__name__}")
+    n, amplitudes = _width(state.n_qubits, "a state's n_qubits"), state.amplitudes
+    # min(n, 63): no array holds 2^63 entries, and 1 << n for a huge n would be a huge int
+    if not (isinstance(amplitudes, np.ndarray) and np.issubdtype(amplitudes.dtype, np.number)
+            and amplitudes.shape == (1 << min(n, 63),)):
+        shown = (f"an array of dtype {amplitudes.dtype} and shape {amplitudes.shape}"
+                 if isinstance(amplitudes, np.ndarray) else type(amplitudes).__name__)
+        raise InvalidParameterError(f"a {_shown(n)}-qubit state needs 2^{_shown(n)} amplitudes in a 1-D numeric "
+                                    f"array, got {shown}")
+    return amplitudes
+
+
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2, clamped into [0, 1] to absorb last-bit rounding."""
+    amplitudes_a, amplitudes_b = _amplitudes(a), _amplitudes(b)
     if a.n_qubits != b.n_qubits:
         raise InvalidParameterError(f"fidelity of states on {a.n_qubits} and {b.n_qubits} qubits is undefined")
-    overlap = np.einsum("i,i->", a.amplitudes.conj(), b.amplitudes)
-    return float(min(max(abs(overlap) ** 2, 0.0), 1.0))
+    overlap = abs(np.einsum("i,i->", amplitudes_a.conj(), amplitudes_b)) ** 2
+    if not math.isfinite(overlap):  # a NaN or infinite amplitude makes the overlap NaN or infinite
+        raise InvalidParameterError("fidelity of states with non-finite amplitudes is undefined")
+    return float(min(max(overlap, 0.0), 1.0))

@@ -1,10 +1,11 @@
 """Batched simulation gives every circuit the bits of its own run.
 
-`pruning._pruned` simulates many circuits as one batch: one pass for their
-importance profiles, and one pass of the intact circuits with the removed
-gates masked for their fidelities. Its profiles and fidelities must equal,
-byte for byte, what the per-circuit functions give: `importance_profile(c)`
-and `fidelity(profile.baseline_state, run(remove_gates(c, removed)))`.
+`pruning._pruned` simulates many circuits as one batch, each pruned at its
+own kappa: one pass for their importance profiles, and one pass of the intact
+circuits with the removed gates masked for their fidelities. Its profiles and
+fidelities must equal, byte for byte, what the per-circuit functions give:
+`importance_profile(c)` and
+`fidelity(profile.baseline_state, run(remove_gates(c, removed)))`.
 """
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def family(request):
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_batched_profiles_and_fidelities_are_the_single_runs_bits(family, kappa, mode):
     circuits, references = family
-    profiles, fidelities = _pruned(circuits, kappa, mode, 0.1)
+    profiles, fidelities = _pruned(circuits, [kappa] * len(circuits), mode, 0.1)
     for circuit, reference, profile, batched in zip(circuits, references, profiles, fidelities):
         assert profile.circuit is circuit
         assert _same(profile.importances, reference.importances)
@@ -49,6 +50,16 @@ def test_batched_profiles_and_fidelities_are_the_single_runs_bits(family, kappa,
         result = prune(circuit, kappa, mode, 0.1, reference)
         expected = fidelity(reference.baseline_state, run(remove_gates(circuit, result.removed_indices)))
         assert _same(batched, expected) and _same(result.fidelity, expected)
+
+
+@pytest.mark.parametrize("mode", PRUNING_MODES)
+def test_each_row_of_a_batch_prunes_at_its_own_kappa(family, mode):
+    # A sweep batch holds probes of several grid points.
+    circuits, references = family
+    kappas = [KAPPAS[i % len(KAPPAS)] for i in range(len(circuits))]
+    fidelities = _pruned(circuits, kappas, mode, 0.1)[1]
+    for circuit, reference, kappa, batched in zip(circuits, references, kappas, fidelities):
+        assert _same(batched, prune(circuit, kappa, mode, 0.1, reference).fidelity)
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)

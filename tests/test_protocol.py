@@ -31,6 +31,8 @@ from qbrittle.circuits import GenerationParams, generate_uniform
 from qbrittle.stats import ClassLabel
 
 SMALL = EnsembleConfig(n=6, alpha=1.0, rho=0.3, kappa=0.15, circuit_count=12, base_seed=3)
+SMALL_SWEEP = SweepConfig(n=6, alpha=1.0, rho=0.2, base_seed=1, probe_count=6,
+                          kappa_start=0.25, kappa_stop=0.35, kappa_step=0.05)
 
 # a shallow all-near-zero-angle circuit family: pruning can never hurt it
 ALL_ROBUST = dict(n=4, alpha=1.0, rho=1.0, base_seed=5)
@@ -183,9 +185,7 @@ def test_sweep_finds_a_transition():
 
 
 def test_sweep_deterministic_and_thread_independent():
-    config = SweepConfig(n=6, alpha=1.0, rho=0.2, base_seed=1, probe_count=6,
-                         kappa_start=0.25, kappa_stop=0.35, kappa_step=0.05)
-    assert kappa_sweep(config, threads=1) == kappa_sweep(config, threads=3)
+    assert kappa_sweep(SMALL_SWEEP, threads=1) == kappa_sweep(SMALL_SWEEP, threads=3)
 
 
 def test_sweep_without_transition_raises():
@@ -334,8 +334,12 @@ class SerialPool:
     def __exit__(self, *exc_info):
         return False
 
-    def map(self, fn, items, chunksize=1):
+    def map(self, fn, items):
         return map(fn, items)
+
+
+def _negated(batch) -> list:
+    return [-item for item in batch]
 
 
 def test_the_worker_pool_never_exceeds_the_cpu_count(monkeypatch):
@@ -344,29 +348,28 @@ def test_the_worker_pool_never_exceeds_the_cpu_count(monkeypatch):
     monkeypatch.setattr(protocol, "ProcessPoolExecutor", SerialPool)
     items = list(range(40))
     cpus = os.cpu_count() or 1
-    assert protocol._parallel_map(abs, items, threads=5000) == items
+    assert protocol._parallel_map(abs, _negated, items, 5000, 8) == (_negated(items) if cpus > 1 else items)
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 3)
     for threads in (5000, None, 2):
-        assert protocol._parallel_map(abs, items, threads) == items
+        assert protocol._parallel_map(abs, _negated, items, threads, 8) == _negated(items)
     assert asked == [min(len(items), cpus)] * (cpus > 1) + [3, 3, 2]  # one worker runs in process
 
-    # With a batch function the workers take consecutive batches of near-equal
-    # size, as many as a multiple of the worker count, within each group.
-    for count, group, threads, size, expected in ((100, None, 2, 8, 14), (40, None, 3, 8, 6), (360, 30, 2, 8, 48),
-                                                  (8, None, 2, 1, 8), (3, None, 2, 8, 2), (100, None, 2, 2, 50)):
+    # The workers take consecutive batches of near-equal size, as many as a
+    # multiple of the worker count.
+    for count, threads, size, expected in ((100, 2, 8, 14), (40, 3, 8, 6), (360, 2, 8, 46),
+                                           (8, 2, 1, 8), (3, 2, 8, 2), (100, 2, 2, 50)):
         batches = []
 
         def batch_fn(batch):
             batches.append(list(batch))
-            return [-item for item in batch]
+            return _negated(batch)
 
         items = range(count)
-        assert protocol._parallel_map(abs, items, threads, batch_fn, size, group) == [-item for item in items]
+        assert protocol._parallel_map(abs, batch_fn, items, threads, size) == _negated(items)
         sizes = [len(batch) for batch in batches]
         assert [item for batch in batches for item in batch] == list(items)
         assert len(batches) == expected and max(sizes) <= size and max(sizes) - min(sizes) <= 1
-        assert all(batch[0] // (group or count) == batch[-1] // (group or count) for batch in batches)
-    assert protocol._parallel_map(abs, [-1, -2], 1, batch_fn, 8) == [1, 2]  # in process, fn per item
+    assert protocol._parallel_map(abs, batch_fn, [-1, -2], 1, 8) == [1, 2]  # in process, fn per item
 
 
 def test_batched_pool_runs_match_in_process_runs(monkeypatch, small_report):
@@ -379,11 +382,17 @@ def test_batched_pool_runs_match_in_process_runs(monkeypatch, small_report):
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
     assert run_ensemble(SMALL, threads=2) == small_report
     assert batch_sizes == [6, 6]
-    sweep = SweepConfig(n=6, alpha=1.0, rho=0.2, base_seed=1, probe_count=6,
-                        kappa_start=0.25, kappa_stop=0.35, kappa_step=0.05)
     batch_sizes.clear()
-    assert kappa_sweep(sweep, threads=2) == kappa_sweep(sweep, threads=1)
-    assert batch_sizes == [3, 3] * 3  # the probes of each grid point, in two batches
+    assert kappa_sweep(SMALL_SWEEP, threads=2) == kappa_sweep(SMALL_SWEEP, threads=1)
+    assert batch_sizes == [9, 9]  # probes of several grid points share a batch
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a worker pool needs at least 2 CPUs")
+def test_a_real_worker_pool_gives_the_in_process_results(small_report):
+    # Two worker processes with one BLAS thread each; the sweep's two batches
+    # of 9 probes each span grid points.
+    assert run_ensemble(SMALL, threads=2) == small_report
+    assert kappa_sweep(SMALL_SWEEP, threads=2) == kappa_sweep(SMALL_SWEEP, threads=1)
 
 
 def test_a_run_on_one_cpu_starts_no_pool(monkeypatch, small_report):
@@ -402,6 +411,10 @@ def _blas_threads(_item=None) -> tuple[int, int]:
     return get_threads(), len(os.listdir("/proc/self/task"))
 
 
+def _blas_threads_of(batch) -> list[tuple[int, int]]:
+    return [_blas_threads() for _ in batch]
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a worker pool needs at least 2 CPUs")
 def test_pool_workers_run_one_blas_thread():
     library = protocol._blas_library()
@@ -409,7 +422,7 @@ def test_pool_workers_run_one_blas_thread():
         pytest.skip("numpy's OpenBLAS exports no thread setter and getter here")
     before = _blas_threads()[0]
     # one BLAS thread, and no idle BLAS helper thread left busy-waiting beside the worker
-    assert protocol._parallel_map(_blas_threads, [0, 1], threads=2) == [(1, 1), (1, 1)]
+    assert protocol._parallel_map(_blas_threads, _blas_threads_of, [0, 1], 2, 1) == [(1, 1), (1, 1)]
     run_ensemble(SMALL, threads=2)
     assert _blas_threads()[0] == before  # the caller's own BLAS is never touched
 

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qbrittle.pruning import (
     prune,
     write_importance_csv,
 )
-from qbrittle.simulator import fidelity, run
+from qbrittle.simulator import StateVector, fidelity, run
 from qbrittle.stats import angle_importance_r, angle_stats, identity_distance, is_brittle
 
 
@@ -279,6 +280,34 @@ def test_a_profile_of_the_wrong_length_is_an_input_error(consumer, extra):
     message = f"importance profile has {len(circuit) + extra} entries for a {len(circuit)}-gate circuit"
     with pytest.raises(InvalidParameterError, match=message):
         consumer(circuit, scores)
+
+
+def test_a_profile_of_listed_importances_is_read_as_an_array():
+    circuit = generate_uniform(GenerationParams(4, 1.0, 0.3, 0))
+    profile = importance_profile(circuit)
+    listed = ImportanceProfile(circuit, profile.importances.tolist(), profile.baseline_state)
+    assert prune(circuit, 0.3, profile=listed) == prune(circuit, 0.3, profile=profile)
+    assert prune(circuit, 0.3, profile=listed).fidelity == pytest.approx(0.99988, abs=1e-5)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"importances": lambda c: np.full(len(c), np.nan)}, "importance profile must be finite, got nan"),
+    ({"baseline_state": lambda c: StateVector(2, np.ones(4, complex) / 2)},
+     "baseline state has 2 qubits for a 4-qubit circuit"),
+    ({"baseline_state": lambda c: StateVector(4, np.ones(4, complex) / 2)}, "a 4-qubit state needs 2^4 amplitudes"),
+    ({"circuit": lambda c: list(c.gates)}, "a profile's circuit must be a Circuit, got list"),
+], ids=["nan-importances", "narrow-baseline", "short-baseline", "not-a-circuit"])
+def test_a_profile_checks_what_it_holds(change, message):
+    circuit = generate_uniform(GenerationParams(4, 1.0, 0.3, 0))
+    fields = vars(importance_profile(circuit)) | {name: make(circuit) for name, make in change.items()}
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        ImportanceProfile(**fields)
+
+
+def test_a_profile_that_is_not_a_profile_is_an_input_error():
+    circuit = generate_uniform(GenerationParams(4, 1.0, 0.3, 0))
+    with pytest.raises(InvalidParameterError, match="profile must be an ImportanceProfile or None, got str"):
+        prune(circuit, 0.3, profile="x")
 
 
 def test_profiles_compare_by_identity_and_results_by_value():

@@ -162,6 +162,20 @@ def test_fidelity_rejects_mismatched_sizes():
         fidelity(zero_state(2), zero_state(3))
 
 
+@pytest.mark.parametrize("a, b, message", [
+    (StateVector(2, np.ones(4, complex) / 2), StateVector(2, np.ones(8, complex)),
+     "a 2-qubit state needs 2^2 amplitudes in a 1-D numeric array, got an array of dtype complex128 and shape (8,)"),
+    (StateVector(1, [1, 0]), StateVector(1, [1, 0]), "a 1-qubit state needs 2^1 amplitudes in a 1-D numeric array"),
+    (StateVector(1, np.array([np.nan, 0j])), zero_state(1), "fidelity of states with non-finite amplitudes"),
+    (zero_state(1), StateVector(1, np.array([np.inf, 0j])), "fidelity of states with non-finite amplitudes"),
+    (zero_state(1), StateVector(10**9, np.array([1, 0j])), "a 1000000000-qubit state needs 2^1000000000 amplitudes"),
+    (zero_state(1), "|0>", "a state must be a StateVector, got str"),
+], ids=["wrong-length", "list", "nan", "inf", "huge-width", "not-a-state"])
+def test_fidelity_rejects_states_that_are_not_states(a, b, message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        fidelity(a, b)
+
+
 def test_run_respects_cap(monkeypatch):
     circuit = generate_uniform(GenerationParams(6, 1.0, 0.2, seed=0))
     monkeypatch.setenv("QBRITTLE_MAX_QUBITS", "5")
