@@ -26,7 +26,7 @@ from . import stats as st
 from .circuits import Axis, Circuit, GenerationParams, circuit_depth, expected_gate_count, generate_uniform
 from .codec import check_types, decode, encode, write_csv
 from .errors import InvalidParameterError, NoTransitionError, UndefinedStatisticError, _shown
-from .pruning import PRUNING_MODES, ImportanceProfile, _pruned, importance_profile, prune, removal_quota
+from .pruning import PRUNING_MODES, _pruned, importance_profile, prune, removal_quota
 from .simulator import _batch_limit
 from .stats import AngleStats, ClassLabel
 
@@ -152,7 +152,7 @@ def _circuit(config: EnsembleConfig | SweepConfig, seed: int) -> Circuit:
     return generate_uniform(GenerationParams(config.n, config.alpha, config.rho, seed))
 
 
-def _record(config: EnsembleConfig, circuit: Circuit, profile: ImportanceProfile, fidelity: float) -> CircuitRecord:
+def _record(config: EnsembleConfig, circuit: Circuit, importances: np.ndarray, fidelity: float) -> CircuitRecord:
     return CircuitRecord(
         seed=circuit.params.seed,
         gate_count=len(circuit),
@@ -160,9 +160,9 @@ def _record(config: EnsembleConfig, circuit: Circuit, profile: ImportanceProfile
         fidelity=fidelity,
         label=st.classify(fidelity, config.classify_threshold),
         angle_stats=st.angle_stats(circuit, config.small_angle_threshold),
-        angle_importance_r=_defined(st.angle_importance_r, circuit, profile.importances),
-        importance_entropy=_defined(st.shannon_entropy, profile.importances),
-        importance_gini=_defined(st.gini, profile.importances),
+        angle_importance_r=_defined(st.angle_importance_r, circuit, importances),
+        importance_entropy=_defined(st.shannon_entropy, importances),
+        importance_gini=_defined(st.gini, importances),
     )
 
 
@@ -171,7 +171,7 @@ def _build_record(config: EnsembleConfig, k: int) -> CircuitRecord:
     circuit = _circuit(config, config.base_seed + k)
     profile = importance_profile(circuit)
     result = prune(circuit, config.kappa, config.pruning_mode, config.small_angle_threshold, profile)
-    return _record(config, circuit, profile, result.fidelity)
+    return _record(config, circuit, profile.importances, result.fidelity)
 
 
 def _build_records(config: EnsembleConfig, ks: Sequence[int]) -> list[CircuitRecord]:
@@ -179,8 +179,8 @@ def _build_records(config: EnsembleConfig, ks: Sequence[int]) -> list[CircuitRec
     `_build_record` gives, from circuits simulated as one batch."""
     circuits = [_circuit(config, config.base_seed + k) for k in ks]
     kappas = [config.kappa] * len(ks)
-    profiles, fidelities = _pruned(circuits, kappas, config.pruning_mode, config.small_angle_threshold)
-    return [_record(config, *row) for row in zip(circuits, profiles, fidelities)]
+    importances, fidelities = _pruned(circuits, kappas, config.pruning_mode, config.small_angle_threshold)
+    return [_record(config, *row) for row in zip(circuits, importances, fidelities)]
 
 
 def _check_threads(threads: int | None) -> None:

@@ -13,8 +13,8 @@ broken by gate index) and deletes the floor(kappa*N) least important ones in
 one batch; `prune`'s aware mode first protects the small angles of circuits
 that `stats.is_brittle` flags. The compressed circuit's fidelity comes from
 the intact circuit run with the removed gates masked (see `simulator`).
-Ensembles and sweeps get the same profiles and fidelities for many circuits
-at once from `_pruned`.
+Ensembles and sweeps get the same importances and fidelities for many
+circuits at once from `_pruned`.
 """
 from __future__ import annotations
 
@@ -129,9 +129,9 @@ def _protected(circuit: Circuit, mode: str, small_angle_threshold: float) -> np.
 
 
 def _pruned(circuits: Sequence[Circuit], kappas: Sequence[float], mode: str,
-            small_angle_threshold: float) -> tuple[list[ImportanceProfile], list[float]]:
-    """The importance profiles of circuits with as many gates on as many
-    qubits (generated circuits of one (n, alpha, rho), say) and their
+            small_angle_threshold: float) -> tuple[np.ndarray, list[float]]:
+    """The importances, one row per circuit, of circuits with as many gates on
+    as many qubits (generated circuits of one (n, alpha, rho), say) and their
     fidelities after `prune(circuit, kappa, mode, small_angle_threshold)` at
     each circuit's own kappa, bit for bit: one batched profile pass and one
     batched run of the intact circuits with the removed gates masked."""
@@ -139,12 +139,10 @@ def _pruned(circuits: Sequence[Circuit], kappas: Sequence[float], mode: str,
     gates = np.stack([circuit.encoding for circuit in circuits])
     importances = np.empty(gates.shape)
     baselines = _runs(n, gates, importances)
-    profiles = [ImportanceProfile(circuit, row, StateVector(n, baseline))
-                for circuit, row, baseline in zip(circuits, importances, baselines)]
     protected = np.stack([_protected(circuit, mode, small_angle_threshold) for circuit in circuits])
     quotas = np.array([[removal_quota(kappa, gates.shape[1])] for kappa in kappas])
     keep, _ = _removals(importances, quotas, protected)
-    return profiles, _fidelities(n, gates, keep, baselines)
+    return importances, _fidelities(n, gates, keep, baselines)
 
 
 def _prune(circuit: Circuit, kappa: float, profile: ImportanceProfile | None,

@@ -162,18 +162,17 @@ def _greedy(flags: list, masks: list) -> list[int]:
     return starts
 
 
-def _split(gates: np.ndarray, rotation: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, int]:
-    """Where each row's greedy blocks open, as a mask of `gates`' shape, and
-    the last gate up to which all rows split alike. Rows agree up to their
-    first gate of another kind or on other qubits, so until the last block
-    that opens before it they are split once, and from there row by row."""
-    diverge = ((gates["qubit"] != gates["qubit"][0]) | (gates["target"] != gates["target"][0])
-               | (rotation != rotation[0])).any(axis=0)
-    stop = int(diverge.argmax()) if diverge.any() else gates.shape[1]
+def _split(rotation: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, int]:
+    """Where each row's greedy blocks open, as a mask of the gates' (rows, G)
+    shape, and the last gate up to which all rows split alike. Rows agree up to
+    their first gate of another kind or on other qubits, so until the last
+    block that opens before it they are split once, and from there row by row."""
+    diverge = ((masks != masks[0]) | (rotation != rotation[0])).any(axis=0)
+    stop = int(diverge.argmax()) if diverge.any() else rotation.shape[1]
     starts = _greedy(rotation[0, :stop].tolist(), masks[0, :stop].tolist())
-    opens = np.zeros(gates.shape, dtype=bool)
+    opens = np.zeros(rotation.shape, dtype=bool)
     opens[:, starts] = True
-    if stop == gates.shape[1]:
+    if stop == rotation.shape[1]:
         return opens, stop
     last = starts[-1] if starts else 0
     for row, flags, row_masks in zip(opens[:, last:], rotation[:, last:].tolist(), masks[:, last:].tolist()):
@@ -326,7 +325,7 @@ def _evolve(amps: np.ndarray, n: int, gates: np.ndarray, losses: np.ndarray | No
     group otherwise runs them alone."""
     rotation = gates["kind"] < 3
     masks = (1 << gates["qubit"]) | (1 << np.where(rotation, gates["qubit"], gates["target"]))
-    opens, cut = _split(gates, rotation, masks)
+    opens, cut = _split(rotation, masks)
     if keep is not None and gates.shape[1]:
         regrouped = _regrouped(rotation, masks, keep, opens)
         if regrouped.any():
@@ -367,8 +366,9 @@ def _shared_run(amps: np.ndarray, n: int, gates: np.ndarray, rotation: np.ndarra
     lengths = [stop - start for start, stop in zip(starts, stops) if flags[start]]
     slots = np.repeat(np.arange(len(lengths)) * (count * width), lengths) + gates["qubit"][:, rotation]
     axes, thetas = gates["kind"][:, rotation], gates["theta"][:, rotation]
-    half = 0.5 * thetas[..., None, None]
-    mats = np.cos(half) * _IDENTITY + np.sin(half) * _MINUS_I_PAULI[axes]
+    half = 0.5 * thetas
+    sin_half = np.sin(half)
+    mats = np.cos(half)[..., None, None] * _IDENTITY + sin_half[..., None, None] * _MINUS_I_PAULI[axes]
     if keep is not None:
         mats[~keep[:, rotation]] = _IDENTITY
         masks = np.where(keep, masks, 0)
@@ -384,6 +384,7 @@ def _shared_run(amps: np.ndarray, n: int, gates: np.ndarray, rotation: np.ndarra
         other = (gates["qubit"] != gates["qubit"][0]) | (gates["target"] != gates["target"][0])
         if keep is not None:
             other |= ~keep
+        other &= ~rotation  # only CNOT blocks read `apart`
         for j, column in zip(*np.nonzero(np.logical_or.reduceat(other, starts, axis=1).T)) if starts else ():
             apart[j] += (column,)
     # Factors of up to _FACTOR_BATCH blocks of one row, or of one block of each row, per build.
@@ -444,7 +445,6 @@ def _shared_run(amps: np.ndarray, n: int, gates: np.ndarray, rotation: np.ndarra
     if losses is not None:
         readings = readings.transpose(3, 1, 0, 2, 4).reshape(3, rows, len(lengths) * count * width)
         overlap, p0, p1 = np.take_along_axis(readings, slots[None], axis=2)
-        sin_half = np.array([math.sin(0.5 * theta) for theta in thetas.ravel().tolist()]).reshape(thetas.shape)
         expectation = 2.0 * np.where(axes == 0, overlap.real, overlap.imag)
         factor = np.where(axes == 2, np.minimum(4.0 * p0.real * p1.real, 1.0),
                           1.0 - np.minimum(expectation * expectation, 1.0))
@@ -461,9 +461,15 @@ def _runs(n: int, gates: np.ndarray, losses: np.ndarray | None = None, keep: np.
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate in place and return the mutated state."""
+    """Apply one gate in place and return the mutated state, whose amplitudes
+    must be a writeable complex128 array of 2^n_qubits entries."""
+    amplitudes = _amplitudes(state)
+    if amplitudes.dtype != np.complex128 or not amplitudes.flags.writeable:
+        shown = "writeable" if amplitudes.flags.writeable else "read-only"
+        raise InvalidParameterError(f"apply_gate needs writeable complex128 amplitudes, got a {shown} "
+                                    f"array of dtype {amplitudes.dtype}")
     gates = Circuit(state.n_qubits, (gate,)).encoding  # checks the gate against the state
-    state.amplitudes[...] = _evolve(state.amplitudes[None].copy(), state.n_qubits, gates[None])[0]
+    amplitudes[...] = _evolve(amplitudes[None].copy(), state.n_qubits, gates[None])[0]
     return state
 
 

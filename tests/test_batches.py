@@ -1,10 +1,10 @@
 """Batched simulation gives every circuit the bits of its own run.
 
 `pruning._pruned` simulates many circuits as one batch, each pruned at its
-own kappa: one pass for their importance profiles, and one pass of the intact
-circuits with the removed gates masked for their fidelities. Its profiles and
-fidelities must equal, byte for byte, what the per-circuit functions give:
-`importance_profile(c)` and
+own kappa: one pass for their importances, and one pass of the intact
+circuits with the removed gates masked for their fidelities. Its importances,
+the batch's final states and its fidelities must equal, byte for byte, what
+the per-circuit functions give: `importance_profile(c)` and
 `fidelity(profile.baseline_state, run(remove_gates(c, removed)))`.
 """
 import numpy as np
@@ -42,11 +42,13 @@ def family(request):
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_batched_profiles_and_fidelities_are_the_single_runs_bits(family, kappa, mode):
     circuits, references = family
-    profiles, fidelities = _pruned(circuits, [kappa] * len(circuits), mode, 0.1)
-    for circuit, reference, profile, batched in zip(circuits, references, profiles, fidelities):
-        assert profile.circuit is circuit
-        assert _same(profile.importances, reference.importances)
-        assert _same(profile.baseline_state.amplitudes, reference.baseline_state.amplitudes)
+    importances, fidelities = _pruned(circuits, [kappa] * len(circuits), mode, 0.1)
+    gates = np.stack([circuit.encoding for circuit in circuits])
+    baselines = simulator._runs(circuits[0].n_qubits, gates, np.empty(gates.shape))
+    assert importances.shape == gates.shape
+    for circuit, reference, row, baseline, batched in zip(circuits, references, importances, baselines, fidelities):
+        assert _same(row, reference.importances)
+        assert _same(baseline, reference.baseline_state.amplitudes)
         result = prune(circuit, kappa, mode, 0.1, reference)
         expected = fidelity(reference.baseline_state, run(remove_gates(circuit, result.removed_indices)))
         assert _same(batched, expected) and _same(result.fidelity, expected)
@@ -88,7 +90,7 @@ def test_a_removal_that_empties_a_cnot_block_runs_the_compressed_circuit():
     rotation = gates["kind"] < 3
     masks = (1 << gates["qubit"]) | (1 << np.where(rotation, gates["qubit"], gates["target"]))
     keep = np.array([[True, True, False, True, True]])
-    assert simulator._regrouped(rotation, masks, keep, simulator._split(gates, rotation, masks)[0]).tolist() == [True]
+    assert simulator._regrouped(rotation, masks, keep, simulator._split(rotation, masks)[0]).tolist() == [True]
     compressed = run(result.compressed).amplitudes
     assert _same(simulator._runs(4, gates, keep=keep)[0], compressed)
     assert _same(result.fidelity, fidelity(reference.baseline_state, run(result.compressed)))
@@ -115,6 +117,31 @@ def test_rows_that_split_their_tails_apart_each_keep_their_bits():
         single = np.empty(len(circuit))
         assert _same(state, run(circuit, single).amplitudes)
         assert _same(row, single)
+
+
+def test_rows_that_differ_in_a_cnots_direction_share_its_block():
+    # The rows split alike (the same kinds on the same qubits), so they run as one
+    # batch throughout; the CNOT that points the other way in row 1 is applied and
+    # scored from that row's own pairs, in the intact runs and in the masked ones.
+    layer = [Rotation((Axis.X, Axis.Y)[q % 2], q, 0.4 + 0.3 * q) for q in range(4)]
+    tail = [Rotation(Axis.Z, q, 0.2 * q + 0.1) for q in range(4)] + [Cnot(1, 2), Cnot(3, 0)] + layer
+    circuits = [Circuit(4, layer + [Cnot(0, 1), Cnot(2, 3)] + tail),
+                Circuit(4, layer + [Cnot(1, 0), Cnot(2, 3)] + tail)]
+    gates = np.stack([circuit.encoding for circuit in circuits])
+    rotation = gates["kind"] < 3
+    masks = (1 << gates["qubit"]) | (1 << np.where(rotation, gates["qubit"], gates["target"]))
+    assert simulator._split(rotation, masks)[1] == gates.shape[1]
+    losses = np.empty(gates.shape)
+    states = simulator._runs(4, gates, losses)
+    assert not _same(states[0], states[1]) and losses[0, 4] != losses[1, 4]
+    for circuit, state, row in zip(circuits, states, losses):
+        single = np.empty(len(circuit))
+        assert _same(state, run(circuit, single).amplitudes) and _same(row, single)
+    keep = np.ones(gates.shape, dtype=bool)
+    keep[1, 4] = False  # row 1 loses the CNOT that points the other way
+    masked = simulator._runs(4, gates, keep=keep)
+    assert _same(masked[0], states[0])
+    assert _same(masked[1], run(remove_gates(circuits[1], [4])).amplitudes)
 
 
 def _same_plan(rng, circuit: Circuit) -> list:

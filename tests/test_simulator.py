@@ -9,7 +9,8 @@ import pytest
 
 from helpers import cnot_block_losses, dense_reference_state, random_circuit, reference_run
 from qbrittle import simulator
-from qbrittle.circuits import Axis, Circuit, Cnot, GenerationParams, Rotation, generate_uniform
+from qbrittle.circuits import (APPENDED_ANGLE_RANGE, LARGE_ANGLE_RANGE, SMALL_ANGLE_RANGE, Axis, Circuit, Cnot,
+                               GenerationParams, Rotation, generate_uniform)
 from qbrittle.errors import InvalidParameterError, ResourceLimitError
 from qbrittle.simulator import DEFAULT_MAX_QUBITS, StateVector, apply_gate, fidelity, qubit_cap, run, zero_state
 
@@ -95,6 +96,28 @@ def test_gate_validation():
         apply_gate(state, Rotation(Axis.X, 2, 1.0))
     with pytest.raises(InvalidParameterError):
         apply_gate(state, Cnot(0, 2))
+
+
+def _read_only(amplitudes: np.ndarray) -> np.ndarray:
+    amplitudes.flags.writeable = False
+    return amplitudes
+
+
+@pytest.mark.parametrize("state, message", [
+    (StateVector(1, np.array([[1, 0j]])),
+     "a 1-qubit state needs 2^1 amplitudes in a 1-D numeric array, got an array of dtype complex128 and shape (1, 2)"),
+    (StateVector(1, np.array([1.0, 0.0])),
+     "apply_gate needs writeable complex128 amplitudes, got a writeable array of dtype float64"),
+    (StateVector(1, _read_only(np.array([1, 0j]))),
+     "apply_gate needs writeable complex128 amplitudes, got a read-only array of dtype complex128"),
+    (StateVector(2, np.array([1, 0j])),
+     "a 2-qubit state needs 2^2 amplitudes in a 1-D numeric array, got an array of dtype complex128 and shape (2,)"),
+    (StateVector(1, [1, 0j]), "a 1-qubit state needs 2^1 amplitudes in a 1-D numeric array, got list"),
+    ("|0>", "a state must be a StateVector, got str"),
+], ids=["2-D", "float", "read-only", "wrong-length", "list", "not-a-state"])
+def test_apply_gate_rejects_states_it_cannot_update(state, message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        apply_gate(state, Rotation(Axis.X, 0, 0.5))
 
 
 def test_norm_preserved_gate_by_gate():
@@ -208,6 +231,27 @@ def test_run_losses_must_be_writeable(monkeypatch):
     monkeypatch.setattr(simulator, "zero_state", None)  # raises before the state is made
     with pytest.raises(InvalidParameterError, match="losses must be a writeable array, got a read-only one"):
         run(circuit, losses)
+
+
+def test_a_lone_x_or_y_rotation_on_zeros_loses_its_sine_squared():
+    # <A> = 0 exactly for A = X, Y on |0...0>, so the loss is s * s, s = sin(theta/2),
+    # to the bit: over the generator's three angle ranges and a grid over [-4pi, 4pi],
+    # in one batch and in single runs. s ** 2 would round otherwise at the last angle.
+    rng = np.random.default_rng(5)
+    ranges = (SMALL_ANGLE_RANGE, LARGE_ANGLE_RANGE, APPENDED_ANGLE_RANGE)
+    thetas = np.concatenate([*(rng.uniform(low, high, 10_000) for low, high in ranges),
+                             np.linspace(-4 * math.pi, 4 * math.pi, 20_001), [-11.121237993707867]])
+    expected = np.array([s * s for s in (math.sin(theta / 2) for theta in thetas.tolist())])
+    for axis in (Axis.X, Axis.Y):
+        gates = np.repeat(Circuit(1, (Rotation(axis, 0, 0.0),)).encoding[None], len(thetas), axis=0)
+        gates["theta"][:, 0] = thetas
+        losses = np.empty(gates.shape)
+        simulator._runs(1, gates, losses)
+        assert losses[:, 0].tobytes() == expected.tobytes()
+        for k in [*range(0, len(thetas), 2_500), len(thetas) - 1]:
+            single = np.empty(1)
+            run(Circuit(3, (Rotation(axis, 1, float(thetas[k])),)), single)
+            assert single[0] == expected[k]
 
 
 def test_states_compare_by_identity():
