@@ -12,7 +12,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -24,11 +24,12 @@ from .circuits import (GenerationParams, circuit_depth, expected_gate_count, exp
                        generate_uniform, to_json)
 from .codec import loads, write_csv
 from .errors import (CircuitFormatError, InvalidParameterError, NoTransitionError, ResourceLimitError,
-                     UndefinedStatisticError)
+                     UndefinedStatisticError, _shown)
 from .pruning import PRUNING_MODES, importance_profile, prune, removal_quota, write_importance_csv
 from .protocol import (
     EnsembleConfig,
     SweepConfig,
+    _aggregate,
     _by_class,
     _check_threads,
     _fmt,
@@ -70,7 +71,7 @@ def _write_outputs(manifest: Path, command: str, config: dict, inputs: list[str]
     staged = {}
     try:
         for path, body in {**outputs, str(manifest): json.dumps(doc, indent=1) + "\n"}.items():
-            staged[path] = f"{path}.{os.getpid()}-{len(staged)}.tmp"  # distinct if two spellings name one file
+            staged[path] = f"{path}.{os.getpid()}.tmp"  # the paths are distinct files (see _check_distinct)
             with open(staged[path], "w") as stream:
                 body(stream) if callable(body) else stream.write(body)
         for path, temporary in staged.items():
@@ -81,6 +82,15 @@ def _write_outputs(manifest: Path, command: str, config: dict, inputs: list[str]
         for temporary in staged.values():
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temporary)
+
+
+def _check_distinct(outputs: dict) -> None:
+    """Raise InvalidParameterError unless one command's output paths, {flag:
+    path} with None and empty paths skipped, resolve to distinct files."""
+    seen = {}
+    for flag, path in outputs.items():
+        if path and (first := seen.setdefault(Path(path).resolve(), flag)) != flag:
+            raise InvalidParameterError(f"{first} and {flag} name the same file {Path(path).resolve()}")
 
 
 def _read_text(path: Path) -> str:
@@ -168,18 +178,24 @@ def cmd_generate(args) -> int:
     params = _config_from_args(GenerationParams, args)
     expected_gate_count(params.n, params.alpha, params.rho)  # no layer or too many gates: exit 2 before any directory
     out = Path(args.out)
+    manifest = out.with_suffix(out.suffix + ".manifest.json")
+    _check_distinct({"--out": out, "--qasm": args.qasm, "the run manifest": manifest})
     _make_parents(out, args.qasm)
     circuit = generate_uniform(params)
     outputs = {out: to_json(circuit) + "\n"}
     if args.qasm:
         outputs[Path(args.qasm)] = export_qasm(circuit)
-    _write_outputs(out.with_suffix(out.suffix + ".manifest.json"), "generate", asdict(params), [], outputs)
+    _write_outputs(manifest, "generate", asdict(params), [], outputs)
     print(f"wrote {out}: {len(circuit)} gates, depth {circuit_depth(circuit)}")
     return 0
 
 
 def cmd_prune(args) -> int:
     _check_thresholds(args.classify_threshold, args.small_angle_threshold)
+    # Without --out, a name beside the input that leaves the input's own manifest alone.
+    manifest = Path(f"{args.out}.manifest.json" if args.out else f"{args.in_path}.prune.manifest.json")
+    _check_distinct({"--out": args.out, "--importance-csv": args.importance_csv,
+                     "--dump-state-csv": args.dump_state_csv, "the run manifest": manifest})
     in_path = Path(args.in_path)
     circuit = from_json(_read_text(in_path))
     removal_quota(args.kappa, len(circuit))
@@ -190,8 +206,6 @@ def cmd_prune(args) -> int:
     result = prune(circuit, args.kappa, args.pruning_mode, args.small_angle_threshold, profile)
 
     label = classify(result.fidelity, args.classify_threshold)
-    # Without --out, a name beside the input that leaves the input's own manifest alone.
-    manifest = Path(f"{args.out}.manifest.json" if args.out else f"{args.in_path}.prune.manifest.json")
     config = {name: getattr(args, name)
               for name in ("kappa", "pruning_mode", "classify_threshold", "small_angle_threshold")}
     amplitudes = profile.baseline_state.amplitudes
@@ -267,9 +281,37 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _first_difference(got, want, path: str) -> tuple[str, object, object] | None:
+    """(JSON path, got, want) at the first leaf where two encoded documents differ, or None."""
+    if isinstance(got, dict) and isinstance(want, dict) and got.keys() == want.keys():
+        pairs = ((got[key], want[key], f"{path}.{key}") for key in want)
+    elif isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        pairs = ((g, w, f"{path}[{i}]") for i, (g, w) in enumerate(zip(got, want)))
+    else:
+        return None if got == want else (path, got, want)
+    return next(filter(None, (_first_difference(*pair) for pair in pairs)), None)
+
+
+def _check_consistent(report) -> None:
+    """Raise CircuitFormatError at the first JSON path where the report is not
+    what its config and records give: circuit_count records of seeds
+    base_seed + k, each labelled by `classify`, and `protocol._aggregate`'s summaries."""
+    c = report.config
+    if len(report.records) != c.circuit_count:
+        raise CircuitFormatError(f"report.records: must hold circuit_count={c.circuit_count} records, "
+                                 f"got {len(report.records)}")
+    records = [replace(r, seed=c.base_seed + k, label=classify(r.fidelity, c.classify_threshold))
+               for k, r in enumerate(report.records)]
+    if difference := _first_difference(report_to_dict(report), report_to_dict(_aggregate(c, records)), "report"):
+        where, got, want = difference
+        raise CircuitFormatError(f"{where}: must be {_shown(want, repr)} as the config and records give, "
+                                 f"got {_shown(got, repr)}")
+
+
 def cmd_report(args) -> int:
     path = Path(args.in_path)
     report = report_from_dict(loads(_read_text(path), path))
+    _check_consistent(report)
 
     c = report.config
     print(f"ensemble: n={c.n} alpha={c.alpha} rho={c.rho} kappa={c.kappa} "

@@ -179,7 +179,7 @@ def _build_records(config: EnsembleConfig, ks: Sequence[int]) -> list[CircuitRec
     `_build_record` gives, from circuits simulated as one batch."""
     circuits = [_circuit(config, config.base_seed + k) for k in ks]
     kappas = [config.kappa] * len(ks)
-    importances, fidelities = _pruned(circuits, kappas, config.pruning_mode, config.small_angle_threshold)
+    importances, _, fidelities = _pruned(circuits, kappas, config.pruning_mode, config.small_angle_threshold)
     return [_record(config, *row) for row in zip(circuits, importances, fidelities)]
 
 
@@ -380,7 +380,7 @@ def _probe_fidelity(config: SweepConfig, task: tuple[int, float]) -> float:
 def _probe_fidelities(config: SweepConfig, tasks: Sequence[tuple[int, float]]) -> list[float]:
     """`_probe_fidelity` of each task, from circuits simulated as one batch."""
     circuits = [_circuit(config, seed) for seed, _ in tasks]
-    return _pruned(circuits, [kappa for _, kappa in tasks], config.pruning_mode, config.small_angle_threshold)[1]
+    return _pruned(circuits, [kappa for _, kappa in tasks], config.pruning_mode, config.small_angle_threshold)[2]
 
 
 def kappa_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:

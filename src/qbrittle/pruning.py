@@ -13,8 +13,8 @@ broken by gate index) and deletes the floor(kappa*N) least important ones in
 one batch; `prune`'s aware mode first protects the small angles of circuits
 that `stats.is_brittle` flags. The compressed circuit's fidelity comes from
 the intact circuit run with the removed gates masked (see `simulator`).
-Ensembles and sweeps get the same importances and fidelities for many
-circuits at once from `_pruned`.
+`_pruned` is the one engine: ensembles and sweeps prune many circuits
+through it at once, and a single prune is the batch of one.
 """
 from __future__ import annotations
 
@@ -112,13 +112,6 @@ def _removals(importances: np.ndarray, quota: int | np.ndarray,
     return keep, [row[taken].tolist() for row, taken in zip(ranked, chosen)]
 
 
-def _fidelities(n: int, gates: np.ndarray, keep: np.ndarray, baselines: np.ndarray) -> list[float]:
-    """The fidelity of each row of `baselines` with the state of that row's
-    circuit (a row of `gates`) run with only its `keep` gates, as run(compressed) gives it."""
-    return [fidelity(StateVector(n, baseline), StateVector(n, state))
-            for baseline, state in zip(baselines, _runs(n, gates, keep=keep))]
-
-
 def _protected(circuit: Circuit, mode: str, small_angle_threshold: float) -> np.ndarray:
     """The gates `mode` keeps out of the removal pool: in aware mode on a
     circuit `stats.is_brittle` flags, the rotations with a small angle."""
@@ -128,41 +121,39 @@ def _protected(circuit: Circuit, mode: str, small_angle_threshold: float) -> np.
     return np.zeros(len(gates), dtype=bool)
 
 
-def _pruned(circuits: Sequence[Circuit], kappas: Sequence[float], mode: str,
-            small_angle_threshold: float) -> tuple[np.ndarray, list[float]]:
-    """The importances, one row per circuit, of circuits with as many gates on
-    as many qubits (generated circuits of one (n, alpha, rho), say) and their
-    fidelities after `prune(circuit, kappa, mode, small_angle_threshold)` at
-    each circuit's own kappa, bit for bit: one batched profile pass and one
-    batched run of the intact circuits with the removed gates masked."""
-    n = circuits[0].n_qubits
-    gates = np.stack([circuit.encoding for circuit in circuits])
-    importances = np.empty(gates.shape)
-    baselines = _runs(n, gates, importances)
+def _pruned(circuits: Sequence[Circuit], kappas: Sequence[float], mode: str, small_angle_threshold: float,
+            profile: ImportanceProfile | None = None) -> tuple[np.ndarray, list[list[int]], list[float]]:
+    """The one pruning engine: `prune(circuit, kappa, mode, small_angle_threshold)`
+    of circuits with as many gates on as many qubits (generated circuits of one
+    (n, alpha, rho), say), each at its own kappa, bit for bit. Returns their
+    importances (one row per circuit), each row's removed gates in removal
+    order, and their fidelities. A single prune is the batch of one, whose
+    `profile` may stand in for the profile pass; quotas and protection fail
+    before the batched profile pass and the masked run of the intact circuits."""
+    n, size = circuits[0].n_qubits, len(circuits[0])
     protected = np.stack([_protected(circuit, mode, small_angle_threshold) for circuit in circuits])
-    quotas = np.array([[removal_quota(kappa, gates.shape[1])] for kappa in kappas])
-    keep, _ = _removals(importances, quotas, protected)
-    return importances, _fidelities(n, gates, keep, baselines)
-
-
-def _prune(circuit: Circuit, kappa: float, profile: ImportanceProfile | None,
-           protected: np.ndarray) -> CompressionResult:
-    """Delete the floor(kappa*N) least important gates outside `protected` (a mask) in one batch."""
-    quota = removal_quota(kappa, len(circuit))
+    quotas = np.array([[removal_quota(kappa, size)] for kappa in kappas])
+    gates = np.stack([circuit.encoding for circuit in circuits])
     if profile is None:
-        profile = importance_profile(circuit)
-    elif not isinstance(profile, ImportanceProfile):
+        importances = np.empty(gates.shape)
+        baselines = _runs(n, gates, importances)
+    else:
+        importances, baselines = profile.importances[None], profile.baseline_state.amplitudes[None]
+    keep, removed = _removals(importances, quotas, protected)
+    return importances, removed, [fidelity(StateVector(n, baseline), StateVector(n, state))
+                                  for baseline, state in zip(baselines, _runs(n, gates, keep=keep))]
+
+
+def _prune(circuit: Circuit, kappa: float, mode: str, small_angle_threshold: float,
+           profile: ImportanceProfile | None) -> CompressionResult:
+    """`_pruned` of the batch of one, reusing `profile` once it is checked to be this circuit's."""
+    if profile is not None and not isinstance(profile, ImportanceProfile):
         raise InvalidParameterError(f"profile must be an ImportanceProfile or None, got {type(profile).__name__}")
-    elif profile.circuit is not circuit and profile.circuit != circuit:
+    if profile is not None and profile.circuit is not circuit and profile.circuit != circuit:
         raise InvalidParameterError("importance profile was computed for another circuit")
-    keep, (removed,) = _removals(profile.importances[None], quota, protected[None])
-    return CompressionResult(
-        compressed=remove_gates(circuit, removed),
-        removed_indices=tuple(removed),
-        fidelity=_fidelities(circuit.n_qubits, circuit.encoding[None], keep,
-                             profile.baseline_state.amplitudes[None])[0],
-        kappa_effective=len(removed) / len(circuit),
-    )
+    _, (removed,), (retained,) = _pruned([circuit], [kappa], mode, small_angle_threshold, profile)
+    return CompressionResult(compressed=remove_gates(circuit, removed), removed_indices=tuple(removed),
+                             fidelity=retained, kappa_effective=len(removed) / len(circuit))
 
 
 def causal_prune(
@@ -175,7 +166,7 @@ def causal_prune(
     `profile` may be passed to reuse a precomputed importance profile.
     removed_indices are reported in removal (ascending-importance) order.
     """
-    return _prune(circuit, kappa, profile, np.zeros(len(circuit), dtype=bool))
+    return _prune(circuit, kappa, "causal", DEFAULT_SMALL_ANGLE_THRESHOLD, profile)
 
 
 def prune(
@@ -196,9 +187,8 @@ def prune(
     _check_thresholds(small_angle_threshold=small_angle_threshold)
     if mode not in PRUNING_MODES:
         raise InvalidParameterError(f"pruning mode must be one of {PRUNING_MODES}, got {mode!r}")
-    protected = _protected(circuit, mode, small_angle_threshold)
-    if protected.any():
-        return _prune(circuit, kappa, profile, protected)
+    if mode == "aware":
+        return _prune(circuit, kappa, mode, small_angle_threshold, profile)
     return causal_prune(circuit, kappa, profile)
 
 

@@ -5,7 +5,8 @@ own kappa: one pass for their importances, and one pass of the intact
 circuits with the removed gates masked for their fidelities. Its importances,
 the batch's final states and its fidelities must equal, byte for byte, what
 the per-circuit functions give: `importance_profile(c)` and
-`fidelity(profile.baseline_state, run(remove_gates(c, removed)))`.
+`fidelity(profile.baseline_state, run(remove_gates(c, removed)))`, and each
+row's removal order must be `prune(c, kappa).removed_indices` of c alone.
 """
 import numpy as np
 import pytest
@@ -42,14 +43,16 @@ def family(request):
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_batched_profiles_and_fidelities_are_the_single_runs_bits(family, kappa, mode):
     circuits, references = family
-    importances, fidelities = _pruned(circuits, [kappa] * len(circuits), mode, 0.1)
+    importances, removed, fidelities = _pruned(circuits, [kappa] * len(circuits), mode, 0.1)
     gates = np.stack([circuit.encoding for circuit in circuits])
     baselines = simulator._runs(circuits[0].n_qubits, gates, np.empty(gates.shape))
     assert importances.shape == gates.shape
-    for circuit, reference, row, baseline, batched in zip(circuits, references, importances, baselines, fidelities):
+    for circuit, reference, row, baseline, gone, batched in zip(circuits, references, importances, baselines,
+                                                                removed, fidelities):
         assert _same(row, reference.importances)
         assert _same(baseline, reference.baseline_state.amplitudes)
         result = prune(circuit, kappa, mode, 0.1, reference)
+        assert tuple(gone) == result.removed_indices == prune(circuit, kappa, mode, 0.1).removed_indices
         expected = fidelity(reference.baseline_state, run(remove_gates(circuit, result.removed_indices)))
         assert _same(batched, expected) and _same(result.fidelity, expected)
 
@@ -59,9 +62,10 @@ def test_each_row_of_a_batch_prunes_at_its_own_kappa(family, mode):
     # A sweep batch holds probes of several grid points.
     circuits, references = family
     kappas = [KAPPAS[i % len(KAPPAS)] for i in range(len(circuits))]
-    fidelities = _pruned(circuits, kappas, mode, 0.1)[1]
-    for circuit, reference, kappa, batched in zip(circuits, references, kappas, fidelities):
-        assert _same(batched, prune(circuit, kappa, mode, 0.1, reference).fidelity)
+    _, removed, fidelities = _pruned(circuits, kappas, mode, 0.1)
+    for circuit, reference, kappa, gone, batched in zip(circuits, references, kappas, removed, fidelities):
+        result = prune(circuit, kappa, mode, 0.1, reference)
+        assert tuple(gone) == result.removed_indices and _same(batched, result.fidelity)
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)

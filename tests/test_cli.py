@@ -326,6 +326,61 @@ def test_report_command_names_the_bad_path_without_traceback(tmp_path, table, ke
     assert "Traceback" not in proc.stderr
 
 
+@pytest.fixture(scope="module")
+def genuine_report(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("ens")
+    assert run_cli("ensemble", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--kappa", 0.15,
+                   "--count", 6, "--base-seed", 3, "--out-dir", out_dir, "--threads", 1) == 0
+    return json.loads((out_dir / "report.json").read_text())
+
+
+def _flip_label(record):
+    record["label"] = "fragile" if record["label"] == "robust" else "robust"
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda doc: doc["class_summary"]["robust"].update(count=-3), "report.class_summary.robust.count"),
+    (lambda doc: doc["class_summary"]["fragile"].update(fraction=7.0), "report.class_summary.fragile.fraction"),
+    (lambda doc: _flip_label(doc["records"][4]), "report.records[4].label"),
+    (lambda doc: doc.update(records=[]), "report.records"),
+    (lambda doc: doc["records"][2].update(seed=0), "report.records[2].seed"),
+], ids=["count", "fraction", "label", "no-records", "seed"])
+def test_report_command_rejects_summaries_its_records_do_not_give(tmp_path, capsys, genuine_report, edit, where):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(genuine_report))
+    assert run_cli("report", "--in", path) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert run_cli("report", "--in", path) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {where}: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, clash", [
+    (["generate", "--out", "q.json", "--qasm", "q.json"], "--out and --qasm"),
+    (["generate", "--out", "new/q.json", "--qasm", "./new/q.json"], "--out and --qasm"),
+    (["generate", "--out", "q.json", "--qasm", "q.json.manifest.json"], "--qasm and the run manifest"),
+    (["prune", "--out", "a.json", "--importance-csv", "./a.json"], "--out and --importance-csv"),
+    (["prune", "--out", "new/a.json", "--dump-state-csv", "new/../new/a.json"], "--out and --dump-state-csv"),
+    (["prune", "--importance-csv", "c.json.prune.manifest.json"], "--importance-csv and the run manifest"),
+    (["prune", "--out", "a.json", "--dump-state-csv", "a.json.manifest.json"], "--dump-state-csv and the run manifest"),
+])
+def test_outputs_that_name_one_file_exit_2_and_write_nothing(tmp_path, capsys, monkeypatch, argv, clash):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("generate", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--seed", 1, "--out", "c.json") == 0
+    capsys.readouterr()
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(cli, "generate_uniform", no_compute)
+    monkeypatch.setattr(cli, "importance_profile", no_compute)
+    flags = {"generate": ["--n", 6, "--alpha", 1.0, "--rho", 0.3, "--seed", 1],
+             "prune": ["--in", "c.json", "--kappa", 0.2]}[argv[0]]
+    assert run_cli(*argv, *flags) == 2
+    assert capsys.readouterr().err.startswith(f"error: {clash} name the same file {tmp_path}")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_sweep_outputs_and_selected_kappa(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code = run_cli("sweep", "--n", 6, "--alpha", 1.0, "--rho", 0.2, "--base-seed", 0,

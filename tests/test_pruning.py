@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import naive_importances, random_circuit
+from qbrittle import pruning
 from qbrittle.circuits import (
     Axis,
     Circuit,
@@ -101,7 +102,14 @@ def test_removing_zero_importance_gate_keeps_fidelity():
     assert result.fidelity >= 1.0 - 1e-10
 
 
-def test_prune_rejects_useless_kappa():
+@pytest.fixture
+def no_simulation(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing may be simulated")
+    monkeypatch.setattr(pruning, "_runs", fail)
+
+
+def test_prune_rejects_useless_kappa(no_simulation):  # before any simulation
     circuit = generate_uniform(GenerationParams(6, 1.0, 0.2, seed=1))
     with pytest.raises(InvalidParameterError):
         causal_prune(circuit, 0.001)  # floor(kappa * N) = 0
@@ -127,7 +135,7 @@ def test_is_brittle_small_angle_ratio():
     assert not is_brittle(stats)  # std ~0.90 and ratio 0.5 clear both bounds
 
 
-def test_aware_prune_needs_two_rotations():
+def test_aware_prune_needs_two_rotations(no_simulation):  # and says so before any simulation
     with pytest.raises(UndefinedStatisticError):
         prune(Circuit(2, (Rotation(Axis.X, 0, 1.0), Cnot(0, 1))), 0.5, mode="aware")
 
