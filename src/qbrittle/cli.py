@@ -25,7 +25,7 @@ from .circuits import (GenerationParams, circuit_depth, expected_gate_count, exp
 from .codec import loads, write_csv
 from .errors import (CircuitFormatError, InvalidParameterError, NoTransitionError, ResourceLimitError,
                      UndefinedStatisticError, _shown)
-from .pruning import PRUNING_MODES, importance_profile, prune, removal_quota, write_importance_csv
+from .pruning import causal_prune, importance_profile, removal_quota, write_importance_csv
 from .protocol import (
     EnsembleConfig,
     SweepConfig,
@@ -41,8 +41,7 @@ from .protocol import (
     write_records_csv,
 )
 from .simulator import qubit_cap
-from .stats import (DEFAULT_CLASSIFY_THRESHOLD, DEFAULT_SMALL_ANGLE_THRESHOLD, _check_thresholds, angle_stats,
-                    classify)
+from .stats import DEFAULT_CLASSIFY_THRESHOLD, DEFAULT_SMALL_ANGLE_THRESHOLD, _check_thresholds, classify
 
 HISTOGRAM_BINS = 40
 # The exit code of each error a command reports as one line on stderr.
@@ -191,23 +190,20 @@ def cmd_generate(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    _check_thresholds(args.classify_threshold, args.small_angle_threshold)
+    _check_thresholds(args.classify_threshold)
     # Without --out, a name beside the input that leaves the input's own manifest alone.
     manifest = Path(f"{args.out}.manifest.json" if args.out else f"{args.in_path}.prune.manifest.json")
-    _check_distinct({"--out": args.out, "--importance-csv": args.importance_csv,
+    _check_distinct({"--in": args.in_path, "--out": args.out, "--importance-csv": args.importance_csv,
                      "--dump-state-csv": args.dump_state_csv, "the run manifest": manifest})
     in_path = Path(args.in_path)
     circuit = from_json(_read_text(in_path))
     removal_quota(args.kappa, len(circuit))
-    if args.pruning_mode == "aware":  # needs no simulation: fail before any directory is made
-        angle_stats(circuit, args.small_angle_threshold)
     _make_parents(args.out, args.importance_csv, args.dump_state_csv)
     profile = importance_profile(circuit)
-    result = prune(circuit, args.kappa, args.pruning_mode, args.small_angle_threshold, profile)
+    result = causal_prune(circuit, args.kappa, profile)
 
     label = classify(result.fidelity, args.classify_threshold)
-    config = {name: getattr(args, name)
-              for name in ("kappa", "pruning_mode", "classify_threshold", "small_angle_threshold")}
+    config = {"kappa": args.kappa, "classify_threshold": args.classify_threshold}
     amplitudes = profile.baseline_state.amplitudes
     _write_outputs(manifest, "prune", config, [str(in_path)], {
         args.out and Path(args.out): lambda stream: stream.write(to_json(result.compressed) + "\n"),
@@ -295,11 +291,16 @@ def _first_difference(got, want, path: str) -> tuple[str, object, object] | None
 def _check_consistent(report) -> None:
     """Raise CircuitFormatError at the first JSON path where the report is not
     what its config and records give: circuit_count records of seeds
-    base_seed + k, each labelled by `classify`, and `protocol._aggregate`'s summaries."""
+    base_seed + k, each with a fidelity in [0, 1] and labelled by `classify`,
+    and `protocol._aggregate`'s summaries."""
     c = report.config
     if len(report.records) != c.circuit_count:
         raise CircuitFormatError(f"report.records: must hold circuit_count={c.circuit_count} records, "
                                  f"got {len(report.records)}")
+    for k, r in enumerate(report.records):
+        if not 0.0 <= r.fidelity <= 1.0:  # also NaN
+            raise CircuitFormatError(f"report.records[{k}].fidelity: must be a number in [0, 1], "
+                                     f"got {r.fidelity!r}")
     records = [replace(r, seed=c.base_seed + k, label=classify(r.fidelity, c.classify_threshold))
                for k, r in enumerate(report.records)]
     if difference := _first_difference(report_to_dict(report), report_to_dict(_aggregate(c, records)), "report"):
@@ -315,17 +316,11 @@ def cmd_report(args) -> int:
 
     c = report.config
     print(f"ensemble: n={c.n} alpha={c.alpha} rho={c.rho} kappa={c.kappa} "
-          f"count={c.circuit_count} base_seed={c.base_seed} mode={c.pruning_mode}")
+          f"count={c.circuit_count} base_seed={c.base_seed}")
     _print_summary(report)
     print()
     print(compare_classes(report), end="")
     return 0
-
-
-def _add_pruning_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", dest="pruning_mode", choices=PRUNING_MODES, default=EnsembleConfig.pruning_mode)
-    parser.add_argument("--classify-threshold", type=float, default=DEFAULT_CLASSIFY_THRESHOLD)
-    parser.add_argument("--small-angle-threshold", type=float, default=DEFAULT_SMALL_ANGLE_THRESHOLD)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, config: type[EnsembleConfig | SweepConfig]) -> None:
@@ -335,7 +330,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, config: type[EnsembleConfig 
     parser.add_argument("--rho", type=float, required=True)
     parser.add_argument("--base-seed", type=int, default=config.base_seed)
     parser.add_argument("--threads", type=int, default=None, help="parallel workers (default: all cores)")
-    _add_pruning_flags(parser)
+    parser.add_argument("--classify-threshold", type=float, default=DEFAULT_CLASSIFY_THRESHOLD)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,12 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     prn.add_argument("--out", default=None, help="compressed circuit JSON path")
     prn.add_argument("--importance-csv", default=None, help="per-gate importance CSV path")
     prn.add_argument("--dump-state-csv", default=None, help="debug dump of the intact final state")
-    _add_pruning_flags(prn)
+    prn.add_argument("--classify-threshold", type=float, default=DEFAULT_CLASSIFY_THRESHOLD)
     prn.set_defaults(func=cmd_prune)
 
     ens = sub.add_parser("ensemble", help="run a full ensemble experiment")
     _add_run_flags(ens, EnsembleConfig)
     ens.add_argument("--kappa", type=float, required=True)
+    ens.add_argument("--small-angle-threshold", type=float, default=DEFAULT_SMALL_ANGLE_THRESHOLD)
     ens.add_argument("--count", dest="circuit_count", metavar="COUNT", type=int, default=EnsembleConfig.circuit_count,
                      help="number of circuits")
     ens.add_argument("--out-dir", required=True)

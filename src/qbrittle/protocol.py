@@ -26,7 +26,7 @@ from . import stats as st
 from .circuits import Axis, Circuit, GenerationParams, circuit_depth, expected_gate_count, generate_uniform
 from .codec import check_types, decode, encode, write_csv
 from .errors import InvalidParameterError, NoTransitionError, UndefinedStatisticError, _shown
-from .pruning import PRUNING_MODES, _pruned, importance_profile, prune, removal_quota
+from .pruning import _pruned, causal_prune, importance_profile, removal_quota
 from .simulator import _batch_limit
 from .stats import AngleStats, ClassLabel
 
@@ -68,15 +68,13 @@ _STOP_BLAS_THREADS = "blas_thread_shutdown_"
 
 def _validate_run(config: EnsembleConfig | SweepConfig, kappa: float, last_seed: int) -> None:
     """The checks both run configs share: the generator parameters, a last
-    seed that is still a seed, the thresholds, the pruning mode, and a kappa
-    that removes at least one gate of every circuit."""
+    seed that is still a seed, the classify threshold, and a kappa that
+    removes at least one gate of every circuit."""
     GenerationParams(config.n, config.alpha, config.rho, config.base_seed)
     if last_seed >= 2**64:
         raise InvalidParameterError(f"base_seed={_shown(config.base_seed)} puts the run's last seed at "
                                     f"{_shown(last_seed)}, beyond the unsigned 64-bit range")
-    st._check_thresholds(config.classify_threshold, config.small_angle_threshold)
-    if config.pruning_mode not in PRUNING_MODES:
-        raise InvalidParameterError(f"pruning_mode must be one of {PRUNING_MODES}, got {config.pruning_mode!r}")
+    st._check_thresholds(config.classify_threshold)
     removal_quota(kappa, expected_gate_count(config.n, config.alpha, config.rho))
 
 
@@ -90,13 +88,13 @@ class EnsembleConfig:
     base_seed: int = 0
     classify_threshold: float = st.DEFAULT_CLASSIFY_THRESHOLD
     small_angle_threshold: float = st.DEFAULT_SMALL_ANGLE_THRESHOLD
-    pruning_mode: str = "causal"
 
     def __post_init__(self) -> None:
         check_types(self)
         if not 2 <= self.circuit_count <= SWEEP_SEED_OFFSET:
             raise InvalidParameterError(
                 f"circuit_count must lie in [2, {SWEEP_SEED_OFFSET}], got {_shown(self.circuit_count)}")
+        st._check_thresholds(small_angle_threshold=self.small_angle_threshold)
         _validate_run(self, self.kappa, self.base_seed + self.circuit_count - 1)
 
 
@@ -170,7 +168,7 @@ def _build_record(config: EnsembleConfig, k: int) -> CircuitRecord:
     """The record of seed base_seed + k through the per-circuit functions."""
     circuit = _circuit(config, config.base_seed + k)
     profile = importance_profile(circuit)
-    result = prune(circuit, config.kappa, config.pruning_mode, config.small_angle_threshold, profile)
+    result = causal_prune(circuit, config.kappa, profile)
     return _record(config, circuit, profile.importances, result.fidelity)
 
 
@@ -179,7 +177,7 @@ def _build_records(config: EnsembleConfig, ks: Sequence[int]) -> list[CircuitRec
     `_build_record` gives, from circuits simulated as one batch."""
     circuits = [_circuit(config, config.base_seed + k) for k in ks]
     kappas = [config.kappa] * len(ks)
-    importances, _, fidelities = _pruned(circuits, kappas, config.pruning_mode, config.small_angle_threshold)
+    importances, _, fidelities = _pruned(circuits, kappas)
     return [_record(config, *row) for row in zip(circuits, importances, fidelities)]
 
 
@@ -317,8 +315,6 @@ class SweepConfig:
     kappa_stop: float = 0.40
     kappa_step: float = 0.03
     classify_threshold: float = st.DEFAULT_CLASSIFY_THRESHOLD
-    small_angle_threshold: float = st.DEFAULT_SMALL_ANGLE_THRESHOLD
-    pruning_mode: str = "causal"
 
     def __post_init__(self) -> None:
         check_types(self)
@@ -374,13 +370,13 @@ def _probe_seed(config: SweepConfig, grid_index: int, k: int) -> int:
 def _probe_fidelity(config: SweepConfig, task: tuple[int, float]) -> float:
     """The fidelity of the probe circuit of seed `task[0]` pruned at kappa `task[1]`."""
     seed, kappa = task
-    return prune(_circuit(config, seed), kappa, config.pruning_mode, config.small_angle_threshold).fidelity
+    return causal_prune(_circuit(config, seed), kappa).fidelity
 
 
 def _probe_fidelities(config: SweepConfig, tasks: Sequence[tuple[int, float]]) -> list[float]:
     """`_probe_fidelity` of each task, from circuits simulated as one batch."""
     circuits = [_circuit(config, seed) for seed, _ in tasks]
-    return _pruned(circuits, [kappa for _, kappa in tasks], config.pruning_mode, config.small_angle_threshold)[2]
+    return _pruned(circuits, [kappa for _, kappa in tasks])[2]
 
 
 def kappa_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:

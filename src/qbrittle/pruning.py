@@ -1,4 +1,4 @@
-"""Leave-one-out gate importance and pruning, causal or statistically aware.
+"""Leave-one-out gate importance and causal pruning.
 
 The importance of gate i is the fidelity loss from deleting it alone:
 I_i = 1 - |<psi|psi_without_i>|^2, always measured against the intact circuit
@@ -10,11 +10,10 @@ one-gate expectation value on a state that one forward pass visits anyway;
 rotation never exceeds sin^2(theta/2), and a phase gate on a basis state
 scores exactly 0. Causal pruning ranks gates by ascending importance (ties
 broken by gate index) and deletes the floor(kappa*N) least important ones in
-one batch; `prune`'s aware mode first protects the small angles of circuits
-that `stats.is_brittle` flags. The compressed circuit's fidelity comes from
-the intact circuit run with the removed gates masked (see `simulator`).
-`_pruned` is the one engine: ensembles and sweeps prune many circuits
-through it at once, and a single prune is the batch of one.
+one batch. The compressed circuit's fidelity comes from the intact circuit
+run with the removed gates masked (see `simulator`). `_pruned` is the one
+engine: ensembles and sweeps prune many circuits through it at once, and
+`causal_prune` of a single circuit is the batch of one.
 """
 from __future__ import annotations
 
@@ -27,21 +26,16 @@ from .circuits import Circuit, Cnot, Rotation, _check_per_gate, floor_product, r
 from .codec import write_csv
 from .errors import InvalidParameterError, _shown
 from .simulator import StateVector, _amplitudes, _runs, fidelity, run
-from .stats import (DEFAULT_SMALL_ANGLE_THRESHOLD, _check_thresholds, _sample, angle_stats, identity_distance,
-                    is_brittle)
+from .stats import _sample
 
 __all__ = [
     "ImportanceProfile",
     "CompressionResult",
     "importance_profile",
     "causal_prune",
-    "prune",
     "removal_quota",
-    "PRUNING_MODES",
     "write_importance_csv",
 ]
-
-PRUNING_MODES = ("causal", "aware")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,40 +92,27 @@ def removal_quota(kappa: float, n_gates: int) -> int:
     return quota
 
 
-def _removals(importances: np.ndarray, quota: int | np.ndarray,
-              protected: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
-    """For each row of importances (circuits, N) and of `protected` (bool, same
-    shape): which gates a prune keeps, and the floor(kappa*N) = `quota` (an
-    int, or one per row in shape (circuits, 1)) least important unprotected
-    gates it removes, in removal order."""
+def _removals(importances: np.ndarray, quota: int | np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """For each row of importances (circuits, N): which gates a prune keeps,
+    and the floor(kappa*N) = `quota` (an int, or one per row in shape
+    (circuits, 1)) least important gates it removes, in removal order."""
     ranked = np.argsort(importances, axis=1, kind="stable")  # ascending; ties resolve by gate index
-    candidate = ~np.take_along_axis(protected, ranked, axis=1)
-    chosen = candidate & (np.cumsum(candidate, axis=1) <= quota)
+    chosen = np.broadcast_to(np.arange(ranked.shape[1]) < quota, ranked.shape)
     keep = np.empty_like(chosen)
     np.put_along_axis(keep, ranked, ~chosen, axis=1)
     return keep, [row[taken].tolist() for row, taken in zip(ranked, chosen)]
 
 
-def _protected(circuit: Circuit, mode: str, small_angle_threshold: float) -> np.ndarray:
-    """The gates `mode` keeps out of the removal pool: in aware mode on a
-    circuit `stats.is_brittle` flags, the rotations with a small angle."""
-    gates = circuit.encoding
-    if mode == "aware" and is_brittle(angle_stats(circuit, small_angle_threshold)):
-        return (gates["kind"] < 3) & (identity_distance(gates["theta"]) < small_angle_threshold)
-    return np.zeros(len(gates), dtype=bool)
-
-
-def _pruned(circuits: Sequence[Circuit], kappas: Sequence[float], mode: str, small_angle_threshold: float,
+def _pruned(circuits: Sequence[Circuit], kappas: Sequence[float],
             profile: ImportanceProfile | None = None) -> tuple[np.ndarray, list[list[int]], list[float]]:
-    """The one pruning engine: `prune(circuit, kappa, mode, small_angle_threshold)`
-    of circuits with as many gates on as many qubits (generated circuits of one
-    (n, alpha, rho), say), each at its own kappa, bit for bit. Returns their
-    importances (one row per circuit), each row's removed gates in removal
-    order, and their fidelities. A single prune is the batch of one, whose
-    `profile` may stand in for the profile pass; quotas and protection fail
-    before the batched profile pass and the masked run of the intact circuits."""
+    """The one pruning engine: `causal_prune(circuit, kappa)` of circuits with
+    as many gates on as many qubits (generated circuits of one (n, alpha, rho),
+    say), each at its own kappa, bit for bit. Returns their importances (one
+    row per circuit), each row's removed gates in removal order, and their
+    fidelities. A single prune is the batch of one, whose `profile` may stand
+    in for the profile pass; quotas fail before the batched profile pass and
+    the masked run of the intact circuits."""
     n, size = circuits[0].n_qubits, len(circuits[0])
-    protected = np.stack([_protected(circuit, mode, small_angle_threshold) for circuit in circuits])
     quotas = np.array([[removal_quota(kappa, size)] for kappa in kappas])
     gates = np.stack([circuit.encoding for circuit in circuits])
     if profile is None:
@@ -139,21 +120,9 @@ def _pruned(circuits: Sequence[Circuit], kappas: Sequence[float], mode: str, sma
         baselines = _runs(n, gates, importances)
     else:
         importances, baselines = profile.importances[None], profile.baseline_state.amplitudes[None]
-    keep, removed = _removals(importances, quotas, protected)
+    keep, removed = _removals(importances, quotas)
     return importances, removed, [fidelity(StateVector(n, baseline), StateVector(n, state))
                                   for baseline, state in zip(baselines, _runs(n, gates, keep=keep))]
-
-
-def _prune(circuit: Circuit, kappa: float, mode: str, small_angle_threshold: float,
-           profile: ImportanceProfile | None) -> CompressionResult:
-    """`_pruned` of the batch of one, reusing `profile` once it is checked to be this circuit's."""
-    if profile is not None and not isinstance(profile, ImportanceProfile):
-        raise InvalidParameterError(f"profile must be an ImportanceProfile or None, got {type(profile).__name__}")
-    if profile is not None and profile.circuit is not circuit and profile.circuit != circuit:
-        raise InvalidParameterError("importance profile was computed for another circuit")
-    _, (removed,), (retained,) = _pruned([circuit], [kappa], mode, small_angle_threshold, profile)
-    return CompressionResult(compressed=remove_gates(circuit, removed), removed_indices=tuple(removed),
-                             fidelity=retained, kappa_effective=len(removed) / len(circuit))
 
 
 def causal_prune(
@@ -163,33 +132,17 @@ def causal_prune(
 ) -> CompressionResult:
     """Remove the floor(kappa*N) least important gates in one batch.
 
-    `profile` may be passed to reuse a precomputed importance profile.
-    removed_indices are reported in removal (ascending-importance) order.
+    `profile` may be passed to reuse a precomputed importance profile once it
+    is checked to be this circuit's. removed_indices are reported in removal
+    (ascending-importance) order.
     """
-    return _prune(circuit, kappa, "causal", DEFAULT_SMALL_ANGLE_THRESHOLD, profile)
-
-
-def prune(
-    circuit: Circuit,
-    kappa: float,
-    mode: str = "causal",
-    small_angle_threshold: float = DEFAULT_SMALL_ANGLE_THRESHOLD,
-    profile: ImportanceProfile | None = None,
-) -> CompressionResult:
-    """Prune with the named mode; the small-angle threshold is checked in either.
-
-    "causal" is `causal_prune`. "aware" is the same unless `stats.is_brittle`
-    flags the circuit's angle statistics; then rotations whose
-    `identity_distance` is below small_angle_threshold are excluded from the
-    candidate pool, and when the pool cannot cover the quota every candidate
-    is removed and kappa_effective ends up below kappa.
-    """
-    _check_thresholds(small_angle_threshold=small_angle_threshold)
-    if mode not in PRUNING_MODES:
-        raise InvalidParameterError(f"pruning mode must be one of {PRUNING_MODES}, got {mode!r}")
-    if mode == "aware":
-        return _prune(circuit, kappa, mode, small_angle_threshold, profile)
-    return causal_prune(circuit, kappa, profile)
+    if profile is not None and not isinstance(profile, ImportanceProfile):
+        raise InvalidParameterError(f"profile must be an ImportanceProfile or None, got {type(profile).__name__}")
+    if profile is not None and profile.circuit is not circuit and profile.circuit != circuit:
+        raise InvalidParameterError("importance profile was computed for another circuit")
+    _, (removed,), (retained,) = _pruned([circuit], [kappa], profile)
+    return CompressionResult(compressed=remove_gates(circuit, removed), removed_indices=tuple(removed),
+                             fidelity=retained, kappa_effective=len(removed) / len(circuit))
 
 
 def write_importance_csv(stream: IO[str], profile: ImportanceProfile) -> None:

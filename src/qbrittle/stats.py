@@ -32,7 +32,6 @@ __all__ = [
     "welch_t_test",
     "cohens_d",
     "classify",
-    "is_brittle",
     "fidelity_gap",
     "regularized_incomplete_beta",
     "student_t_two_sided_p",
@@ -40,10 +39,6 @@ __all__ = [
 
 DEFAULT_SMALL_ANGLE_THRESHOLD = 0.1
 DEFAULT_CLASSIFY_THRESHOLD = 0.9
-# The brittleness bounds, calibrated to the midpoint between the robust- and
-# fragile-class angle statistics of the 10-qubit reference ensemble.
-MIN_STD_THETA = 0.5255
-MIN_SMALL_ANGLE_RATIO = 0.28
 # `_beta_cf` stops at a relative step below _CF_EPS, or fails after _CF_MAX_TERMS terms.
 _CF_EPS = 1e-15
 _CF_MAX_TERMS = 300
@@ -292,13 +287,6 @@ def classify(fidelity: float, threshold: float = DEFAULT_CLASSIFY_THRESHOLD) -> 
     if isinstance(fidelity, bool) or not isinstance(fidelity, _REALS) or not 0.0 <= fidelity <= 1.0:
         raise InvalidParameterError(f"fidelity must be a number in [0, 1], got {_shown(fidelity, repr)}")
     return ClassLabel.ROBUST if fidelity >= threshold else ClassLabel.FRAGILE
-
-
-def is_brittle(stats: AngleStats) -> bool:
-    """The label from angle statistics alone: brittle means low angle diversity
-    or a scarcity of small-angle gates, std_theta < MIN_STD_THETA or
-    small_angle_ratio < MIN_SMALL_ANGLE_RATIO."""
-    return stats.std_theta < MIN_STD_THETA or stats.small_angle_ratio < MIN_SMALL_ANGLE_RATIO
 
 
 def fidelity_gap(robust_fids: Sequence[float], fragile_fids: Sequence[float]) -> float:

@@ -1,11 +1,12 @@
 """The public API: the package re-exports every submodule's `__all__`, the
-README's import block uses only exported names, and the functions the
-benchmark tracer wraps still exist."""
+README's import block uses only exported names and its command lines parse,
+and the functions the benchmark tracer wraps still exist."""
 import ast
 import collections
 import functools
 import importlib
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -36,8 +37,22 @@ def test_readme_imports_only_exported_names():
     blocks = re.findall(r"from qbrittle import \((.*?)\)", (ROOT / "README.md").read_text(), re.DOTALL)
     assert blocks, "README has no `from qbrittle import (...)` block"
     names = [name.strip() for block in blocks for name in block.split(",") if name.strip()]
-    assert "prune" in names
+    assert "causal_prune" in names
     assert [name for name in names if name not in qbrittle.__all__] == []
+
+
+def test_readme_command_lines_parse():
+    # Parsed only, not run: a README that still names a retired flag fails here.
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("qbrittle ")]
+    assert {argv[0] for argv in commands} == {"generate", "prune", "ensemble", "sweep", "report"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"README command does not parse: qbrittle {shlex.join(argv)}") from None
 
 
 def _traced() -> dict[str, tuple[str, ...]]:

@@ -6,7 +6,7 @@ circuits with the removed gates masked for their fidelities. Its importances,
 the batch's final states and its fidelities must equal, byte for byte, what
 the per-circuit functions give: `importance_profile(c)` and
 `fidelity(profile.baseline_state, run(remove_gates(c, removed)))`, and each
-row's removal order must be `prune(c, kappa).removed_indices` of c alone.
+row's removal order must be `causal_prune(c, kappa).removed_indices` of c alone.
 """
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ import pytest
 from helpers import random_circuit
 from qbrittle import simulator
 from qbrittle.circuits import Axis, Circuit, Cnot, GenerationParams, Rotation, generate_uniform, remove_gates
-from qbrittle.pruning import PRUNING_MODES, _pruned, _removals, importance_profile, prune, removal_quota
+from qbrittle.pruning import _pruned, _removals, causal_prune, importance_profile, removal_quota
 from qbrittle.simulator import fidelity, run
 
 # Seeds 3 and 46 of the 10-qubit family have compressed circuits at kappa 0.3
@@ -39,11 +39,10 @@ def family(request):
     return circuits, [importance_profile(circuit) for circuit in circuits]
 
 
-@pytest.mark.parametrize("mode", PRUNING_MODES)
 @pytest.mark.parametrize("kappa", KAPPAS)
-def test_batched_profiles_and_fidelities_are_the_single_runs_bits(family, kappa, mode):
+def test_batched_profiles_and_fidelities_are_the_single_runs_bits(family, kappa):
     circuits, references = family
-    importances, removed, fidelities = _pruned(circuits, [kappa] * len(circuits), mode, 0.1)
+    importances, removed, fidelities = _pruned(circuits, [kappa] * len(circuits))
     gates = np.stack([circuit.encoding for circuit in circuits])
     baselines = simulator._runs(circuits[0].n_qubits, gates, np.empty(gates.shape))
     assert importances.shape == gates.shape
@@ -51,20 +50,19 @@ def test_batched_profiles_and_fidelities_are_the_single_runs_bits(family, kappa,
                                                                 removed, fidelities):
         assert _same(row, reference.importances)
         assert _same(baseline, reference.baseline_state.amplitudes)
-        result = prune(circuit, kappa, mode, 0.1, reference)
-        assert tuple(gone) == result.removed_indices == prune(circuit, kappa, mode, 0.1).removed_indices
+        result = causal_prune(circuit, kappa, reference)
+        assert tuple(gone) == result.removed_indices == causal_prune(circuit, kappa).removed_indices
         expected = fidelity(reference.baseline_state, run(remove_gates(circuit, result.removed_indices)))
         assert _same(batched, expected) and _same(result.fidelity, expected)
 
 
-@pytest.mark.parametrize("mode", PRUNING_MODES)
-def test_each_row_of_a_batch_prunes_at_its_own_kappa(family, mode):
+def test_each_row_of_a_batch_prunes_at_its_own_kappa(family):
     # A sweep batch holds probes of several grid points.
     circuits, references = family
     kappas = [KAPPAS[i % len(KAPPAS)] for i in range(len(circuits))]
-    _, removed, fidelities = _pruned(circuits, kappas, mode, 0.1)
+    _, removed, fidelities = _pruned(circuits, kappas)
     for circuit, reference, kappa, gone, batched in zip(circuits, references, kappas, removed, fidelities):
-        result = prune(circuit, kappa, mode, 0.1, reference)
+        result = causal_prune(circuit, kappa, reference)
         assert tuple(gone) == result.removed_indices and _same(batched, result.fidelity)
 
 
@@ -74,7 +72,7 @@ def test_masked_runs_are_the_compressed_runs_bits(family, kappa):
     n, gates = circuits[0].n_qubits, np.stack([circuit.encoding for circuit in circuits])
     importances = np.stack([reference.importances for reference in references])
     quota = removal_quota(kappa, gates.shape[1])
-    keep, removed = _removals(importances, quota, np.zeros(gates.shape, dtype=bool))
+    keep, removed = _removals(importances, quota)
     assert (keep.sum(axis=1) == gates.shape[1] - quota).all()
     for circuit, state, gone in zip(circuits, simulator._runs(n, gates, keep=keep), removed):
         assert _same(state, run(remove_gates(circuit, gone)).amplitudes)
@@ -88,7 +86,7 @@ def test_a_removal_that_empties_a_cnot_block_runs_the_compressed_circuit():
                           Rotation(Axis.X, 2, 0.7), Rotation(Axis.Y, 3, 0.9)))
     reference = importance_profile(circuit)
     assert reference.importances[2] == 0.0 and (np.delete(reference.importances, 2) > 0).all()
-    result = prune(circuit, 0.2, profile=reference)
+    result = causal_prune(circuit, 0.2, profile=reference)
     assert result.removed_indices == (2,)
     gates = circuit.encoding[None]
     rotation = gates["kind"] < 3

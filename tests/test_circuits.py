@@ -377,7 +377,6 @@ HUGE = 10**5000  # beyond the default 4,300-digit limit of int-to-str conversion
     (lambda: zero_state(-HUGE), InvalidParameterError),
     (lambda: EnsembleConfig(HUGE, 1.0, 0.1, 0.2), InvalidParameterError),
     (lambda: EnsembleConfig(4, 1.0, 0.1, 0.5, circuit_count=-HUGE), InvalidParameterError),
-    (lambda: EnsembleConfig(4, 1.0, 0.1, 0.5, pruning_mode=HUGE), InvalidParameterError),
     (lambda: SweepConfig(4, 1.0, 0.1, kappa_start=HUGE), InvalidParameterError),
     (lambda: removal_quota(HUGE, 10), InvalidParameterError),
     (lambda: classify(0.5, HUGE), InvalidParameterError),
@@ -385,7 +384,7 @@ HUGE = 10**5000  # beyond the default 4,300-digit limit of int-to-str conversion
     (lambda: decode(GenerationParams, {"n": 4, "alpha": HUGE, "rho": 0.0, "seed": 0}, "p"), CircuitFormatError),
 ], ids=["angle", "qubit", "layer", "n_qubits", "gate index", "seed", "odd n", "rho", "layer_count n",
         "layer_count n float alpha", "layer_count negative n", "expected_gate_count rho", "run", "zero_state",
-        "EnsembleConfig n", "circuit_count", "pruning_mode", "kappa_start", "kappa", "classify threshold",
+        "EnsembleConfig n", "circuit_count", "kappa_start", "kappa", "classify threshold",
         "degrees of freedom", "decoded float"])
 def test_a_message_gives_the_size_of_an_integer_too_long_to_print(call, error):
     with pytest.raises(error, match=r"(a negative|an) integer of 1661\d bits"):

@@ -2,7 +2,6 @@ import dataclasses
 import errno
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -181,46 +180,6 @@ def test_a_qubit_cap_below_one_exits_2_before_any_output(tmp_path, small_circuit
     assert not (tmp_path / "new").exists()
 
 
-def test_prune_aware_equals_causal_for_non_brittle(tmp_path):
-    # alternating tiny/large angles: high spread, many small angles -> not brittle
-    gates = tuple(
-        Rotation((Axis.X, Axis.Y, Axis.Z)[i % 3], i % 4, 0.01 if i % 2 == 0 else math.pi / 2)
-        for i in range(12)
-    )
-    path = tmp_path / "nb.json"
-    path.write_text(to_json(Circuit(4, gates)) + "\n")
-    causal_out = tmp_path / "causal.json"
-    aware_out = tmp_path / "aware.json"
-    assert run_cli("prune", "--in", path, "--kappa", 0.25, "--out", causal_out) == 0
-    assert run_cli("prune", "--in", path, "--kappa", 0.25, "--mode", "aware", "--out", aware_out) == 0
-    assert causal_out.read_bytes() == aware_out.read_bytes()
-
-
-def test_prune_aware_without_angle_statistics_exits_2(tmp_path):
-    # one rotation: the risk assessment's angle statistics are undefined
-    gates = (Rotation(Axis.X, 0, 0.3),) + tuple(Cnot(i % 4, (i + 1) % 4) for i in range(6))
-    path = tmp_path / "one.json"
-    path.write_text(to_json(Circuit(4, gates)) + "\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "qbrittle.cli", "prune", "--in", str(path), "--kappa", "0.5",
-                           "--mode", "aware"], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr == "error: angle statistics need at least 2 rotation gates, found 1\n"
-
-
-def test_prune_aware_without_angle_statistics_makes_no_directory(tmp_path):
-    gates = (Rotation(Axis.X, 0, 0.3),) + tuple(Cnot(i % 4, (i + 1) % 4) for i in range(6))
-    path = tmp_path / "one.json"
-    path.write_text(to_json(Circuit(4, gates)) + "\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "qbrittle.cli", "prune", "--in", str(path), "--kappa", "0.5",
-                           "--mode", "aware", "--out", str(tmp_path / "new" / "p.json")],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr == "error: angle statistics need at least 2 rotation gates, found 1\n"
-    assert not (tmp_path / "new").exists()
-
-
 def test_prune_of_a_wire_beyond_int64_exits_2(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(to_json(Circuit(2, (Rotation(Axis.X, 1, 0.1),))).replace('"n_qubits": 2', f'"n_qubits": {2**64}')
@@ -344,7 +303,8 @@ def _flip_label(record):
     (lambda doc: _flip_label(doc["records"][4]), "report.records[4].label"),
     (lambda doc: doc.update(records=[]), "report.records"),
     (lambda doc: doc["records"][2].update(seed=0), "report.records[2].seed"),
-], ids=["count", "fraction", "label", "no-records", "seed"])
+    (lambda doc: doc["records"][3].update(fidelity=7.0), "report.records[3].fidelity"),
+], ids=["count", "fraction", "label", "no-records", "seed", "fidelity"])
 def test_report_command_rejects_summaries_its_records_do_not_give(tmp_path, capsys, genuine_report, edit, where):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(genuine_report))
@@ -366,19 +326,22 @@ def test_report_command_rejects_summaries_its_records_do_not_give(tmp_path, caps
     (["prune", "--out", "new/a.json", "--dump-state-csv", "new/../new/a.json"], "--out and --dump-state-csv"),
     (["prune", "--importance-csv", "c.json.prune.manifest.json"], "--importance-csv and the run manifest"),
     (["prune", "--out", "a.json", "--dump-state-csv", "a.json.manifest.json"], "--dump-state-csv and the run manifest"),
+    (["prune", "--out", "c.json"], "--in and --out"),
+    (["prune", "--importance-csv", "./c.json"], "--in and --importance-csv"),
+    (["prune", "--dump-state-csv", "new/../c.json"], "--in and --dump-state-csv"),
 ])
 def test_outputs_that_name_one_file_exit_2_and_write_nothing(tmp_path, capsys, monkeypatch, argv, clash):
     monkeypatch.chdir(tmp_path)
     assert run_cli("generate", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--seed", 1, "--out", "c.json") == 0
     capsys.readouterr()
-    before = sorted(tmp_path.rglob("*"))
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*")}  # the input and its manifest
     monkeypatch.setattr(cli, "generate_uniform", no_compute)
     monkeypatch.setattr(cli, "importance_profile", no_compute)
     flags = {"generate": ["--n", 6, "--alpha", 1.0, "--rho", 0.3, "--seed", 1],
              "prune": ["--in", "c.json", "--kappa", 0.2]}[argv[0]]
     assert run_cli(*argv, *flags) == 2
     assert capsys.readouterr().err.startswith(f"error: {clash} name the same file {tmp_path}")
-    assert sorted(tmp_path.rglob("*")) == before
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
 
 
 def test_sweep_outputs_and_selected_kappa(tmp_path, capsys):
@@ -453,24 +416,22 @@ def test_manifest_config_is_the_run_config(tmp_path):
     assert json.loads((tmp_path / "c.json.manifest.json").read_text())["command"] == "generate"
     prune_manifest = json.loads((tmp_path / "c.json.prune.manifest.json").read_text())
     assert prune_manifest["command"] == "prune"
-    assert prune_manifest["config"] == {"kappa": 0.3, "pruning_mode": "causal", "classify_threshold": 0.9,
-                                        "small_angle_threshold": 0.1}
+    assert prune_manifest["config"] == {"kappa": 0.3, "classify_threshold": 0.9}
 
     assert run_cli("ensemble", "--n", 6, "--alpha", 1.0, "--rho", 0.2, "--kappa", 0.3, "--count", 4,
-                   "--base-seed", 2, "--mode", "aware", "--classify-threshold", 0.8,
+                   "--base-seed", 2, "--classify-threshold", 0.8,
                    "--small-angle-threshold", 0.05, "--out-dir", tmp_path / "ens", "--threads", 1) == 0
     assert _manifest_config(tmp_path / "ens" / "manifest.json") == dataclasses.asdict(EnsembleConfig(
         n=6, alpha=1.0, rho=0.2, kappa=0.3, circuit_count=4, base_seed=2, classify_threshold=0.8,
-        small_angle_threshold=0.05, pruning_mode="aware"))
+        small_angle_threshold=0.05))
 
     sweep_csv = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--n", 6, "--alpha", 1.0, "--rho", 0.2, "--probes", 6,
                    "--kappa-start", 0.25, "--kappa-stop", 0.35, "--kappa-step", 0.05,
-                   "--classify-threshold", 0.85, "--small-angle-threshold", 0.08,
-                   "--out-csv", sweep_csv, "--threads", 1) == 0
+                   "--classify-threshold", 0.85, "--out-csv", sweep_csv, "--threads", 1) == 0
     assert _manifest_config(tmp_path / "sweep.csv.manifest.json") == dataclasses.asdict(SweepConfig(
         n=6, alpha=1.0, rho=0.2, probe_count=6, kappa_start=0.25, kappa_stop=0.35, kappa_step=0.05,
-        classify_threshold=0.85, small_angle_threshold=0.08))
+        classify_threshold=0.85))
 
 
 def test_histogram_rows_counts_both_classes():
@@ -551,29 +512,63 @@ def test_ensemble_that_cannot_run_exits_before_making_its_directory(tmp_path, ca
     assert not (tmp_path / "ens").exists()
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    ("--classify-threshold", "nan", "classify_threshold must lie in [0, 1]"),
-    ("--classify-threshold", "1.5", "classify_threshold must lie in [0, 1]"),
-    ("--classify-threshold", "-0.1", "classify_threshold must lie in [0, 1]"),
-    ("--small-angle-threshold", "nan", "small_angle_threshold must be finite and >= 0"),
-    ("--small-angle-threshold", "-1", "small_angle_threshold must be finite and >= 0"),
-    ("--small-angle-threshold", "inf", "small_angle_threshold must be finite and >= 0"),
+def _argv_into(command, circuit, out) -> list:
+    """A valid `command` line whose outputs go into the directory `out`."""
+    return {
+        "ensemble": ["ensemble", "--n", 4, "--alpha", 1.0, "--rho", 0.3, "--kappa", 0.2, "--out-dir", out],
+        "sweep": ["sweep", "--n", 4, "--alpha", 1.0, "--rho", 0.3, "--out-csv", out / "s.csv"],
+        "prune": ["prune", "--in", circuit, "--kappa", 0.2, "--out", out / "p.json"],
+    }[command]
+
+
+CLASSIFY_MESSAGE = "classify_threshold must lie in [0, 1]"
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    *((command, "--classify-threshold", value, CLASSIFY_MESSAGE)
+      for command in ("ensemble", "sweep", "prune") for value in ("nan", "1.5", "-0.1")),
+    *(("ensemble", "--small-angle-threshold", value, "small_angle_threshold must be finite and >= 0")
+      for value in ("nan", "-1", "inf")),
 ])
-@pytest.mark.parametrize("command", ["ensemble", "sweep", "prune"])
 def test_bad_thresholds_exit_2_before_any_directory(tmp_path, small_circuit_file, capsys, monkeypatch,
                                                     command, flag, value, message):
     for name in ("run_ensemble", "kappa_sweep", "importance_profile"):
         monkeypatch.setattr(cli, name, no_compute)
     out = tmp_path / "new"
-    argv = {
-        "ensemble": ["ensemble", "--n", 4, "--alpha", 1.0, "--rho", 0.3, "--kappa", 0.2, "--out-dir", out],
-        "sweep": ["sweep", "--n", 4, "--alpha", 1.0, "--rho", 0.3, "--out-csv", out / "s.csv"],
-        "prune": ["prune", "--in", small_circuit_file, "--kappa", 0.2, "--out", out / "p.json"],
-    }[command]
-    assert run_cli(*argv, flag, value) == 2
+    assert run_cli(*_argv_into(command, small_circuit_file, out), flag, value) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, retired", [
+    ("prune", ["--mode", "aware"]),
+    ("ensemble", ["--mode", "aware"]),
+    ("sweep", ["--mode", "aware"]),
+    ("prune", ["--small-angle-threshold", "0.1"]),
+    ("sweep", ["--small-angle-threshold", "0.1"]),
+], ids=["prune-mode", "ensemble-mode", "sweep-mode", "prune-small-angle-threshold", "sweep-small-angle-threshold"])
+def test_retired_pruning_flags_exit_2_before_any_directory(tmp_path, small_circuit_file, capsys, command, retired):
+    out = tmp_path / "new"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*_argv_into(command, small_circuit_file, out), *retired)
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(retired)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_report_that_still_names_its_pruning_mode_renders_without_it(tmp_path, capsys, genuine_report):
+    # Reports written while aware pruning existed carry config.pruning_mode; the reader ignores it.
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(genuine_report))
+    assert run_cli("report", "--in", path) == 0
+    current = capsys.readouterr().out
+    old = json.loads(json.dumps(genuine_report))
+    old["config"]["pruning_mode"] = "causal"
+    path.write_text(json.dumps(old))
+    assert run_cli("report", "--in", path) == 0
+    assert capsys.readouterr().out == current
+    assert current.startswith("ensemble: n=6 alpha=1.0 rho=0.3 kappa=0.15 count=6 base_seed=3\n")
 
 
 SEED_BEYOND = "puts the run's last seed at {}, beyond the unsigned 64-bit range"

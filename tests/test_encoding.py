@@ -24,7 +24,7 @@ from qbrittle.circuits import (GATE_DTYPE, Axis, Circuit, Cnot, GenerationParams
                                generate_uniform, remove_gates, to_json)
 from qbrittle.errors import InvalidParameterError
 from qbrittle.protocol import EnsembleConfig, run_ensemble
-from qbrittle.pruning import causal_prune, prune
+from qbrittle.pruning import causal_prune
 from qbrittle.simulator import run
 
 PARAMS = st.builds(GenerationParams, st.sampled_from([4, 6, 10, 14]), st.sampled_from([0.5, 1.0, 2.3]),
@@ -66,9 +66,7 @@ def test_generate_prune_and_ensemble_build_no_gate_objects(monkeypatch):
     monkeypatch.setattr(circuits, "_check_gate", _forbidden)
     circuit = generate_uniform(GenerationParams(6, 1.0, 0.3, 3))
     causal_prune(circuit, 0.2)
-    prune(circuit, 0.2, "aware")
-    for mode in ("causal", "aware"):
-        run_ensemble(EnsembleConfig(6, 1.0, 0.3, 0.2, circuit_count=4, pruning_mode=mode), threads=1)
+    run_ensemble(EnsembleConfig(6, 1.0, 0.3, 0.2, circuit_count=4), threads=1)
     with pytest.raises(AssertionError, match="gate object"):
         circuit.gates  # the guard itself works
 

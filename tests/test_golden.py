@@ -25,12 +25,6 @@ GOLDEN = {
         "causal-state.csv": "e9db7fe23d9ac48ba0ace85d62442b2ac611df126f00119aab443f5d5dc231e8",
         "causal.json": "4cefa07935588e616ecc35e6d97cb937ecfba9b1746d8db8dd2cff4e00f37592",
     },
-    "prune-aware": {
-        "stdout": "6f1ed7a10e3c028154b129cbe5cf9d9895432e8bb28de2e95d38ded0e5051bdc",
-        "aware-importance.csv": "471da24395e4fe4a50e2c1b99658f929fee2c9ff000115c6420d18355c3b6805",
-        "aware-state.csv": "e9db7fe23d9ac48ba0ace85d62442b2ac611df126f00119aab443f5d5dc231e8",
-        "aware.json": "034b24744e0e35e7e247a0f377ba6271eb16c762fa4e946e38c50cd62801c116",
-    },
     "ensemble": {
         "stdout": "04509f024736421e4d5fc03fdc3dacddf2a4d56f058b7d0243adddb966949eb5",
         "ens/correlation_hist.csv": "c9fa09133071f96ea78ffed550b92151ec94c4d6625f3c8885389f9813f1a6fd",
@@ -38,10 +32,10 @@ GOLDEN = {
         "ens/fidelity_hist.csv": "8eea233de1cc2d311b76f4a21f720126d3dc6519de993cfede53cdb74a7774c8",
         "ens/fidelity_hist.svg": "53326f7472d0d4b5aa9123a7adb486bac815755a222806be9d949c3fe6e9ba6b",
         "ens/records.csv": "823dd2f1c9405b3e92726a2e47304d370d634afead954c5cdf7afc3f7522a7db",
-        "ens/report.json": "06ebc70afcf1f57ce6f1dfd91efbdfd4f4aa5253457facc14b22ac9197fa4af4",
+        "ens/report.json": "e89fdd2d9a5286877bff534a5b08a202463839384a5cbb050bbf902ab9fc5112",
     },
     "report": {
-        "stdout": "3a34141b17237fd03f3598b93381f07a113b72a4e9494d2a8adaddf8fc24db50",
+        "stdout": "f3d1444a33799d42233abe2f359d2d5cc2cdb5a8d266def87377205c29fae3f5",
     },
     "sweep": {
         "stdout": "b59c31ec2adc9b594b61f84d64d9cc700b11ee11f86b495eeea2418a0ecda34b",
@@ -76,12 +70,10 @@ def golden_runs(tmp_path_factory):
         "generate": _run(tmp_path, "generate", "--n", 6, "--alpha", 1.0, "--rho", 0.3,
                          "--seed", 3, "--out", circuit, "--qasm", tmp_path / "circuit.qasm"),
     }
-    for mode in ("causal", "aware"):
-        runs[f"prune-{mode}"] = _run(
-            tmp_path, "prune", "--in", circuit, "--kappa", 0.15, "--mode", mode,
-            "--out", tmp_path / f"{mode}.json",
-            "--importance-csv", tmp_path / f"{mode}-importance.csv",
-            "--dump-state-csv", tmp_path / f"{mode}-state.csv")
+    runs["prune-causal"] = _run(tmp_path, "prune", "--in", circuit, "--kappa", 0.15,
+                                "--out", tmp_path / "causal.json",
+                                "--importance-csv", tmp_path / "causal-importance.csv",
+                                "--dump-state-csv", tmp_path / "causal-state.csv")
     runs["ensemble"] = _run(tmp_path, "ensemble", "--n", 6, "--alpha", 1.0, "--rho", 0.2,
                             "--kappa", 0.3, "--count", 8, "--base-seed", 3,
                             "--out-dir", tmp_path / "ens", "--svg", "--threads", 1)

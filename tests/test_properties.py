@@ -25,7 +25,7 @@ from qbrittle.errors import NoTransitionError
 from qbrittle.protocol import (FINGERPRINT_STATS, CircuitRecord, ClassSummary, CorrelationSummary, EnsembleConfig,
                                EnsembleReport, FingerprintEntry, SWEEP_SEED_OFFSET, SweepConfig, kappa_sweep,
                                report_from_dict, report_to_dict, run_ensemble)
-from qbrittle.pruning import PRUNING_MODES, importance_profile
+from qbrittle.pruning import importance_profile
 from qbrittle.simulator import run
 from qbrittle.stats import AngleStats, AxisAngleStats, ClassLabel, gini, identity_distance, shannon_entropy
 
@@ -195,8 +195,7 @@ REPORTS = st.builds(
     config=st.builds(EnsembleConfig, st.sampled_from([4, 6, 8, 10]), st.floats(0.25, 3.0), st.floats(0.0, 1.0),
                      st.floats(0.25, 0.95), st.integers(2, SWEEP_SEED_OFFSET),
                      st.integers(0, 2**64 - SWEEP_SEED_OFFSET),  # last seed fits
-                     st.floats(0.0, 1.0), st.floats(0.0, 4.0),
-                     st.sampled_from(PRUNING_MODES)),
+                     st.floats(0.0, 1.0), st.floats(0.0, 4.0)),
     records=st.lists(st.builds(
         CircuitRecord, SEEDS, COUNTS, COUNTS, FLOATS, st.sampled_from(ClassLabel),
         st.builds(AngleStats, FLOATS, FLOATS, FLOATS, keyed(
@@ -229,9 +228,9 @@ def _outcome(experiment, config, threads):
 # Each example starts two worker pools, so a handful of small configs.
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(st.sampled_from([4, 6]), st.floats(1.0, 2.0), st.floats(0.1, 0.5), st.floats(0.1, 0.4),
-       st.integers(0, 2**32), st.sampled_from(PRUNING_MODES))
-def test_results_do_not_depend_on_threads(n, alpha, rho, kappa, seed, mode):
-    ensemble = EnsembleConfig(n, alpha, rho, kappa, circuit_count=3, base_seed=seed, pruning_mode=mode)
-    sweep = SweepConfig(n, alpha, rho, base_seed=seed, probe_count=2, pruning_mode=mode)
+       st.integers(0, 2**32))
+def test_results_do_not_depend_on_threads(n, alpha, rho, kappa, seed):
+    ensemble = EnsembleConfig(n, alpha, rho, kappa, circuit_count=3, base_seed=seed)
+    sweep = SweepConfig(n, alpha, rho, base_seed=seed, probe_count=2)
     for experiment, config in ((run_ensemble, ensemble), (kappa_sweep, sweep)):
         assert _outcome(experiment, config, 1) == _outcome(experiment, config, 2)

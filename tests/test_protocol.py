@@ -50,8 +50,6 @@ def test_config_validation():
         EnsembleConfig(n=6, alpha=1.0, rho=0.2, kappa=1.2)
     with pytest.raises(InvalidParameterError):
         EnsembleConfig(n=6, alpha=1.0, rho=0.2, kappa=0.1, circuit_count=1)
-    with pytest.raises(InvalidParameterError):
-        EnsembleConfig(n=6, alpha=1.0, rho=0.2, kappa=0.1, pruning_mode="greedy")
 
 
 def test_records_follow_the_seed_schedule(small_report):
@@ -311,7 +309,7 @@ def test_configs_reject_zero_layers(cls, extra):
     (EnsembleConfig, "classify_threshold", True, "a number"),
     (SweepConfig, "probe_count", 2.5, "an integer"),
     (SweepConfig, "kappa_step", "0.03", "a number"),
-    (SweepConfig, "small_angle_threshold", None, "a number"),
+    (EnsembleConfig, "small_angle_threshold", None, "a number"),
 ])
 def test_configs_reject_wrong_types(cls, field, bad, expected):
     fields = {"n": 6, "alpha": 1.0, "rho": 0.3, **({"kappa": 0.2} if cls is EnsembleConfig else {}), field: bad}

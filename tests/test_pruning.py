@@ -15,16 +15,15 @@ from qbrittle.circuits import (
     Rotation,
     generate_uniform,
 )
-from qbrittle.errors import InvalidParameterError, UndefinedStatisticError
+from qbrittle.errors import InvalidParameterError
 from qbrittle.pruning import (
     ImportanceProfile,
     causal_prune,
     importance_profile,
-    prune,
     write_importance_csv,
 )
 from qbrittle.simulator import StateVector, fidelity, run
-from qbrittle.stats import angle_importance_r, angle_stats, identity_distance, is_brittle
+from qbrittle.stats import angle_importance_r, angle_stats
 
 
 def test_terminal_phase_gate_has_zero_importance():
@@ -119,42 +118,6 @@ def test_prune_rejects_useless_kappa(no_simulation):  # before any simulation
         causal_prune(circuit, 1.0)
 
 
-def test_is_brittle_flags_uniform_angles():
-    gates = tuple(Rotation(Axis.X, i % 2, 0.8) for i in range(6))
-    stats = angle_stats(Circuit(2, gates))
-    assert stats.std_theta == pytest.approx(0.0, abs=1e-12)
-    assert stats.small_angle_ratio == 0.0
-    assert is_brittle(stats)
-
-
-def test_is_brittle_small_angle_ratio():
-    gates = (Rotation(Axis.X, 0, 0.01), Rotation(Axis.Y, 1, math.pi / 2),
-             Rotation(Axis.X, 0, 0.01), Rotation(Axis.Y, 1, math.pi / 2))
-    stats = angle_stats(Circuit(2, gates), small_angle_threshold=0.1)
-    assert stats.small_angle_ratio == pytest.approx(0.5)
-    assert not is_brittle(stats)  # std ~0.90 and ratio 0.5 clear both bounds
-
-
-def test_aware_prune_needs_two_rotations(no_simulation):  # and says so before any simulation
-    with pytest.raises(UndefinedStatisticError):
-        prune(Circuit(2, (Rotation(Axis.X, 0, 1.0), Cnot(0, 1))), 0.5, mode="aware")
-
-
-def test_aware_prune_checks_its_threshold():
-    circuit = generate_uniform(GenerationParams(6, 1.0, 0.3, 1))
-    for threshold in (float("nan"), -1.0, math.inf):
-        with pytest.raises(InvalidParameterError, match="small_angle_threshold must be finite and >= 0"):
-            prune(circuit, 0.2, "aware", threshold)
-
-
-@pytest.mark.parametrize("mode", ["causal", "aware"])
-@pytest.mark.parametrize("threshold", [float("nan"), -1.0])
-def test_prune_checks_its_threshold_in_either_mode(mode, threshold):
-    circuit = generate_uniform(GenerationParams(6, 1.0, 0.3, 1))
-    with pytest.raises(InvalidParameterError, match="small_angle_threshold must be finite and >= 0"):
-        prune(circuit, 0.2, mode, threshold)
-
-
 def test_generated_small_angle_ratio_matches_expectation():
     # expectation (rho*L*n + floor(n*rho)) / (L*n + floor(n*rho)) ~ 0.286 at (10, 2.3, 0.28)
     ratios = [
@@ -162,78 +125,6 @@ def test_generated_small_angle_ratio_matches_expectation():
         for seed in range(20)
     ]
     assert float(np.mean(ratios)) == pytest.approx(0.286, abs=0.03)
-
-
-def _non_brittle_circuit() -> Circuit:
-    # wide spread and plenty of small angles: std ~0.78 > 0.5255, ratio 0.5 > 0.28
-    gates = []
-    for i in range(10):
-        theta = 0.01 if i % 2 == 0 else math.pi / 2
-        gates.append(Rotation((Axis.X, Axis.Y, Axis.Z)[i % 3], i % 4, theta))
-    return Circuit(4, tuple(gates))
-
-
-def _brittle_circuit() -> Circuit:
-    # two protected small-angle gates among tightly clustered large angles
-    gates = [Rotation(Axis.X, 0, 0.01), Rotation(Axis.Z, 1, 0.02)]
-    gates += [Rotation((Axis.X, Axis.Y, Axis.Z)[i % 3], i % 4, 0.9) for i in range(8)]
-    return Circuit(4, tuple(gates))
-
-
-def test_aware_prune_is_noop_for_non_brittle():
-    circuit = _non_brittle_circuit()
-    assert not is_brittle(angle_stats(circuit))
-    causal = causal_prune(circuit, 0.25)
-    aware = prune(circuit, 0.25, mode="aware")
-    assert aware == causal
-
-
-def test_aware_prune_protects_small_angles():
-    circuit = _brittle_circuit()
-    assert is_brittle(angle_stats(circuit))
-    result = prune(circuit, 0.3, mode="aware")  # quota 3 <= 8 unprotected gates
-    assert len(result.removed_indices) == 3
-    for i in result.removed_indices:
-        gate = circuit.gates[i]
-        assert gate.theta >= 0.1
-    assert result.kappa_effective == pytest.approx(0.3)
-
-
-def test_aware_prune_partial_pool_removes_what_it_can():
-    # 6 protected small-angle gates, 2 unprotected, quota 3: only the 2
-    # unprotected gates go, and kappa_effective drops below the request
-    gates = [Rotation(Axis.Z, 0, 0.01 + 0.001 * i) for i in range(6)]
-    gates += [Rotation(Axis.Y, 1, 0.9), Rotation(Axis.Y, 2, 0.9)]
-    circuit = Circuit(3, tuple(gates))
-    assert is_brittle(angle_stats(circuit))
-    result = prune(circuit, 0.4, mode="aware")  # quota floor(3.2) = 3 > 2 candidates
-    assert len(result.removed_indices) == 2
-    assert set(result.removed_indices) == {6, 7}
-    assert result.kappa_effective == pytest.approx(0.25)
-
-
-def test_aware_prune_exhaustion_reports_lower_kappa():
-    gates = tuple(Rotation(Axis.Z, 0, 0.01 + 0.001 * i) for i in range(4))
-    circuit = Circuit(1, gates)
-    assert is_brittle(angle_stats(circuit))
-    result = prune(circuit, 0.5, mode="aware")  # quota 2, but every gate is protected
-    assert result.removed_indices == ()
-    assert result.kappa_effective == 0.0
-    assert result.fidelity == pytest.approx(1.0, abs=1e-12)
-    assert result.compressed == circuit
-
-
-def test_aware_prune_protects_by_wrapped_angle():
-    # 2pi - 0.01 is a near-identity gate and is protected; -3.0 is not small
-    near, far = 2 * math.pi - 0.01, -3.0
-    gates = (Rotation(Axis.X, 0, near), Rotation(Axis.X, 0, far), Rotation(Axis.Y, 0, 0.9), Rotation(Axis.Y, 0, 0.9))
-    circuit = Circuit(1, gates)
-    stats = angle_stats(circuit)
-    assert stats.small_angle_ratio == 0.25 and is_brittle(stats)
-    assert causal_prune(circuit, 0.25).removed_indices == (0,)  # least important
-    result = prune(circuit, 0.25, mode="aware")
-    assert 0 not in result.removed_indices
-    assert len(result.removed_indices) == 1
 
 
 def test_importance_csv_layout():
@@ -248,33 +139,13 @@ def test_importance_csv_layout():
     assert lines[2].startswith("1,cnot,,0;1,,")
 
 
-def test_prune_dispatches_by_mode():
-    # seed 3 is flagged brittle, so aware and causal pruning remove different gates
-    circuit = generate_uniform(GenerationParams(6, 1.0, 0.3, 3))
-    profile = importance_profile(circuit)
-    assert is_brittle(angle_stats(circuit))
-    assert prune(circuit, 0.15, "causal", profile=profile) == causal_prune(circuit, 0.15, profile=profile)
-    aware = prune(circuit, 0.15, "aware", profile=profile)
-    assert aware.removed_indices != causal_prune(circuit, 0.15, profile=profile).removed_indices
-    wide = prune(circuit, 0.15, "aware", 1.0, profile)  # the threshold reaches the aware rule
-    assert wide.removed_indices != aware.removed_indices
-    distances = identity_distance(circuit.encoding["theta"])
-    is_rotation = circuit.encoding["kind"] < 3
-    assert all(distances[i] >= 0.1 for i in aware.removed_indices if is_rotation[i])
-    assert all(distances[i] >= 1.0 for i in wide.removed_indices if is_rotation[i])
-    assert any(0.1 <= distances[i] < 1.0 for i in aware.removed_indices if is_rotation[i])
-    with pytest.raises(InvalidParameterError, match="pruning mode"):
-        prune(circuit, 0.15, "greedy", profile=profile)
-
-
-@pytest.mark.parametrize("pruner", [causal_prune, prune])
-def test_a_profile_of_another_circuit_is_an_input_error(pruner):
+def test_a_profile_of_another_circuit_is_an_input_error():
     c1, c2 = (generate_uniform(GenerationParams(6, 1.0, 0.3, seed)) for seed in (1, 2))
     assert len(c1) == len(c2)
     with pytest.raises(InvalidParameterError, match="importance profile was computed for another circuit"):
-        pruner(c1, 0.3, profile=importance_profile(c2))
+        causal_prune(c1, 0.3, profile=importance_profile(c2))
     copy = generate_uniform(GenerationParams(6, 1.0, 0.3, 1))  # an equal circuit is the same circuit
-    assert pruner(c1, 0.3, profile=importance_profile(copy)) == pruner(c1, 0.3)
+    assert causal_prune(c1, 0.3, profile=importance_profile(copy)) == causal_prune(c1, 0.3)
 
 
 @pytest.mark.parametrize("extra", [-1, 5], ids=["short", "long"])
@@ -294,8 +165,8 @@ def test_a_profile_of_listed_importances_is_read_as_an_array():
     circuit = generate_uniform(GenerationParams(4, 1.0, 0.3, 0))
     profile = importance_profile(circuit)
     listed = ImportanceProfile(circuit, profile.importances.tolist(), profile.baseline_state)
-    assert prune(circuit, 0.3, profile=listed) == prune(circuit, 0.3, profile=profile)
-    assert prune(circuit, 0.3, profile=listed).fidelity == pytest.approx(0.99988, abs=1e-5)
+    assert causal_prune(circuit, 0.3, profile=listed) == causal_prune(circuit, 0.3, profile=profile)
+    assert causal_prune(circuit, 0.3, profile=listed).fidelity == pytest.approx(0.99988, abs=1e-5)
 
 
 @pytest.mark.parametrize("change, message", [
@@ -315,7 +186,7 @@ def test_a_profile_checks_what_it_holds(change, message):
 def test_a_profile_that_is_not_a_profile_is_an_input_error():
     circuit = generate_uniform(GenerationParams(4, 1.0, 0.3, 0))
     with pytest.raises(InvalidParameterError, match="profile must be an ImportanceProfile or None, got str"):
-        prune(circuit, 0.3, profile="x")
+        causal_prune(circuit, 0.3, profile="x")
 
 
 def test_profiles_compare_by_identity_and_results_by_value():
