@@ -521,11 +521,8 @@ def _argv_into(command, circuit, out) -> list:
     }[command]
 
 
-CLASSIFY_MESSAGE = "classify_threshold must lie in [0, 1]"
-
-
 @pytest.mark.parametrize("command, flag, value, message", [
-    *((command, "--classify-threshold", value, CLASSIFY_MESSAGE)
+    *((command, "--classify-threshold", value, "classify_threshold must lie in [0, 1]")
       for command in ("ensemble", "sweep", "prune") for value in ("nan", "1.5", "-0.1")),
     *(("ensemble", "--small-angle-threshold", value, "small_angle_threshold must be finite and >= 0")
       for value in ("nan", "-1", "inf")),
