@@ -39,8 +39,13 @@ def family(request):
     return circuits, [importance_profile(circuit) for circuit in circuits]
 
 
+# The single-circuit pruner whose removals and fidelities each batch row must reproduce.
+PRUNERS = pytest.mark.parametrize("pruner", [causal_prune], ids=["causal"])
+
+
+@PRUNERS
 @pytest.mark.parametrize("kappa", KAPPAS)
-def test_batched_profiles_and_fidelities_are_the_single_runs_bits(family, kappa):
+def test_batched_profiles_and_fidelities_are_the_single_runs_bits(family, kappa, pruner):
     circuits, references = family
     importances, removed, fidelities = _pruned(circuits, [kappa] * len(circuits))
     gates = np.stack([circuit.encoding for circuit in circuits])
@@ -50,19 +55,20 @@ def test_batched_profiles_and_fidelities_are_the_single_runs_bits(family, kappa)
                                                                 removed, fidelities):
         assert _same(row, reference.importances)
         assert _same(baseline, reference.baseline_state.amplitudes)
-        result = causal_prune(circuit, kappa, reference)
-        assert tuple(gone) == result.removed_indices == causal_prune(circuit, kappa).removed_indices
+        result = pruner(circuit, kappa, reference)
+        assert tuple(gone) == result.removed_indices == pruner(circuit, kappa).removed_indices
         expected = fidelity(reference.baseline_state, run(remove_gates(circuit, result.removed_indices)))
         assert _same(batched, expected) and _same(result.fidelity, expected)
 
 
-def test_each_row_of_a_batch_prunes_at_its_own_kappa(family):
+@PRUNERS
+def test_each_row_of_a_batch_prunes_at_its_own_kappa(family, pruner):
     # A sweep batch holds probes of several grid points.
     circuits, references = family
     kappas = [KAPPAS[i % len(KAPPAS)] for i in range(len(circuits))]
     _, removed, fidelities = _pruned(circuits, kappas)
     for circuit, reference, kappa, gone, batched in zip(circuits, references, kappas, removed, fidelities):
-        result = causal_prune(circuit, kappa, reference)
+        result = pruner(circuit, kappa, reference)
         assert tuple(gone) == result.removed_indices and _same(batched, result.fidelity)
 
 

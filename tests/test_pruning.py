@@ -139,13 +139,14 @@ def test_importance_csv_layout():
     assert lines[2].startswith("1,cnot,,0;1,,")
 
 
-def test_a_profile_of_another_circuit_is_an_input_error():
+@pytest.mark.parametrize("pruner", [causal_prune])
+def test_a_profile_of_another_circuit_is_an_input_error(pruner):
     c1, c2 = (generate_uniform(GenerationParams(6, 1.0, 0.3, seed)) for seed in (1, 2))
     assert len(c1) == len(c2)
     with pytest.raises(InvalidParameterError, match="importance profile was computed for another circuit"):
-        causal_prune(c1, 0.3, profile=importance_profile(c2))
+        pruner(c1, 0.3, profile=importance_profile(c2))
     copy = generate_uniform(GenerationParams(6, 1.0, 0.3, 1))  # an equal circuit is the same circuit
-    assert causal_prune(c1, 0.3, profile=importance_profile(copy)) == causal_prune(c1, 0.3)
+    assert pruner(c1, 0.3, profile=importance_profile(copy)) == pruner(c1, 0.3)
 
 
 @pytest.mark.parametrize("extra", [-1, 5], ids=["short", "long"])
