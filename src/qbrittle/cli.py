@@ -70,7 +70,7 @@ def _write_outputs(manifest: Path, command: str, config: dict, inputs: list[str]
     staged = {}
     try:
         for path, body in {**outputs, str(manifest): json.dumps(doc, indent=1) + "\n"}.items():
-            staged[path] = f"{path}.{os.getpid()}.tmp"  # the paths are distinct files (see _check_distinct)
+            staged[path] = f"{path}.{os.getpid()}.tmp"  # the paths are distinct files (see _claim)
             with open(staged[path], "w") as stream:
                 body(stream) if callable(body) else stream.write(body)
         for path, temporary in staged.items():
@@ -83,13 +83,17 @@ def _write_outputs(manifest: Path, command: str, config: dict, inputs: list[str]
                 os.remove(temporary)
 
 
-def _check_distinct(outputs: dict) -> None:
-    """Raise InvalidParameterError unless one command's output paths, {flag:
-    path} with None and empty paths skipped, resolve to distinct files."""
+def _claim(outputs: dict, inputs: dict | None = None) -> None:
+    """Claim one command's output paths, {flag: path} with None and empty paths
+    skipped, the run manifest included: raise InvalidParameterError unless they
+    and the `inputs`, {flag: path}, resolve to distinct files, then make the
+    outputs' directories, so an unwritable location fails before any compute."""
     seen = {}
-    for flag, path in outputs.items():
+    for flag, path in {**(inputs or {}), **outputs}.items():
         if path and (first := seen.setdefault(Path(path).resolve(), flag)) != flag:
             raise InvalidParameterError(f"{first} and {flag} name the same file {Path(path).resolve()}")
+    for path in filter(None, outputs.values()):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
 def _read_text(path: Path) -> str:
@@ -98,14 +102,6 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CircuitFormatError(f"cannot read {path}: {exc}") from None
-
-
-def _make_parents(*paths) -> None:
-    """Create the directories the given output paths (None skipped) will be
-    written into, so an unwritable location fails before any compute."""
-    for path in paths:
-        if path is not None:
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
 def _config_from_args(cls, args):
@@ -178,8 +174,7 @@ def cmd_generate(args) -> int:
     expected_gate_count(params.n, params.alpha, params.rho)  # no layer or too many gates: exit 2 before any directory
     out = Path(args.out)
     manifest = out.with_suffix(out.suffix + ".manifest.json")
-    _check_distinct({"--out": out, "--qasm": args.qasm, "the run manifest": manifest})
-    _make_parents(out, args.qasm)
+    _claim({"--out": out, "--qasm": args.qasm, "the run manifest": manifest})
     circuit = generate_uniform(params)
     outputs = {out: to_json(circuit) + "\n"}
     if args.qasm:
@@ -193,12 +188,11 @@ def cmd_prune(args) -> int:
     _check_thresholds(args.classify_threshold)
     # Without --out, a name beside the input that leaves the input's own manifest alone.
     manifest = Path(f"{args.out}.manifest.json" if args.out else f"{args.in_path}.prune.manifest.json")
-    _check_distinct({"--in": args.in_path, "--out": args.out, "--importance-csv": args.importance_csv,
-                     "--dump-state-csv": args.dump_state_csv, "the run manifest": manifest})
     in_path = Path(args.in_path)
     circuit = from_json(_read_text(in_path))
     removal_quota(args.kappa, len(circuit))
-    _make_parents(args.out, args.importance_csv, args.dump_state_csv)
+    _claim({"--out": args.out, "--importance-csv": args.importance_csv, "--dump-state-csv": args.dump_state_csv,
+            "the run manifest": manifest}, {"--in": in_path})
     profile = importance_profile(circuit)
     result = causal_prune(circuit, args.kappa, profile)
 
@@ -230,7 +224,7 @@ def _print_summary(report) -> None:
 def cmd_ensemble(args) -> int:
     config = _config_from_args(EnsembleConfig, args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _claim({"the run manifest": out_dir / "manifest.json"})
     report = run_ensemble(config, threads=args.threads)
 
     outputs = {
@@ -261,13 +255,14 @@ def cmd_ensemble(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _config_from_args(SweepConfig, args)
-    _make_parents(args.out_csv)
+    out_csv = args.out_csv and Path(args.out_csv)
+    manifest = out_csv and out_csv.with_suffix(out_csv.suffix + ".manifest.json")
+    _claim({"--out-csv": out_csv, "the run manifest": manifest})
     result = kappa_sweep(config, threads=args.threads)
 
-    if args.out_csv:
-        out_csv = Path(args.out_csv)
+    if out_csv:
         rows = [(p.kappa, p.gap, p.robust_fraction, p.valid) for p in result.grid]
-        _write_outputs(out_csv.with_suffix(out_csv.suffix + ".manifest.json"), "sweep", asdict(config), [], {
+        _write_outputs(manifest, "sweep", asdict(config), [], {
             out_csv: partial(write_csv, header=["kappa", "gap", "robust_fraction", "valid"], rows=rows)})
 
     for point in result.grid:
