@@ -40,7 +40,7 @@ from .protocol import (
     run_ensemble,
     write_records_csv,
 )
-from .simulator import qubit_cap
+from .simulator import _check_cap, qubit_cap
 from .stats import DEFAULT_CLASSIFY_THRESHOLD, DEFAULT_SMALL_ANGLE_THRESHOLD, _check_thresholds, classify
 
 HISTOGRAM_BINS = 40
@@ -191,6 +191,7 @@ def cmd_prune(args) -> int:
     in_path = Path(args.in_path)
     circuit = from_json(_read_text(in_path))
     removal_quota(args.kappa, len(circuit))
+    _check_cap(circuit.n_qubits)
     _claim({"--out": args.out, "--importance-csv": args.importance_csv, "--dump-state-csv": args.dump_state_csv,
             "the run manifest": manifest}, {"--in": in_path})
     profile = importance_profile(circuit)
@@ -223,6 +224,7 @@ def _print_summary(report) -> None:
 
 def cmd_ensemble(args) -> int:
     config = _config_from_args(EnsembleConfig, args)
+    _check_cap(config.n)
     out_dir = Path(args.out_dir)
     _claim({"the run manifest": out_dir / "manifest.json"})
     report = run_ensemble(config, threads=args.threads)
@@ -255,6 +257,7 @@ def cmd_ensemble(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _config_from_args(SweepConfig, args)
+    _check_cap(config.n)
     out_csv = args.out_csv and Path(args.out_csv)
     manifest = out_csv and out_csv.with_suffix(out_csv.suffix + ".manifest.json")
     _claim({"--out-csv": out_csv, "the run manifest": manifest})

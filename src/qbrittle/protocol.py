@@ -27,7 +27,7 @@ from .circuits import Axis, Circuit, GenerationParams, circuit_depth, expected_g
 from .codec import check_types, decode, encode, write_csv
 from .errors import InvalidParameterError, NoTransitionError, UndefinedStatisticError, _shown
 from .pruning import _pruned, causal_prune, importance_profile, removal_quota
-from .simulator import _batch_limit
+from .simulator import _batch_limit, _check_cap
 from .stats import AngleStats, ClassLabel
 
 __all__ = [
@@ -299,6 +299,7 @@ def run_ensemble(config: EnsembleConfig, threads: int | None = None) -> Ensemble
     Aggregate fields involving an empty class are reported as None rather
     than fabricated.
     """
+    _check_cap(config.n)  # before any worker starts
     records = _parallel_map(partial(_build_record, config), partial(_build_records, config),
                             range(config.circuit_count), threads, _batch_limit(config.n))
     return _aggregate(config, records)
@@ -388,6 +389,7 @@ def kappa_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
     is raised. Each grid point has its own probe seeds; they are disjoint
     from the seeds of an ensemble with the same base seed.
     """
+    _check_cap(config.n)  # before any worker starts
     grid = sweep_grid(config)
     tasks = [(_probe_seed(config, gi, k), kappa) for gi, kappa in enumerate(grid) for k in range(config.probe_count)]
     fidelities = _parallel_map(partial(_probe_fidelity, config), partial(_probe_fidelities, config), tasks, threads,

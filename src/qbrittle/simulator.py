@@ -131,11 +131,16 @@ def zero_state(n: int) -> StateVector:
     return StateVector(n, _zero_amplitudes(n, 1)[0])
 
 
-def _zero_amplitudes(n: int, rows: int) -> np.ndarray:
-    """`rows` copies of |0...0> on n qubits, one per row."""
+def _check_cap(n: int) -> None:
+    """Raise ResourceLimitError if n qubits exceed `qubit_cap()`."""
     cap = qubit_cap()
     if n > cap:
         raise ResourceLimitError(f"{_shown(n)} qubits exceeds the simulator cap of {cap}")
+
+
+def _zero_amplitudes(n: int, rows: int) -> np.ndarray:
+    """`rows` copies of |0...0> on n qubits, one per row."""
+    _check_cap(n)
     try:
         amplitudes = np.zeros((rows, 1 << n), dtype=np.complex128)
     except (MemoryError, ValueError) as exc:  # numpy raises ValueError from 60 qubits up
@@ -248,10 +253,9 @@ def _cnot_permutation(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
 @functools.lru_cache(maxsize=2)  # only runs with losses read it: the profiles of intact circuits
 def _gap_halves(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     """halves[h, k]: the labels of pair k's control=1 amplitudes with the
-    target clear (h = 0) and set (h = 1), ascending as in `_target_halves`."""
+    target clear (h = 0) and set (h = 1), `_target_halves` of the basis labels."""
     labels = np.arange(1 << n, dtype=np.intp)
-    clear = np.array([labels[(labels >> control & 1) > (labels >> target & 1)] for control, target in pairs])
-    halves = np.stack([clear, clear | np.array([[1 << target] for _, target in pairs])])
+    halves = np.array([[_target_halves(labels, n, *pair)[h].ravel() for pair in pairs] for h in (0, 1)])
     halves.flags.writeable = False  # cached: shared by every caller
     return halves
 

@@ -159,6 +159,26 @@ def test_ensemble_workers_honor_qubit_cap_env(tmp_path):
     assert proc.returncode == 4
     assert "exceeds the simulator cap of 4" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "ens").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("ensemble", ["--n", 6, "--alpha", 1.0, "--rho", 0.2, "--kappa", 0.3, "--count", 4, "--threads", 2,
+                  "--out-dir", "{new}/ens"]),
+    ("sweep", ["--n", 6, "--alpha", 1.0, "--rho", 0.2, "--threads", 2, "--out-csv", "{new}/s.csv"]),
+    ("prune", ["--in", "{circuit}", "--kappa", 0.2, "--out", "{new}/p.json"]),
+])
+def test_a_width_above_the_qubit_cap_exits_4_before_any_directory(tmp_path, capsys, monkeypatch, command, flags):
+    circuit = tmp_path / "c.json"
+    assert run_cli("generate", "--n", 6, "--alpha", 1.0, "--rho", 0.2, "--seed", 1, "--out", circuit) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("QBRITTLE_MAX_QUBITS", "4")
+    for name in ("run_ensemble", "kappa_sweep", "importance_profile"):
+        monkeypatch.setattr(cli, name, no_compute)
+    new = tmp_path / "new"
+    assert run_cli(command, *[str(a).format(new=new, circuit=circuit) for a in flags]) == 4
+    assert capsys.readouterr().err == "error: 6 qubits exceeds the simulator cap of 4\n"
+    assert not new.exists()
 
 
 def test_malformed_qubit_cap_env_fails_before_any_output(tmp_path, monkeypatch, capsys):
@@ -384,6 +404,8 @@ def test_sweep_rejects_oversized_grid_before_building_it(tmp_path, capsys, monke
     ("sweep", "kappa_sweep", ["--out-csv", "{blocker}/s.csv", "--n", 6, "--alpha", 1.0, "--rho", 0.2,
                               "--threads", 1]),
     ("prune", "importance_profile", ["--out", "{blocker}/p.json", "--in", "{circuit}", "--kappa", 0.2]),
+    ("generate", "generate_uniform", ["--out", "{blocker}/g.json", "--n", 6, "--alpha", 1.0, "--rho", 0.2,
+                                      "--seed", 1]),
 ])
 def test_unwritable_output_fails_before_compute(tmp_path, capsys, monkeypatch, command, compute, out_flag):
     # a regular file where an output directory should go

@@ -9,7 +9,7 @@ import pytest
 
 from qbrittle import protocol
 from qbrittle.circuits import expected_gate_count
-from qbrittle.errors import CircuitFormatError, InvalidParameterError, NoTransitionError
+from qbrittle.errors import CircuitFormatError, InvalidParameterError, NoTransitionError, ResourceLimitError
 from qbrittle.protocol import (
     RECORD_CSV_COLUMNS,
     CorrelationSummary,
@@ -400,6 +400,19 @@ def test_a_run_on_one_cpu_starts_no_pool(monkeypatch, small_report):
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(protocol, "ProcessPoolExecutor", no_pool)
     assert run_ensemble(SMALL, threads=2) == small_report
+
+
+@pytest.mark.parametrize("experiment, config", [(run_ensemble, SMALL), (kappa_sweep, SMALL_SWEEP)],
+                         ids=["ensemble", "sweep"])
+def test_a_width_above_the_qubit_cap_is_refused_before_any_worker(monkeypatch, experiment, config):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("nothing may be computed")
+
+    monkeypatch.setenv("QBRITTLE_MAX_QUBITS", "4")
+    monkeypatch.setattr(protocol, "ProcessPoolExecutor", no_compute)
+    monkeypatch.setattr(protocol, "generate_uniform", no_compute)
+    with pytest.raises(ResourceLimitError, match="^6 qubits exceeds the simulator cap of 4$"):
+        experiment(config, threads=2)
 
 
 def _blas_threads(_item=None) -> tuple[int, int]:
