@@ -84,16 +84,27 @@ def _write_outputs(manifest: Path, command: str, config: dict, inputs: list[str]
 
 
 def _claim(outputs: dict, inputs: dict | None = None) -> None:
-    """Claim one command's output paths, {flag: path} with None and empty paths
-    skipped, the run manifest included: raise InvalidParameterError unless they
-    and the `inputs`, {flag: path}, resolve to distinct files, then make the
-    outputs' directories, so an unwritable location fails before any compute."""
+    """Claim one command's output paths, {flag: path} with None paths skipped,
+    the run manifest included: raise InvalidParameterError if one names a
+    directory (an existing one, an empty name or a trailing separator) or
+    unless they and the `inputs`, {flag: path}, resolve to distinct files,
+    then make the outputs' directories, so an unwritable location fails before
+    any compute."""
+    outputs = {flag: path for flag, path in outputs.items() if path is not None}
+    for flag, path in outputs.items():
+        if os.path.basename(path) in ("", ".", "..") or Path(path).is_dir():
+            raise InvalidParameterError(f"{flag} must name a file, not a directory, got {os.fspath(path)!r}")
     seen = {}
     for flag, path in {**(inputs or {}), **outputs}.items():
-        if path and (first := seen.setdefault(Path(path).resolve(), flag)) != flag:
+        if (first := seen.setdefault(Path(path).resolve(), flag)) != flag:
             raise InvalidParameterError(f"{first} and {flag} name the same file {Path(path).resolve()}")
-    for path in filter(None, outputs.values()):
+    for path in outputs.values():
         Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
+def _optional_path(text: str) -> str | None:
+    """The value of an optional output flag: an empty path means the flag is not given."""
+    return text or None
 
 
 def _read_text(path: Path) -> str:
@@ -172,9 +183,8 @@ def render_histogram_svg(rows, title: str, x_label: str) -> str:
 def cmd_generate(args) -> int:
     params = _config_from_args(GenerationParams, args)
     expected_gate_count(params.n, params.alpha, params.rho)  # no layer or too many gates: exit 2 before any directory
-    out = Path(args.out)
-    manifest = out.with_suffix(out.suffix + ".manifest.json")
-    _claim({"--out": out, "--qasm": args.qasm, "the run manifest": manifest})
+    out, manifest = Path(args.out), Path(f"{args.out}.manifest.json")
+    _claim({"--out": args.out, "--qasm": args.qasm, "the run manifest": manifest})
     circuit = generate_uniform(params)
     outputs = {out: to_json(circuit) + "\n"}
     if args.qasm:
@@ -259,8 +269,8 @@ def cmd_sweep(args) -> int:
     config = _config_from_args(SweepConfig, args)
     _check_cap(config.n)
     out_csv = args.out_csv and Path(args.out_csv)
-    manifest = out_csv and out_csv.with_suffix(out_csv.suffix + ".manifest.json")
-    _claim({"--out-csv": out_csv, "the run manifest": manifest})
+    manifest = args.out_csv and Path(f"{args.out_csv}.manifest.json")
+    _claim({"--out-csv": args.out_csv, "the run manifest": manifest})
     result = kappa_sweep(config, threads=args.threads)
 
     if out_csv:
@@ -345,15 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rho", type=float, required=True, help="redundancy rate in [0, 1]")
     gen.add_argument("--seed", type=int, required=True, help="generator seed")
     gen.add_argument("--out", required=True, help="output circuit JSON path")
-    gen.add_argument("--qasm", default=None, help="also export OpenQASM 2.0 to this path")
+    gen.add_argument("--qasm", type=_optional_path, help="also export OpenQASM 2.0 to this path")
     gen.set_defaults(func=cmd_generate)
 
     prn = sub.add_parser("prune", help="compress a circuit by leave-one-out importance")
     prn.add_argument("--in", dest="in_path", required=True, help="input circuit JSON path")
     prn.add_argument("--kappa", type=float, required=True, help="fraction of gates to remove")
-    prn.add_argument("--out", default=None, help="compressed circuit JSON path")
-    prn.add_argument("--importance-csv", default=None, help="per-gate importance CSV path")
-    prn.add_argument("--dump-state-csv", default=None, help="debug dump of the intact final state")
+    prn.add_argument("--out", type=_optional_path, help="compressed circuit JSON path")
+    prn.add_argument("--importance-csv", type=_optional_path, help="per-gate importance CSV path")
+    prn.add_argument("--dump-state-csv", type=_optional_path, help="debug dump of the intact final state")
     prn.add_argument("--classify-threshold", type=float, default=DEFAULT_CLASSIFY_THRESHOLD)
     prn.set_defaults(func=cmd_prune)
 
@@ -374,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--kappa-start", type=float, default=SweepConfig.kappa_start)
     swp.add_argument("--kappa-stop", type=float, default=SweepConfig.kappa_stop)
     swp.add_argument("--kappa-step", type=float, default=SweepConfig.kappa_step)
-    swp.add_argument("--out-csv", default=None, help="sweep table CSV path")
+    swp.add_argument("--out-csv", type=_optional_path, help="sweep table CSV path")
     swp.set_defaults(func=cmd_sweep)
 
     rep = sub.add_parser("report", help="re-render the class-comparison tables from a report JSON")

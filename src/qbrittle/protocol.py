@@ -23,7 +23,7 @@ from typing import IO, Callable, Iterable, Literal, Sequence, get_args
 import numpy as np
 
 from . import stats as st
-from .circuits import Axis, Circuit, GenerationParams, circuit_depth, expected_gate_count, generate_uniform
+from .circuits import _INTEGERS, Axis, Circuit, GenerationParams, circuit_depth, expected_gate_count, generate_uniform
 from .codec import check_types, decode, encode, write_csv
 from .errors import InvalidParameterError, NoTransitionError, UndefinedStatisticError, _shown
 from .pruning import _pruned, causal_prune, importance_profile, removal_quota
@@ -182,8 +182,8 @@ def _build_records(config: EnsembleConfig, ks: Sequence[int]) -> list[CircuitRec
 
 
 def _check_threads(threads: int | None) -> None:
-    """A worker count is None (all cores) or a positive int, not a bool."""
-    if threads is not None and (isinstance(threads, bool) or not isinstance(threads, int) or threads < 1):
+    """A worker count is None (all cores) or a positive int or numpy integer, not a bool."""
+    if threads is not None and (isinstance(threads, bool) or not isinstance(threads, _INTEGERS) or threads < 1):
         raise InvalidParameterError(f"threads must be a positive integer or None, got {_shown(threads, repr)}")
 
 
@@ -325,8 +325,8 @@ class SweepConfig:
         if not 0.0 < self.kappa_start <= self.kappa_stop < 1.0:
             raise InvalidParameterError(
                 f"kappa grid [{_shown(self.kappa_start)}, {_shown(self.kappa_stop)}] must lie inside (0, 1)")
-        if not self.kappa_step > 0:  # also rejects NaN, which has no point count
-            raise InvalidParameterError(f"kappa_step must be positive, got {_shown(self.kappa_step)}")
+        if not 0 < self.kappa_step < math.inf:  # also rejects NaN, which has no point count
+            raise InvalidParameterError(f"kappa_step must be positive and finite, got {_shown(self.kappa_step)}")
         points = _grid_size(self)
         if points > MAX_SWEEP_POINTS:
             raise InvalidParameterError(

@@ -24,12 +24,12 @@ a chunk's gates miss copies its amplitudes past the chunk, as its own run
 skips it. `run` is the batch of one. A batch holds at most
 _BATCH_AMPLITUDES amplitudes (`_batch_limit`): larger ones were measured no
 faster per circuit at 12 qubits and slower at 14, and they cost memory.
-With a `keep` mask, a batch runs each circuit with some gates removed on the
-intact circuit's blocks: a removed rotation leaves its qubit's identity
-slot, a removed CNOT its block's pairs. That has the bits of the compressed
-circuit's own run wherever the compressed circuit splits into the same
-blocks; a row where it would not (a removal that empties a CNOT block, say,
-so that two rotation blocks merge) runs its kept gates alone.
+A `keep` mask marks the gates that act, all of them in an intact run. A
+batch runs circuits with gates removed on the intact circuit's blocks: a
+removed rotation leaves its qubit's identity slot, a removed CNOT its
+block's pairs. That has the bits of the compressed circuit's own run where
+it splits into the same blocks; a row where it would not (a removal that
+empties a CNOT block, say, so that two rotation blocks merge) runs alone.
 
 With `losses`, `run` also writes each gate's deletion loss 1 - |<f|G|f>|^2,
 which is how the leave-one-out profile costs one pass. A loss depends only on
@@ -312,54 +312,53 @@ def _cnot_gaps(amps: np.ndarray, n: int, pairs: tuple[tuple[int, int], ...]) -> 
     return gaps
 
 
-def _evolve(amps: np.ndarray, n: int, gates: np.ndarray, losses: np.ndarray | None = None,
-            keep: np.ndarray | None = None) -> np.ndarray:
-    """Apply the gates of each row of the encodings `gates` (rows, G) to the same
-    row of `amps` (rows, 2^n), which is overwritten, and return the array that
-    holds the results; fill `losses` (rows, G) if it is given.
+def _evolve(amps: np.ndarray, n: int, gates: np.ndarray, keep: np.ndarray,
+            losses: np.ndarray | None = None) -> np.ndarray:
+    """Apply the kept gates of each row of the encodings `gates` (rows, G) to
+    the same row of `amps` (rows, 2^n), which is overwritten, and return the
+    array that holds the results; fill `losses` (rows, G) if it is given.
 
     Rows that split into blocks alike run them as one batch, each row on its
     own qubits; where the rows' splits part, the blocks before run for all rows
     and each group of rows that split the rest alike runs it as a batch.
     Greedy blocks restart at a block boundary, so every row gets the bits of
-    its own run. With `keep` (rows, G; not combined with `losses`) only the
-    kept gates act: a removed rotation leaves an identity slot, a removed CNOT
-    leaves its block's pairs. A row gets the bits of a run of its kept gates
-    alone, since that run forms the same blocks; a row whose kept gates would
-    group otherwise runs them alone."""
+    its own run. Only the gates that `keep` (rows, G) marks act: a removed
+    rotation leaves an identity slot, a removed CNOT leaves its block's pairs.
+    A row gets the bits of a run of its kept gates alone, since that run forms
+    the same blocks; a row whose kept gates would group otherwise runs them
+    alone. `losses` needs an all-True `keep`: a removed gate has no deletion loss."""
     rotation = gates["kind"] < 3
     masks = (1 << gates["qubit"]) | (1 << np.where(rotation, gates["qubit"], gates["target"]))
     opens, cut = _split(rotation, masks)
-    if keep is not None and gates.shape[1]:
+    if not keep.all():
         regrouped = _regrouped(rotation, masks, keep, opens)
         if regrouped.any():
             for b in np.flatnonzero(regrouped):
-                amps[b] = _evolve(amps[b:b + 1], n, gates[b:b + 1, keep[b]])[0]
+                amps[b] = _evolve(amps[b:b + 1], n, gates[b:b + 1, keep[b]], keep[b:b + 1, keep[b]])[0]
             rest = ~regrouped
             if rest.any():
-                amps[rest] = _evolve(amps[rest], n, gates[rest], None, keep[rest])
+                amps[rest] = _evolve(amps[rest], n, gates[rest], keep[rest])
             return amps
     groups = {}
     for b, (row_opens, row_rotation) in enumerate(zip(opens[:, cut:], rotation[:, cut:])):
         groups.setdefault((row_opens.tobytes(), row_rotation.tobytes()), []).append(b)
     if len(groups) == 1:
-        return _shared_run(amps, n, gates, rotation[0], masks, np.flatnonzero(opens[0]).tolist(), losses, keep)
+        return _shared_run(amps, n, gates, rotation[0], masks, np.flatnonzero(opens[0]).tolist(), keep, losses)
     head = (slice(None), slice(None, cut))
     amps = _shared_run(amps, n, gates[head], rotation[0, :cut], masks[head], np.flatnonzero(opens[0, :cut]).tolist(),
-                       None if losses is None else losses[head], None if keep is None else keep[head])
+                       keep[head], None if losses is None else losses[head])
     for group in groups.values():
         tail = (group, slice(cut, None))
         part = None if losses is None else np.empty((len(group), gates.shape[1] - cut))
         amps[group] = _shared_run(amps[group], n, gates[tail], rotation[group[0], cut:], masks[tail],
-                                  np.flatnonzero(opens[group[0], cut:]).tolist(), part,
-                                  None if keep is None else keep[tail])
+                                  np.flatnonzero(opens[group[0], cut:]).tolist(), keep[tail], part)
         if losses is not None:
             losses[tail] = part
     return amps
 
 
 def _shared_run(amps: np.ndarray, n: int, gates: np.ndarray, rotation: np.ndarray, masks: np.ndarray,
-                starts: list[int], losses: np.ndarray | None, keep: np.ndarray | None) -> np.ndarray:
+                starts: list[int], keep: np.ndarray, losses: np.ndarray | None) -> np.ndarray:
     """`_evolve` on rows whose blocks open at the same `starts`, with the
     rotations that `rotation` flags; `masks` holds each gate's qubits."""
     rows, total = gates.shape
@@ -369,28 +368,23 @@ def _shared_run(amps: np.ndarray, n: int, gates: np.ndarray, rotation: np.ndarra
     stops = starts[1:] + [total]
     lengths = [stop - start for start, stop in zip(starts, stops) if flags[start]]
     slots = np.repeat(np.arange(len(lengths)) * (count * width), lengths) + gates["qubit"][:, rotation]
-    axes, thetas = gates["kind"][:, rotation], gates["theta"][:, rotation]
+    axes, thetas = gates["kind"][:, rotation], (gates["theta"] * keep)[:, rotation]  # removed: angle 0, exactly I
     half = 0.5 * thetas
     sin_half = np.sin(half)
     mats = np.cos(half)[..., None, None] * _IDENTITY + sin_half[..., None, None] * _MINUS_I_PAULI[axes]
-    if keep is not None:
-        mats[~keep[:, rotation]] = _IDENTITY
-        masks = np.where(keep, masks, 0)
     per_qubit = np.broadcast_to(_IDENTITY, (rows, len(lengths) * count * width, 2, 2)).copy()
     per_qubit[np.arange(rows)[:, None], slots] = mats
     per_qubit = per_qubit.reshape(rows, len(lengths), count, width, 2, 2)
-    # Per block: the qubits of each row's (kept) gates, their union, whether
-    # all rows have the same, and the rows whose CNOTs are not the first row's.
-    used = np.bitwise_or.reduceat(masks, starts, axis=1) if starts else np.zeros((rows, 0), dtype=int)
+    # Per block: the qubits of each row's kept gates, their union, whether all
+    # rows have the same, and the rows whose kept CNOTs are not the first row's
+    # (all of them, as the block's shared gather applies them).
+    kept = np.where(keep, masks, 0)
+    used = np.bitwise_or.reduceat(kept, starts, axis=1) if starts else np.zeros((rows, 0), dtype=int)
     union, alike = np.bitwise_or.reduce(used, axis=0).tolist(), (used == used[0]).all(axis=0).tolist()
     apart = [()] * len(starts)
-    if rows > 1 or keep is not None:
-        other = (gates["qubit"] != gates["qubit"][0]) | (gates["target"] != gates["target"][0])
-        if keep is not None:
-            other |= ~keep
-        other &= ~rotation  # only CNOT blocks read `apart`
-        for j, column in zip(*np.nonzero(np.logical_or.reduceat(other, starts, axis=1).T)) if starts else ():
-            apart[j] += (column,)
+    other = ((kept != masks[0]) | (gates["qubit"] != gates["qubit"][0])) & ~rotation  # only CNOT blocks read it
+    for j, column in zip(*np.nonzero(np.logical_or.reduceat(other, starts, axis=1).T)) if starts else ():
+        apart[j] += (column,)
     # Factors of up to _FACTOR_BATCH blocks of one row, or of one block of each row, per build.
     per_build = max(1, _FACTOR_BATCH // rows)
     if losses is not None:
@@ -407,13 +401,10 @@ def _shared_run(amps: np.ndarray, n: int, gates: np.ndarray, rotation: np.ndarra
             amps.take(_cnot_permutation(n, pairs), axis=1, out=buf, mode="clip")  # in range; "raise" stages a copy
             for b in apart[j]:
                 row_pairs = zip(gates["qubit"][b, start:stop].tolist(), gates["target"][b, start:stop].tolist())
-                own = tuple(pair for k, pair in enumerate(row_pairs, start) if keep is None or keep[b, k])
+                own = tuple(pair for k, pair in enumerate(row_pairs, start) if keep[b, k])
                 if losses is not None:
                     gaps[-1][b] = _cnot_gaps(amps[b:b + 1], n, own)[0]
-                if own:
-                    amps[b].take(_cnot_permutation(n, own), out=buf[b], mode="clip")
-                else:
-                    buf[b] = amps[b]
+                amps[b].take(_cnot_permutation(n, own), out=buf[b], mode="clip")  # no pair: the identity, a copy
             amps, buf = buf, amps
             continue
         if ordinal % per_build == 0:
@@ -459,9 +450,10 @@ def _shared_run(amps: np.ndarray, n: int, gates: np.ndarray, rotation: np.ndarra
 
 
 def _runs(n: int, gates: np.ndarray, losses: np.ndarray | None = None, keep: np.ndarray | None = None) -> np.ndarray:
-    """The final states, one row each, of the circuits on n qubits whose
-    encodings are the rows of `gates`, applied to the all-zeros state (see `_evolve`)."""
-    return _evolve(_zero_amplitudes(n, len(gates)), n, gates, losses, keep)
+    """The final states, one row each, of the circuits on n qubits whose encodings are
+    the rows of `gates`, applied to the all-zeros state; `keep` None keeps every gate (see `_evolve`)."""
+    keep = np.ones(gates.shape, dtype=bool) if keep is None else keep
+    return _evolve(_zero_amplitudes(n, len(gates)), n, gates, keep, losses)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -473,7 +465,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         raise InvalidParameterError(f"apply_gate needs writeable complex128 amplitudes, got a {shown} "
                                     f"array of dtype {amplitudes.dtype}")
     gates = Circuit(state.n_qubits, (gate,)).encoding  # checks the gate against the state
-    amplitudes[...] = _evolve(amplitudes[None].copy(), state.n_qubits, gates[None])[0]
+    amplitudes[...] = _evolve(amplitudes[None].copy(), state.n_qubits, gates[None], np.ones((1, 1), dtype=bool))[0]
     return state
 
 

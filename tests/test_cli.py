@@ -364,6 +364,49 @@ def test_outputs_that_name_one_file_exit_2_and_write_nothing(tmp_path, capsys, m
     assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["generate", "--out", "."], "--out", "."),
+    (["generate", "--out", ""], "--out", ""),
+    (["generate", "--out", "/"], "--out", "/"),
+    (["generate", "--out", "sub/"], "--out", "sub/"),
+    (["generate", "--out", "g.json", "--qasm", "."], "--qasm", "."),
+    (["generate", "--out", "g.json", "--qasm", "d"], "--qasm", "d"),
+    (["sweep", "--out-csv", "."], "--out-csv", "."),
+    (["sweep", "--out-csv", "d"], "--out-csv", "d"),
+    (["sweep", "--out-csv", "d/"], "--out-csv", "d/"),
+    (["prune", "--out", "."], "--out", "."),
+    (["prune", "--out", ".."], "--out", ".."),
+    (["prune", "--importance-csv", "sub/"], "--importance-csv", "sub/"),
+    (["prune", "--dump-state-csv", "d/."], "--dump-state-csv", "d/."),
+])
+def test_an_output_path_that_names_a_directory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                                          argv, flag, value):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("generate", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--seed", 1, "--out", "c.json") == 0
+    (tmp_path / "d").mkdir()
+    capsys.readouterr()
+    before = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+    for compute in ("generate_uniform", "importance_profile", "kappa_sweep"):
+        monkeypatch.setattr(cli, compute, no_compute)
+    flags = {"generate": ["--n", 6, "--alpha", 1.0, "--rho", 0.3, "--seed", 1],
+             "prune": ["--in", "c.json", "--kappa", 0.2],
+             "sweep": ["--n", 6, "--alpha", 1.0, "--rho", 0.2, "--threads", 1]}[argv[0]]
+    assert run_cli(*argv, *flags) == 2
+    assert capsys.readouterr().err == f"error: {flag} must name a file, not a directory, got {value!r}\n"
+    assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == before
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_an_empty_optional_output_path_is_not_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("generate", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--seed", 1, "--out", "c.json") == 0
+    before = set(tmp_path.iterdir())
+    assert run_cli("prune", "--in", "c.json", "--kappa", 0.2, "--out", "", "--importance-csv", "",
+                   "--dump-state-csv", "") == 0
+    assert set(tmp_path.iterdir()) - before == {tmp_path / "c.json.prune.manifest.json"}
+    assert json.loads((tmp_path / "c.json.prune.manifest.json").read_text())["outputs"] == []
+
+
 def test_sweep_outputs_and_selected_kappa(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code = run_cli("sweep", "--n", 6, "--alpha", 1.0, "--rho", 0.2, "--base-seed", 0,
@@ -606,7 +649,9 @@ SEED_BEYOND = "puts the run's last seed at {}, beyond the unsigned 64-bit range"
      "threads must be a positive integer or None, got 0"),
     (["sweep", "--probes", 2, "--threads", -3, "--out-csv", "{new}/s.csv"],
      "threads must be a positive integer or None, got -3"),
-], ids=["ensemble seed", "sweep seed", "probes", "count", "ensemble threads", "sweep threads"])
+    (["sweep", "--kappa-start", 0.3, "--kappa-stop", 0.3, "--kappa-step", "inf", "--out-csv", "{new}/s.csv"],
+     "kappa_step must be positive and finite, got inf"),
+], ids=["ensemble seed", "sweep seed", "probes", "count", "ensemble threads", "sweep threads", "infinite step"])
 def test_a_bad_run_input_exits_2_before_any_work_or_directory(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.setattr(protocol, "generate_uniform", no_compute)
     new = tmp_path / "new"

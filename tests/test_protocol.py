@@ -5,6 +5,7 @@ import os
 import random
 import re
 
+import numpy as np
 import pytest
 
 from qbrittle import protocol
@@ -284,6 +285,20 @@ def test_sweep_grid_size_is_the_validated_size(monkeypatch):
 def test_sweep_step_too_small_to_count_is_rejected():
     with pytest.raises(InvalidParameterError, match="at most 1000"):
         SweepConfig(n=10, alpha=2.3, rho=0.28, kappa_step=1e-320)  # (stop - start) / step overflows
+
+
+@pytest.mark.parametrize("stop", [0.3, 0.4])
+def test_an_infinite_kappa_step_is_rejected(stop):
+    # On a one-point grid, kappa_start + 0 * inf would be a NaN kappa.
+    with pytest.raises(InvalidParameterError, match=r"^kappa_step must be positive and finite, got inf$"):
+        SweepConfig(6, 1.0, 0.2, kappa_start=0.3, kappa_stop=stop, kappa_step=float("inf"))
+
+
+def test_a_numpy_integer_worker_count_is_a_worker_count(small_report):
+    assert run_ensemble(SMALL, threads=np.int64(1)) == small_report
+    for bad in (True, np.int64(0)):
+        with pytest.raises(InvalidParameterError, match="threads must be a positive integer or None"):
+            run_ensemble(SMALL, threads=bad)
 
 
 @pytest.mark.parametrize("make", [
