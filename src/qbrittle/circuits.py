@@ -16,6 +16,11 @@ none of them makes a gate object. `Circuit(n, gates)` and `from_json` check
 and encode gate objects. The encoding is a circuit's only state: on the first
 read, `circuit.gates` builds `Rotation` and `Cnot` objects of Python numbers
 from it for `to_json`, `export_qasm` and the importance CSV.
+
+The generator's raw words come from `_pcg64_words`, numpy's PCG64 and
+SeedSequence in Python ints and uint64 arrays, so generating does not import
+numpy.random (nor, through it, OpenSSL); only the rare Lemire-rejection
+fallback, `_generator_draws`, loads it.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, make_dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import ClassVar, Iterable, Sized, Union
 
 import numpy as np
@@ -292,13 +297,98 @@ def _bulk_draws(words: np.ndarray, count: int, bound: int, doubles: int) -> tupl
     return products >> 32, ((rows[:, 1:] >> 11) * 2.0**-53).reshape(-1, doubles)[:count]
 
 
-def _generator_draws(rng: np.random.Generator, count: int, bound: int, doubles: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_bulk_draws` by the Generator's own calls: per round integers(bound), then `doubles` random()."""
-    values, units = np.empty(count, dtype=np.int64), np.empty((count, doubles))
-    for i in range(count):
-        values[i] = rng.integers(bound)
-        units[i] = [rng.random() for _ in range(doubles)]
-    return values, units
+def _generator_draws(seed: int, *calls: tuple[int, int, int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`_bulk_draws` for each (count, bound, doubles) in turn, by numpy's own
+    Generator on a fresh PCG64(seed): per round integers(bound), then `doubles`
+    random(). The only use of numpy.random, which loads on this first read."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = []
+    for count, bound, doubles in calls:
+        values, units = np.empty(count, dtype=np.int64), np.empty((count, doubles))
+        for i in range(count):
+            values[i] = rng.integers(bound)
+            units[i] = [rng.random() for _ in range(doubles)]
+        draws.append((values, units))
+    return draws
+
+
+# numpy's SeedSequence mixing constants (its hashmix and mix) and PCG64's multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_CHUNK = 4096  # words per jump-ahead pass
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """PCG64(seed)'s first (state, inc) for a seed in [0, 2**64): numpy's
+    SeedSequence(seed).generate_state(4, uint64) in Python ints, then set_seed."""
+    hash_const = _INIT_A
+
+    def hashmix(value: int, mult: int = _MULT_A) -> int:  # numpy's hashmix: advances the hash constant
+        nonlocal hash_const
+        value = (value ^ hash_const) * (hash_const := hash_const * mult & _M32) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(seed >> 32 * i & _M32) for i in range(4)]  # the entropy's words, least significant first
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:  # numpy's mix
+                value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])) & _M32
+                pool[dst] = value ^ value >> 16
+    hash_const = _INIT_B
+    state = [hashmix(value, _MULT_B) for value in pool * 2]  # generate_state's 32-bit words
+    w0, w1, w2, w3 = (low | high << 32 for low, high in zip(state[::2], state[1::2]))
+    inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+    return ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128, inc
+
+
+@cache
+def _pcg64_jumps() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """G_k = sum of M**j over j < k, for k = 1 .. _CHUNK, as high and low uint64
+    halves and the low half's 32-bit halves, and G_CHUNK as an int. Cached:
+    shared by every caller."""
+    g = 0
+    sums = [g := (g * _PCG64_MULT + 1) & _M128 for _ in range(_CHUNK)]
+    high = np.array([g >> 64 for g in sums], dtype=np.uint64)
+    low = np.array([g & _M64 for g in sums], dtype=np.uint64)
+    arrays = high, low, low & _M32, low >> 32
+    for array in arrays:
+        array.flags.writeable = False
+    return *arrays, g
+
+
+def _pcg64_words(seed: int, count: int) -> np.ndarray:
+    """numpy's PCG64(seed).random_raw(count), bit for bit, without numpy.random.
+
+    PCG64 steps its 128-bit state s -> M * s + inc, then outputs the new
+    state's halves XORed and rotated right by its top 6 bits. k steps from s
+    give s + G_k * c with c = (M - 1) * s + inc, so a pass takes up to _CHUNK
+    words at once as 128-bit products mod 2**128 on uint64 arrays, through
+    32-bit halves; the next pass starts from its last state. Scalars stay
+    Python ints, since numpy's scalar products warn on overflow.
+    """
+    state, inc = _pcg64_seed(seed)
+    g_high, g_low, g_low0, g_low1, stride = _pcg64_jumps()
+    words = np.empty(count, dtype=np.uint64)
+    for start in range(0, count, _CHUNK):
+        k = min(count - start, _CHUNK)
+        c = ((_PCG64_MULT - 1) * state + inc) & _M128
+        c_high, c_low = c >> 64, c & _M64
+        c0, c1 = c_low & _M32, c_low >> 32
+        a0, a1 = g_low0[:k], g_low1[:k]
+        p00, p01, p10 = a0 * c0, a0 * c1, a1 * c0
+        middle = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+        low = (p00 & _M32) | (middle << 32)
+        high = (a1 * c1 + (p01 >> 32) + (p10 >> 32) + (middle >> 32) + g_high[:k] * c_low + g_low[:k] * c_high
+                + (state >> 64))
+        low += state & _M64
+        high += low < (state & _M64)  # the carry
+        mixed = high ^ low
+        rotation = high >> 58
+        words[start:start + k] = (mixed >> rotation) | (mixed << ((64 - rotation) & 63))
+        state = (state + stride * c) & _M128
+    return words
 
 
 def generate_uniform(params: GenerationParams) -> Circuit:
@@ -312,7 +402,8 @@ def generate_uniform(params: GenerationParams) -> Circuit:
     angle, then per appended gate as integers(n) for the qubit and
     uniform(low, high) for the angle, so a seed pins the circuit bit-exactly.
 
-    All words are taken in one `random_raw` call and decoded by `_bulk_draws`
+    All words are taken in one `_pcg64_words` call, numpy's `random_raw` on
+    PCG64(seed) without importing numpy.random, and decoded by `_bulk_draws`
     in a fixed layout. Layered gates read five words per pair: both axis
     draws (low 32 bits, then high), then each gate's branch and angle words.
     n is even, so the layered gates come in whole pairs and the appended
@@ -320,7 +411,8 @@ def generate_uniform(params: GenerationParams) -> Circuit:
     draws, then each gate's angle word; an odd last gate reads a whole pair's
     three. If Lemire's method rejects a draw (for bound 3 only x = 0, about
     2**-32 per draw), every later draw shifts: the circuit is then made by the
-    Generator's own calls on a fresh PCG64(seed) instead.
+    Generator's own calls on a fresh PCG64(seed) instead, in `_generator_draws`,
+    the only code that imports numpy.random.
 
     The draws fill the encoding directly, a row of n rotations and n/2 CNOTs
     per layer: even layers pair (2k, 2k+1), odd ones (2k+1, 2k+2 mod n).
@@ -330,11 +422,10 @@ def generate_uniform(params: GenerationParams) -> Circuit:
     layers = layer_count(n, params.alpha)
     appended = appended_count(n, params.rho)
     split = layers * n // 2 * 5
-    words = np.random.PCG64(params.seed).random_raw(split + (appended + 1) // 2 * 3)
+    words = _pcg64_words(params.seed, split + (appended + 1) // 2 * 3)
     layered, tail = _bulk_draws(words[:split], layers * n, 3, 2), _bulk_draws(words[split:], appended, n, 1)
     if layered is None or tail is None:
-        rng = np.random.Generator(np.random.PCG64(params.seed))
-        layered, tail = _generator_draws(rng, layers * n, 3, 2), _generator_draws(rng, appended, n, 1)
+        layered, tail = _generator_draws(params.seed, (layers * n, 3, 2), (appended, n, 1))
     (axes, units), (qubits, tail_units) = layered, tail
     ranges = np.where(units[:, :1] < params.rho, SMALL_ANGLE_RANGE, LARGE_ANGLE_RANGE)  # (low, high) per gate
     thetas = ranges[:, 0] + (ranges[:, 1] - ranges[:, 0]) * units[:, 1]  # Generator.uniform, to the bit

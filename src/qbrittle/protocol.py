@@ -322,9 +322,12 @@ class SweepConfig:
         if not 2 <= self.probe_count <= SWEEP_SEED_STRIDE:  # more would share seeds with the next grid point
             raise InvalidParameterError(
                 f"probe_count must lie in [2, {SWEEP_SEED_STRIDE}], got {_shown(self.probe_count)}")
-        if not 0.0 < self.kappa_start <= self.kappa_stop < 1.0:
+        if not (0.0 < self.kappa_start < 1.0 and 0.0 < self.kappa_stop < 1.0):
             raise InvalidParameterError(
                 f"kappa grid [{_shown(self.kappa_start)}, {_shown(self.kappa_stop)}] must lie inside (0, 1)")
+        if self.kappa_start > self.kappa_stop:
+            raise InvalidParameterError(f"kappa_start must not exceed kappa_stop, "
+                                        f"got {_shown(self.kappa_start)} > {_shown(self.kappa_stop)}")
         if not 0 < self.kappa_step < math.inf:  # also rejects NaN, which has no point count
             raise InvalidParameterError(f"kappa_step must be positive and finite, got {_shown(self.kappa_step)}")
         points = _grid_size(self)

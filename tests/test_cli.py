@@ -651,7 +651,12 @@ SEED_BEYOND = "puts the run's last seed at {}, beyond the unsigned 64-bit range"
      "threads must be a positive integer or None, got -3"),
     (["sweep", "--kappa-start", 0.3, "--kappa-stop", 0.3, "--kappa-step", "inf", "--out-csv", "{new}/s.csv"],
      "kappa_step must be positive and finite, got inf"),
-], ids=["ensemble seed", "sweep seed", "probes", "count", "ensemble threads", "sweep threads", "infinite step"])
+    (["sweep", "--kappa-start", 0.3, "--kappa-stop", 0.2, "--out-csv", "{new}/s.csv"],
+     "kappa_start must not exceed kappa_stop, got 0.3 > 0.2"),
+    (["sweep", "--kappa-start", 0.3, "--kappa-stop", 1.2, "--out-csv", "{new}/s.csv"],
+     "kappa grid [0.3, 1.2] must lie inside (0, 1)"),
+], ids=["ensemble seed", "sweep seed", "probes", "count", "ensemble threads", "sweep threads", "infinite step",
+        "reversed grid", "grid outside (0, 1)"])
 def test_a_bad_run_input_exits_2_before_any_work_or_directory(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.setattr(protocol, "generate_uniform", no_compute)
     new = tmp_path / "new"

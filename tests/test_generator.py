@@ -5,19 +5,25 @@ per pair of layered gates (both axis draws in the halves of the first word,
 then each gate's branch and angle words) and three per pair of appended gates
 (both qubit draws, then each angle word). If Lemire's method rejects one of
 the 32-bit draws, the circuit comes from the Generator's own calls instead.
-`helpers.reference_generate` makes one Generator call per draw. The hash below
-was taken from the per-draw generator, so it pins the bytes every seed gave
-before the bulk decode; it is checked with the Generator made unavailable, so
-the bulk decode is what gives them.
+The words come from `circuits._pcg64_words`, which is checked against numpy's
+PCG64 stream; the tests inject words there and in numpy's PCG64 for the
+fallback. `helpers.reference_generate` makes one Generator call per draw. The
+hash below was taken from the per-draw generator, so it pins the bytes every
+seed gave before the bulk decode; it is checked with the Generator made
+unavailable, so the bulk decode is what gives them.
 """
 import hashlib
 import math
+import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import reference_generate
-from qbrittle import cli
+from qbrittle import circuits, cli
 from qbrittle.circuits import (
     MAX_GATES,
     Circuit,
@@ -74,6 +80,52 @@ def pcg64_with_word(index: int, word: int, seed: int = 0) -> np.random.PCG64:
     return bit_generator
 
 
+ORACLE_SEEDS = (0, 1, 2, 2**32 - 1, 2**32, 2**63, 2**64 - 1) + tuple(random.Random(32).randrange(2**64)
+                                                                    for _ in range(300))
+
+
+@pytest.mark.parametrize("counts, seeds", [((0, 1, 7, 600, 4096), ORACLE_SEEDS),
+                                           ((4095, 4096, 4097, 8192, 10000), ORACLE_SEEDS[:43])],
+                         ids=["short", "across chunks"])
+def test_pcg64_words_are_numpys_stream(counts, seeds):
+    for seed in seeds:
+        for count in counts:
+            words = circuits._pcg64_words(seed, count)
+            expected = PCG64(seed).random_raw(count)
+            assert words.dtype == expected.dtype and words.shape == expected.shape, (seed, count)
+            assert np.array_equal(words, expected), (seed, count)
+
+
+IMPORT_PIN = """
+import sys
+from qbrittle import protocol
+from qbrittle.circuits import GenerationParams, generate_uniform
+from qbrittle.pruning import causal_prune, importance_profile
+circuit = generate_uniform(GenerationParams(10, 2.3, 0.28, 5))
+causal_prune(circuit, 0.2, importance_profile(circuit))
+config = protocol.EnsembleConfig(n=10, alpha=2.3, rho=0.28, kappa=0.2, circuit_count=3)
+protocol.run_ensemble(config, threads=1)
+protocol._build_records(config, range(3))
+print(sorted({"numpy.random", "_hashlib"} & set(sys.modules)))
+"""
+
+
+def test_generation_and_pruning_load_neither_numpy_random_nor_openssl():
+    # A fresh interpreter, since this one has numpy.random loaded, on the qbrittle this one imports.
+    src = os.path.dirname(os.path.dirname(circuits.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", IMPORT_PIN], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def inject_word(monkeypatch, index: int, word: int) -> None:
+    """Make word number `index` of every seed's stream `word`, both in the bulk
+    draw and in the Generator fallback."""
+    monkeypatch.setattr(circuits, "_pcg64_words",
+                        lambda seed, count: pcg64_with_word(index, word, seed).random_raw(count))
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: pcg64_with_word(index, word, seed))
+
+
 def test_pcg64_with_word_sets_the_word():
     assert int(pcg64_with_word(7, 0xDEADBEEF00000000).random_raw(8)[7]) == 0xDEADBEEF00000000
 
@@ -94,7 +146,7 @@ REJECTIONS = {
 
 @pytest.mark.parametrize("params, index, word", REJECTIONS.values(), ids=REJECTIONS.keys())
 def test_rejected_draw_gives_the_generator_circuit(params, index, word, monkeypatch):
-    monkeypatch.setattr(np.random, "PCG64", lambda seed: pcg64_with_word(index, word, seed))
+    inject_word(monkeypatch, index, word)
     expected = reference_generate(params, np.random.Generator(pcg64_with_word(index, word, params.seed)))
     assert generate_uniform(params) == expected
 
@@ -103,7 +155,7 @@ def test_unread_half_of_an_odd_last_qubit_word_is_not_tested(monkeypatch):
     # Word 93 holds the third appended qubit draw in its low half; the Generator
     # never draws its high half, so a zero there, which bound 6 would reject, is no rejection.
     params, index, word = GenerationParams(6, 1.0, 0.5, 7), 93, 0x00000000DEADBEEF
-    monkeypatch.setattr(np.random, "PCG64", lambda seed: pcg64_with_word(index, word, seed))
+    inject_word(monkeypatch, index, word)
     expected = reference_generate(params, np.random.Generator(pcg64_with_word(index, word, params.seed)))
     monkeypatch.setattr(np.random, "Generator", _no_generator)
     assert generate_uniform(params) == expected
@@ -115,7 +167,8 @@ def test_gate_cap_admits_max_gates():
 
 @pytest.mark.parametrize("alpha", [math.inf, 1e300, 41666.75])
 def test_gate_count_is_capped_before_any_draw(alpha, monkeypatch):
-    monkeypatch.setattr(np.random, "PCG64", None)  # a draw would fail with a TypeError
+    monkeypatch.setattr(circuits, "_pcg64_words", None)  # a draw would fail with a TypeError
+    monkeypatch.setattr(np.random, "PCG64", None)
     params = GenerationParams(4, alpha, 0.25, 0)  # 41666.75 with rho 0.25: MAX_GATES + 1
     with pytest.raises(InvalidParameterError, match=f"more than {MAX_GATES}"):
         expected_gate_count(params.n, params.alpha, params.rho)

@@ -294,6 +294,18 @@ def test_an_infinite_kappa_step_is_rejected(stop):
         SweepConfig(6, 1.0, 0.2, kappa_start=0.3, kappa_stop=stop, kappa_step=float("inf"))
 
 
+@pytest.mark.parametrize("start, stop, message", [
+    (0.3, 0.2, r"kappa_start must not exceed kappa_stop, got 0.3 > 0.2"),
+    (0.0, 0.2, r"kappa grid \[0.0, 0.2\] must lie inside \(0, 1\)"),
+    (0.3, 1.0, r"kappa grid \[0.3, 1.0\] must lie inside \(0, 1\)"),
+    (1.5, 0.2, r"kappa grid \[1.5, 0.2\] must lie inside \(0, 1\)"),
+    (float("nan"), 0.2, r"kappa grid \[nan, 0.2\] must lie inside \(0, 1\)"),
+])
+def test_a_bad_kappa_grid_is_named_for_what_is_wrong(start, stop, message):
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        SweepConfig(6, 1.0, 0.2, kappa_start=start, kappa_stop=stop)
+
+
 def test_a_numpy_integer_worker_count_is_a_worker_count(small_report):
     assert run_ensemble(SMALL, threads=np.int64(1)) == small_report
     for bad in (True, np.int64(0)):
