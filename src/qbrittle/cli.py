@@ -4,6 +4,10 @@ All commands are deterministic given their flags; every invocation writes a
 run manifest next to its outputs so each artifact cites the configuration
 that produced it. Exit codes: 0 success, 2 invalid arguments or input,
 3 no transition found, 4 resource cap exceeded, 1 internal error.
+
+The command runs numpy's OpenBLAS on one thread in its own process unless
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set, since its
+matmuls are too small to gain from a second thread, which only burns CPU.
 """
 from __future__ import annotations
 
@@ -16,6 +20,13 @@ from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+
+# OpenBLAS reads its thread count once, when numpy loads, so the command's
+# default is set before the first numpy import, and only where numpy is not
+# loaded yet (a test or a library caller keeps its BLAS) and no variable is set.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

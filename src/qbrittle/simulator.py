@@ -9,8 +9,8 @@ one block per rotation layer and one per CNOT layer. The gates come as the
 circuit's encoding (see `circuits`), so the split loops over ints. A CNOT
 block is one gather through a basis permutation cached per (n, pairs). A
 rotation block is the tensor product of its 2x2 gates, applied as one small
-matmul per chunk of at most 5 adjacent qubits (a Kronecker factor of at most
-32 rows); a chunk without a gate is skipped.
+matmul per chunk of at most 4 adjacent qubits (a Kronecker factor of at most
+16 rows); a chunk without a gate is skipped.
 
 Batches: `_evolve` runs the rows of a stack of encodings, one circuit per
 row, on a stack of states. Rows that split into the same blocks (the same
@@ -22,8 +22,14 @@ split the tail alike run it together. Each matmul of a batch is the matmul a
 row would make alone, so every row gets the bits of its own run; a row that
 a chunk's gates miss copies its amplitudes past the chunk, as its own run
 skips it. `run` is the batch of one. A batch holds at most
-_BATCH_AMPLITUDES amplitudes (`_batch_limit`): larger ones were measured no
-faster per circuit at 12 qubits and slower at 14, and they cost memory.
+_BATCH_AMPLITUDES amplitudes (`_batch_limit`): 16 circuits of 10 qubits, 4 of
+12, 2 of 13 and one from 14 up. Against 5-qubit chunks in batches of 2^13
+amplitudes, one BLAS thread, this took 360 10-qubit circuits' batched
+profiles and prunes from 0.826 to 0.713 s of CPU and 100 from 0.259 to
+0.208 s, and left 12 and 14 qubits as they were (0.115 and 0.116 s, 0.250
+and 0.247 s); a 16-qubit run of 4 circuits took 1.255 s with one BLAS thread
+and 1.335 s with two. Batches of 2^15 were faster in process but raised the
+command's peak memory, and 3-qubit chunks were slower at 10 qubits.
 A `keep` mask marks the gates that act, all of them in an intact run. A
 batch runs circuits with gates removed on the intact circuit's blocks: a
 removed rotation leaves its qubit's identity slot, a removed CNOT its
@@ -78,8 +84,9 @@ __all__ = ["StateVector", "zero_state", "apply_gate", "run", "fidelity", "qubit_
 # raises the cap (2^24 complex doubles is already 256 MiB).
 DEFAULT_MAX_QUBITS = 24
 
-# A chunk factor acts on at most this many adjacent qubits (2^5 rows).
-_CHUNK_QUBITS = 5
+# A chunk factor acts on at most this many adjacent qubits (2^4 rows): 10
+# qubits take chunks of 4, 4 and 2; 6, 8, 12 and 16 qubits split as with 5.
+_CHUNK_QUBITS = 4
 # Chunk factors built together: those of this many rotation blocks of one
 # circuit, or of one block of each circuit of a larger batch.
 _FACTOR_BATCH = 8
@@ -88,8 +95,8 @@ _FACTOR_BATCH = 8
 # gather measured as fast at 14 qubits and half as fast at 16 and 20).
 _GATHER_QUBITS = 12
 # Circuits simulated as one batch hold at most this many amplitudes together:
-# 8 circuits of 10 qubits, 2 of 12, and one from 13 up (see the module docstring).
-_BATCH_AMPLITUDES = 1 << 13
+# 16 circuits of 10 qubits, 4 of 12, 2 of 13 and one from 14 up (see the module docstring).
+_BATCH_AMPLITUDES = 1 << 14
 # Scratch arrays of up to this many amplitudes, a batch's CNOT gathers
 # included, are kept per thread across runs (see `_kept`).
 _KEPT_AMPLITUDES = 4 * _BATCH_AMPLITUDES

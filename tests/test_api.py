@@ -1,16 +1,23 @@
-"""The public API: the package re-exports every submodule's `__all__`, the
-README's import block uses only exported names and its command lines parse,
-and the functions the benchmark tracer wraps still exist."""
+"""The public API: the package re-exports every submodule's `__all__`, and
+resolves it on first use, so that importing it loads no numpy; the `qbrittle`
+command's own process defaults numpy's OpenBLAS to one thread, and nothing
+else sets a thread variable; the README's import block uses only exported
+names and its command lines parse, and the functions the benchmark tracer
+wraps still exist."""
 import ast
 import collections
 import functools
 import importlib
+import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qbrittle
 from qbrittle import cli
@@ -31,6 +38,96 @@ def test_package_exports_every_submodule_name_as_the_same_object():
 def test_package_all_has_no_duplicates():
     assert len(qbrittle.__all__) == len(set(qbrittle.__all__))
     assert "__version__" in qbrittle.__all__
+
+
+# Today's public names in today's order; `import qbrittle` must give them without loading numpy.
+EXPORTS = ["__version__"] + [name for module in SUBMODULES
+                             for name in importlib.import_module(f"qbrittle.{module}").__all__]
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh(code: str, **preset: str):
+    """What `code` prints as JSON in a fresh interpreter on the qbrittle this
+    one imports, with no BLAS thread variable set other than `preset`."""
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_VARIABLES}
+    src = os.path.dirname(os.path.dirname(qbrittle.__file__))
+    env.update(preset, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+LAZY = """
+import json, sys
+import qbrittle
+loaded = "numpy" in sys.modules
+star = {}
+exec("from qbrittle import *", star)
+try:
+    qbrittle.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps([loaded, qbrittle.__all__, [name for name in star if name != "__builtins__"], dir(qbrittle), unknown]))
+"""
+
+
+def test_import_loads_no_numpy_and_resolves_todays_names_on_use():
+    loaded, exported, star, listed, unknown = fresh(LAZY)
+    assert not loaded
+    assert exported == star == EXPORTS == qbrittle.__all__
+    assert listed == sorted(listed) and set(EXPORTS) | set(SUBMODULES) <= set(listed)
+    assert unknown == "AttributeError"
+
+
+# Prints the BLAS thread variables, in BLAS_VARIABLES' order, as a JSON list.
+VARIABLES = f"import json, os; print(json.dumps([os.environ.get(name) for name in {BLAS_VARIABLES}]))"
+UNSET = [None, None, None]
+
+
+def test_importing_the_library_sets_no_blas_variable():
+    imports = ["import qbrittle", "from qbrittle import *", *(f"import qbrittle.{name}" for name in SUBMODULES),
+               "import qbrittle.codec"]
+    assert fresh("\n".join([*imports, VARIABLES])) == UNSET
+
+
+# Sets `threads` to the thread count numpy's OpenBLAS reports where protocol finds it, None elsewhere.
+BLAS_THREADS = """
+import ctypes
+from qbrittle import protocol
+threads = None
+if (library := protocol._blas_library()) is not None:
+    get_threads = ctypes.CDLL(library).scipy_openblas_get_num_threads64_
+    get_threads.restype = ctypes.c_int
+    threads = get_threads()
+"""
+
+
+@pytest.mark.parametrize("first", ["import qbrittle.cli", "from qbrittle import cli", "from qbrittle.cli import entry"])
+def test_the_command_starts_numpy_on_one_blas_thread(first):
+    assert fresh(f"{first}\n{VARIABLES}") == ["1", None, None]
+    assert fresh(f"import json, sys\n{first}\n{BLAS_THREADS}\nprint(json.dumps(threads))") in (1, None)
+
+
+def test_numpy_loaded_first_keeps_its_blas_and_environment():
+    assert fresh(f"import numpy\nimport qbrittle.cli\n{VARIABLES}") == UNSET
+
+
+@pytest.mark.parametrize("variable", BLAS_VARIABLES)
+def test_a_thread_variable_the_user_set_is_kept(variable):
+    expected = [("2" if name == variable else None) for name in BLAS_VARIABLES]
+    assert fresh(f"import qbrittle.cli\n{VARIABLES}", **{variable: "2"}) == expected
+
+
+def test_version_loads_numpy():
+    # perfbench's setup_s times `qbrittle --version`; it must keep timing numpy's import.
+    code = """
+import contextlib, io, json, sys
+from qbrittle.cli import main
+with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):
+    main(["--version"])
+print(json.dumps("numpy" in sys.modules))
+"""
+    assert fresh(code) is True
 
 
 def test_readme_imports_only_exported_names():

@@ -20,9 +20,10 @@ from qbrittle.simulator import fidelity, run
 # Seeds 3 and 46 of the 10-qubit family have compressed circuits at kappa 0.3
 # and 0.2 that group their gates otherwise than the intact circuit: without
 # the simulator's regrouping guard their masked runs lose the compressed bits.
+# The 16 10-qubit circuits fill one batch (`simulator._batch_limit(10)`).
 FAMILIES = [
     ((6, 1.5, 0.3), range(12)),
-    ((10, 2.3, 0.28), [*range(8), 40, 41, 44, 46]),
+    ((10, 2.3, 0.28), [*range(12), 40, 41, 44, 46]),
     ((12, 2.5, 0.25), range(4)),
 ]
 KAPPAS = (0.1, 0.2, 0.3)
