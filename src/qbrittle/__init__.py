@@ -23,9 +23,9 @@ def __getattr__(name: str):
     if name == "__all__":
         value = ["__version__"] + [export for module in _SUBMODULES for export in __getattr__(module).__all__]
     else:
-        # A dunder or an internal module is looked up without loading the
-        # submodules, so that `from qbrittle import cli` runs cli before numpy.
-        internal = name.startswith("__") or name in ("cli", "codec")
+        # An internal module is looked up without loading the submodules, so
+        # that `from qbrittle import cli` runs cli before numpy loads.
+        internal = name in ("cli", "codec")
         owner = None if internal else next((m for m in _SUBMODULES if name in __getattr__(m).__all__), None)
         if owner is None:
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

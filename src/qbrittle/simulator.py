@@ -24,12 +24,14 @@ a chunk's gates miss copies its amplitudes past the chunk, as its own run
 skips it. `run` is the batch of one. A batch holds at most
 _BATCH_AMPLITUDES amplitudes (`_batch_limit`): 16 circuits of 10 qubits, 4 of
 12, 2 of 13 and one from 14 up. Against 5-qubit chunks in batches of 2^13
-amplitudes, one BLAS thread, this took 360 10-qubit circuits' batched
-profiles and prunes from 0.826 to 0.713 s of CPU and 100 from 0.259 to
-0.208 s, and left 12 and 14 qubits as they were (0.115 and 0.116 s, 0.250
-and 0.247 s); a 16-qubit run of 4 circuits took 1.255 s with one BLAS thread
-and 1.335 s with two. Batches of 2^15 were faster in process but raised the
-command's peak memory, and 3-qubit chunks were slower at 10 qubits.
+amplitudes (CPU seconds in process, one BLAS thread, medians of 6 alternating
+runs on a 2-core host), the batched profiles and prunes of 360 10-qubit
+circuits went 0.826 -> 0.708 s and of 100 went 0.224 -> 0.171 s, 16 of 12
+qubits 0.120 -> 0.115 s and 4 of 14 qubits 0.162 -> 0.156 s. At 16 qubits
+(one circuit per batch, the layout unchanged) a second BLAS thread gained
+about 2% of wall time for twice the CPU. Batches of 2^15 amplitudes timed
+the same 360 circuits alike (0.662 against 0.672 s) but raised the pooled
+commands' peak memory by 2-4 MiB; 3-qubit chunks took 0.819 s.
 A `keep` mask marks the gates that act, all of them in an intact run. A
 batch runs circuits with gates removed on the intact circuit's blocks: a
 removed rotation leaves its qubit's identity slot, a removed CNOT its
