@@ -247,7 +247,9 @@ def cmd_ensemble(args) -> int:
     config = _config_from_args(EnsembleConfig, args)
     _check_cap(config.n)
     out_dir = Path(args.out_dir)
-    _claim({"the run manifest": out_dir / "manifest.json"})
+    names = ["report.json", "records.csv", "fidelity_hist.csv", "correlation_hist.csv"]
+    names += ["fidelity_hist.svg", "correlation_hist.svg"] if args.svg else []
+    _claim({**{f"--out-dir's {name}": out_dir / name for name in names}, "the run manifest": out_dir / "manifest.json"})
     report = run_ensemble(config, threads=args.threads)
 
     outputs = {

@@ -14,7 +14,6 @@ import ctypes
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -236,6 +235,8 @@ def _parallel_map(fn: Callable, batch_fn: Callable, items: Sequence, threads: in
     workers = min(threads or math.inf, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # here: the pool stack loads only when a pool starts
+
     batches = [items[b.start:b.stop] for b in _batches(len(items), workers, size)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread, initargs=(_blas_library(),)) as pool:
         return [result for batch in pool.map(batch_fn, batches) for result in batch]

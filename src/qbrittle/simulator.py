@@ -23,15 +23,9 @@ row would make alone, so every row gets the bits of its own run; a row that
 a chunk's gates miss copies its amplitudes past the chunk, as its own run
 skips it. `run` is the batch of one. A batch holds at most
 _BATCH_AMPLITUDES amplitudes (`_batch_limit`): 16 circuits of 10 qubits, 4 of
-12, 2 of 13 and one from 14 up. Against 5-qubit chunks in batches of 2^13
-amplitudes (CPU seconds in process, one BLAS thread, medians of 6 alternating
-runs on a 2-core host), the batched profiles and prunes of 360 10-qubit
-circuits went 0.826 -> 0.708 s and of 100 went 0.224 -> 0.171 s, 16 of 12
-qubits 0.120 -> 0.115 s and 4 of 14 qubits 0.162 -> 0.156 s. At 16 qubits
-(one circuit per batch, the layout unchanged) a second BLAS thread gained
-about 2% of wall time for twice the CPU. Batches of 2^15 amplitudes timed
-the same 360 circuits alike (0.662 against 0.672 s) but raised the pooled
-commands' peak memory by 2-4 MiB; 3-qubit chunks took 0.819 s.
+12, 2 of 13 and one from 14 up. With one BLAS thread these sizes timed
+fastest at 10 qubits: 3-qubit chunks were slower, and larger batches cost
+peak memory for no time (ROADMAP, "Measured dead ends").
 A `keep` mask marks the gates that act, all of them in an intact run. A
 batch runs circuits with gates removed on the intact circuit's blocks: a
 removed rotation leaves its qubit's identity slot, a removed CNOT its
@@ -80,7 +74,7 @@ import numpy as np
 from .circuits import Circuit, Gate, _check_per_gate, _width
 from .errors import InvalidParameterError, ResourceLimitError, _shown
 
-__all__ = ["StateVector", "zero_state", "apply_gate", "run", "fidelity", "qubit_cap", "DEFAULT_MAX_QUBITS"]
+__all__ = ["StateVector", "apply_gate", "run", "fidelity", "qubit_cap", "DEFAULT_MAX_QUBITS"]
 
 # Dense simulation above this many qubits is refused unless QBRITTLE_MAX_QUBITS
 # raises the cap (2^24 complex doubles is already 256 MiB).
@@ -134,28 +128,11 @@ def qubit_cap() -> int:
     return cap
 
 
-def zero_state(n: int) -> StateVector:
-    """The all-zeros computational basis state |0...0> on n qubits."""
-    n = _width(n, "qubit count")
-    return StateVector(n, _zero_amplitudes(n, 1)[0])
-
-
 def _check_cap(n: int) -> None:
     """Raise ResourceLimitError if n qubits exceed `qubit_cap()`."""
     cap = qubit_cap()
     if n > cap:
         raise ResourceLimitError(f"{_shown(n)} qubits exceeds the simulator cap of {cap}")
-
-
-def _zero_amplitudes(n: int, rows: int) -> np.ndarray:
-    """`rows` copies of |0...0> on n qubits, one per row."""
-    _check_cap(n)
-    try:
-        amplitudes = np.zeros((rows, 1 << n), dtype=np.complex128)
-    except (MemoryError, ValueError) as exc:  # numpy raises ValueError from 60 qubits up
-        raise ResourceLimitError(f"cannot allocate the state of {_shown(n)} qubits: {exc}") from None
-    amplitudes[:, 0] = 1.0
-    return amplitudes
 
 
 def _batch_limit(n: int) -> int:
@@ -460,9 +437,18 @@ def _shared_run(amps: np.ndarray, n: int, gates: np.ndarray, rotation: np.ndarra
 
 def _runs(n: int, gates: np.ndarray, losses: np.ndarray | None = None, keep: np.ndarray | None = None) -> np.ndarray:
     """The final states, one row each, of the circuits on n qubits whose encodings are
-    the rows of `gates`, applied to the all-zeros state; `keep` None keeps every gate (see `_evolve`)."""
+    the rows of `gates`, applied to the all-zeros state; `keep` None keeps every gate (see `_evolve`).
+
+    Every simulated state starts here: n qubits above `qubit_cap()`, or states
+    too large to allocate, raise ResourceLimitError."""
+    _check_cap(n)
+    try:
+        amps = np.zeros((len(gates), 1 << n), dtype=np.complex128)
+    except (MemoryError, ValueError) as exc:  # numpy raises ValueError from 60 qubits up
+        raise ResourceLimitError(f"cannot allocate the state of {_shown(n)} qubits: {exc}") from None
+    amps[:, 0] = 1.0
     keep = np.ones(gates.shape, dtype=bool) if keep is None else keep
-    return _evolve(_zero_amplitudes(n, len(gates)), n, gates, keep, losses)
+    return _evolve(amps, n, gates, keep, losses)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:

@@ -28,7 +28,7 @@ from qbrittle.codec import decode
 from qbrittle.errors import CircuitFormatError, InvalidParameterError, ResourceLimitError
 from qbrittle.protocol import EnsembleConfig, SweepConfig
 from qbrittle.pruning import removal_quota
-from qbrittle.simulator import apply_gate, run, zero_state
+from qbrittle.simulator import apply_gate, run
 from qbrittle.stats import angle_stats, classify, student_t_two_sided_p
 
 REFERENCE_COUNTS = [
@@ -241,7 +241,7 @@ BAD_GATES = {
 @pytest.mark.parametrize("gate, message", BAD_GATES.values(), ids=BAD_GATES.keys())
 def test_programmatic_gates_are_checked_like_json_ones(via, gate, message):
     with pytest.raises(InvalidParameterError, match=f"gate 0: {message}"):
-        Circuit(2, (gate,)) if via == "Circuit" else apply_gate(zero_state(2), gate)
+        Circuit(2, (gate,)) if via == "Circuit" else apply_gate(run(Circuit(2, ())), gate)
 
 
 def test_equal_circuits_hash_equal():
@@ -300,7 +300,7 @@ def test_an_integer_angle_beyond_a_float_is_rejected():
     with pytest.raises(InvalidParameterError, match="gate 0: angle must be a finite real number"):
         Circuit(2, (Rotation(Axis.X, 0, 2**1100),))
     with pytest.raises(InvalidParameterError, match="gate 0: angle must be a finite real number"):
-        apply_gate(zero_state(2), Rotation(Axis.X, 0, -2**1100))
+        apply_gate(run(Circuit(2, ())), Rotation(Axis.X, 0, -2**1100))
 
 
 def _rotation_doc(theta, params=None):
@@ -326,8 +326,7 @@ def test_a_json_integer_too_long_to_parse_is_a_format_error():
     lambda: Circuit(True, ()),
     lambda: Circuit(2, (), params=5),
     lambda: Circuit(4, (), params={"n": 4, "alpha": 1.0, "rho": 0.0, "seed": 0}),
-    lambda: zero_state(True),
-], ids=["bool n_qubits", "int params", "dict params", "bool zero_state"])
+], ids=["bool n_qubits", "int params", "dict params"])
 def test_the_constructors_reject_what_the_json_cannot_hold(build):
     message = "must be a positive integer, got|params must be a GenerationParams or None, got"
     with pytest.raises(InvalidParameterError, match=message):
@@ -335,7 +334,7 @@ def test_the_constructors_reject_what_the_json_cannot_hold(build):
 
 
 def test_a_numpy_integer_width_is_an_int():
-    circuit, state = Circuit(np.int64(3), (Rotation(Axis.X, 2, 0.5),)), zero_state(np.uint8(3))
+    circuit, state = Circuit(np.int64(3), (Rotation(Axis.X, 2, 0.5),)), run(Circuit(np.uint8(3), ()))
     assert type(circuit.n_qubits) is int and type(state.n_qubits) is int
     assert circuit == Circuit(3, (Rotation(Axis.X, 2, 0.5),)) and len(state.amplitudes) == 8
     assert from_json(to_json(circuit)) == circuit
@@ -374,7 +373,6 @@ HUGE = 10**5000  # beyond the default 4,300-digit limit of int-to-str conversion
     (lambda: layer_count(-HUGE, 1.0), InvalidParameterError),
     (lambda: expected_gate_count(4, 1.0, HUGE), InvalidParameterError),
     (lambda: run(Circuit(HUGE, ())), ResourceLimitError),
-    (lambda: zero_state(-HUGE), InvalidParameterError),
     (lambda: EnsembleConfig(HUGE, 1.0, 0.1, 0.2), InvalidParameterError),
     (lambda: EnsembleConfig(4, 1.0, 0.1, 0.5, circuit_count=-HUGE), InvalidParameterError),
     (lambda: SweepConfig(4, 1.0, 0.1, kappa_start=HUGE), InvalidParameterError),
@@ -383,7 +381,7 @@ HUGE = 10**5000  # beyond the default 4,300-digit limit of int-to-str conversion
     (lambda: student_t_two_sided_p(1.0, -HUGE), InvalidParameterError),
     (lambda: decode(GenerationParams, {"n": 4, "alpha": HUGE, "rho": 0.0, "seed": 0}, "p"), CircuitFormatError),
 ], ids=["angle", "qubit", "layer", "n_qubits", "gate index", "seed", "odd n", "rho", "layer_count n",
-        "layer_count n float alpha", "layer_count negative n", "expected_gate_count rho", "run", "zero_state",
+        "layer_count n float alpha", "layer_count negative n", "expected_gate_count rho", "run",
         "EnsembleConfig n", "circuit_count", "kappa_start", "kappa", "classify threshold",
         "degrees of freedom", "decoded float"])
 def test_a_message_gives_the_size_of_an_integer_too_long_to_print(call, error):

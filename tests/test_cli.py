@@ -378,19 +378,24 @@ def test_outputs_that_name_one_file_exit_2_and_write_nothing(tmp_path, capsys, m
     (["prune", "--out", ".."], "--out", ".."),
     (["prune", "--importance-csv", "sub/"], "--importance-csv", "sub/"),
     (["prune", "--dump-state-csv", "d/."], "--dump-state-csv", "d/."),
+    (["ensemble", "--out-dir", "d"], "--out-dir's records.csv", "d/records.csv"),
+    (["ensemble", "--out-dir", "s", "--svg"], "--out-dir's fidelity_hist.svg", "s/fidelity_hist.svg"),
 ])
 def test_an_output_path_that_names_a_directory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch,
                                                                           argv, flag, value):
     monkeypatch.chdir(tmp_path)
     assert run_cli("generate", "--n", 6, "--alpha", 1.0, "--rho", 0.3, "--seed", 1, "--out", "c.json") == 0
-    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "records.csv").mkdir(parents=True)
+    (tmp_path / "s" / "fidelity_hist.svg").mkdir(parents=True)
     capsys.readouterr()
     before = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
-    for compute in ("generate_uniform", "importance_profile", "kappa_sweep"):
+    for compute in ("generate_uniform", "importance_profile", "kappa_sweep", "run_ensemble"):
         monkeypatch.setattr(cli, compute, no_compute)
     flags = {"generate": ["--n", 6, "--alpha", 1.0, "--rho", 0.3, "--seed", 1],
              "prune": ["--in", "c.json", "--kappa", 0.2],
-             "sweep": ["--n", 6, "--alpha", 1.0, "--rho", 0.2, "--threads", 1]}[argv[0]]
+             "sweep": ["--n", 6, "--alpha", 1.0, "--rho", 0.2, "--threads", 1],
+             "ensemble": ["--n", 4, "--alpha", 1.0, "--rho", 0.2, "--kappa", 0.3, "--count", 3,
+                          "--threads", 1]}[argv[0]]
     assert run_cli(*argv, *flags) == 2
     assert capsys.readouterr().err == f"error: {flag} must name a file, not a directory, got {value!r}\n"
     assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == before

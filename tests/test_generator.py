@@ -98,7 +98,7 @@ def test_pcg64_words_are_numpys_stream(counts, seeds):
 
 IMPORT_PIN = """
 import sys
-from qbrittle import protocol
+from qbrittle import cli, protocol
 from qbrittle.circuits import GenerationParams, generate_uniform
 from qbrittle.pruning import causal_prune, importance_profile
 circuit = generate_uniform(GenerationParams(10, 2.3, 0.28, 5))
@@ -106,12 +106,13 @@ causal_prune(circuit, 0.2, importance_profile(circuit))
 config = protocol.EnsembleConfig(n=10, alpha=2.3, rho=0.28, kappa=0.2, circuit_count=3)
 protocol.run_ensemble(config, threads=1)
 protocol._build_records(config, range(3))
-print(sorted({"numpy.random", "_hashlib"} & set(sys.modules)))
+print(sorted({"numpy.random", "_hashlib", "concurrent.futures.process", "multiprocessing"} & set(sys.modules)))
 """
 
 
 def test_generation_and_pruning_load_neither_numpy_random_nor_openssl():
     # A fresh interpreter, since this one has numpy.random loaded, on the qbrittle this one imports.
+    # Nor does the CLI or a one-thread ensemble load the process pool's stack.
     src = os.path.dirname(os.path.dirname(circuits.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", IMPORT_PIN], env=env, capture_output=True, text=True, check=True)

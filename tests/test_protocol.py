@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes
 import io
 import json
@@ -370,7 +371,7 @@ def _negated(batch) -> list:
 def test_the_worker_pool_never_exceeds_the_cpu_count(monkeypatch):
     asked = []
     monkeypatch.setattr(SerialPool, "asked", asked)
-    monkeypatch.setattr(protocol, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     items = list(range(40))
     cpus = os.cpu_count() or 1
     assert protocol._parallel_map(abs, _negated, items, 5000, 8) == (_negated(items) if cpus > 1 else items)
@@ -403,7 +404,7 @@ def test_batched_pool_runs_match_in_process_runs(monkeypatch, small_report):
     pruned = protocol._pruned
     monkeypatch.setattr(protocol, "_pruned", lambda circuits, *args: batch_sizes.append(len(circuits))
                         or pruned(circuits, *args))
-    monkeypatch.setattr(protocol, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
     assert run_ensemble(SMALL, threads=2) == small_report
     assert batch_sizes == [6, 6]
@@ -425,7 +426,7 @@ def test_a_run_on_one_cpu_starts_no_pool(monkeypatch, small_report):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(protocol, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert run_ensemble(SMALL, threads=2) == small_report
 
 
@@ -436,7 +437,7 @@ def test_a_width_above_the_qubit_cap_is_refused_before_any_worker(monkeypatch, e
         raise AssertionError("nothing may be computed")
 
     monkeypatch.setenv("QBRITTLE_MAX_QUBITS", "4")
-    monkeypatch.setattr(protocol, "ProcessPoolExecutor", no_compute)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_compute)
     monkeypatch.setattr(protocol, "generate_uniform", no_compute)
     with pytest.raises(ResourceLimitError, match="^6 qubits exceeds the simulator cap of 4$"):
         experiment(config, threads=2)

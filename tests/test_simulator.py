@@ -12,24 +12,30 @@ from qbrittle import simulator
 from qbrittle.circuits import (APPENDED_ANGLE_RANGE, LARGE_ANGLE_RANGE, SMALL_ANGLE_RANGE, Axis, Circuit, Cnot,
                                GenerationParams, Rotation, generate_uniform)
 from qbrittle.errors import InvalidParameterError, ResourceLimitError
-from qbrittle.simulator import DEFAULT_MAX_QUBITS, StateVector, apply_gate, fidelity, qubit_cap, run, zero_state
+from qbrittle.simulator import DEFAULT_MAX_QUBITS, StateVector, apply_gate, fidelity, qubit_cap, run
 
 
-def test_zero_state_small():
-    assert np.array_equal(zero_state(1).amplitudes, [1, 0])
-    assert np.array_equal(zero_state(2).amplitudes, [1, 0, 0, 0])
+def zeros(n) -> StateVector:
+    """|0...0> on n qubits: the run of the empty circuit."""
+    return run(Circuit(n, ()))
+
+
+def test_an_empty_circuit_runs_to_the_zero_state():
+    assert np.array_equal(zeros(1).amplitudes, [1, 0])
+    assert np.array_equal(zeros(2).amplitudes, [1, 0, 0, 0])
     for n in (1, 3, 6):
-        amplitudes = zero_state(n).amplitudes
+        amplitudes = zeros(n).amplitudes
+        assert amplitudes.dtype == np.complex128 and amplitudes.flags.writeable  # so apply_gate takes it
         assert np.vdot(amplitudes, amplitudes).real == pytest.approx(1.0, abs=1e-15)
 
 
-def test_zero_state_respects_cap(monkeypatch):
+def test_an_empty_run_respects_the_cap(monkeypatch):
     monkeypatch.setenv("QBRITTLE_MAX_QUBITS", "4")
-    with pytest.raises(ResourceLimitError):
-        zero_state(5)
-    assert zero_state(4).n_qubits == 4
-    with pytest.raises(InvalidParameterError):
-        zero_state(0)
+    with pytest.raises(ResourceLimitError, match="^5 qubits exceeds the simulator cap of 4$"):
+        zeros(5)
+    assert zeros(4).n_qubits == 4
+    with pytest.raises(InvalidParameterError, match="n_qubits must be a positive integer, got 0"):
+        zeros(0)
 
 
 @pytest.mark.parametrize("n", [58, 60])  # numpy raises MemoryError at 58 and ValueError at 60
@@ -37,7 +43,7 @@ def test_a_state_that_cannot_be_allocated_is_a_resource_limit(monkeypatch, n):
     # Numpy refuses 4 EiB and more at once on any address space, so no memory is touched.
     monkeypatch.setenv("QBRITTLE_MAX_QUBITS", str(n))
     with pytest.raises(ResourceLimitError, match=f"cannot allocate the state of {n} qubits: "):
-        zero_state(n)
+        zeros(n)
 
 
 def test_qubit_cap_reads_the_environment(monkeypatch):
@@ -45,7 +51,7 @@ def test_qubit_cap_reads_the_environment(monkeypatch):
     assert qubit_cap() == DEFAULT_MAX_QUBITS == 24
     monkeypatch.setenv("QBRITTLE_MAX_QUBITS", "x")
     with pytest.raises(InvalidParameterError, match="must be an integer"):
-        zero_state(2)
+        zeros(2)
     for raw in ("0", "-3"):
         monkeypatch.setenv("QBRITTLE_MAX_QUBITS", raw)
         with pytest.raises(InvalidParameterError, match=f"QBRITTLE_MAX_QUBITS must be at least 1, got '{raw}'"):
@@ -56,7 +62,7 @@ def test_rz_changes_phase_only():
     rng = np.random.default_rng(0)
     for _ in range(10):
         basis = int(rng.integers(8))
-        state = zero_state(3)
+        state = zeros(3)
         state.amplitudes[0] = 0
         state.amplitudes[basis] = 1
         before = np.abs(state.amplitudes.copy())
@@ -65,20 +71,20 @@ def test_rz_changes_phase_only():
 
 
 def test_rx_pi_maps_zero_to_minus_i_one():
-    state = apply_gate(zero_state(1), Rotation(Axis.X, 0, math.pi))
+    state = apply_gate(zeros(1), Rotation(Axis.X, 0, math.pi))
     assert state.amplitudes[0] == pytest.approx(0, abs=1e-15)
     assert state.amplitudes[1] == pytest.approx(-1j, abs=1e-15)
 
 
 def test_cnot_is_little_endian():
     # basis index 1 means q0=1, q1=0; control q0 flips target q1 -> index 3
-    state = zero_state(2)
+    state = zeros(2)
     state.amplitudes[0] = 0
     state.amplitudes[1] = 1
     apply_gate(state, Cnot(0, 1))
     assert state.amplitudes[3] == 1 and state.amplitudes[1] == 0
     # control 0 leaves the state alone
-    state = zero_state(2)
+    state = zeros(2)
     apply_gate(state, Cnot(0, 1))
     assert state.amplitudes[0] == 1
 
@@ -91,7 +97,7 @@ def test_run_examples():
 
 
 def test_gate_validation():
-    state = zero_state(2)
+    state = zeros(2)
     with pytest.raises(InvalidParameterError):
         apply_gate(state, Rotation(Axis.X, 2, 1.0))
     with pytest.raises(InvalidParameterError):
@@ -122,7 +128,7 @@ def test_apply_gate_rejects_states_it_cannot_update(state, message):
 
 def test_norm_preserved_gate_by_gate():
     circuit = generate_uniform(GenerationParams(6, 1.5, 0.3, seed=12))
-    state = zero_state(6)
+    state = zeros(6)
     for gate in circuit.gates:
         apply_gate(state, gate)
         assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-12
@@ -161,11 +167,11 @@ def test_matches_dense_matrix_oracle():
 def test_fidelity_examples():
     psi = run(Circuit(2, (Rotation(Axis.Y, 0, 0.7), Cnot(0, 1))))
     assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-15)
-    zero, one = zero_state(1), zero_state(1)
+    zero, one = zeros(1), zeros(1)
     one.amplitudes[:] = [0, 1]
     assert fidelity(zero, one) == 0.0
     phase_only = run(Circuit(1, (Rotation(Axis.Z, 0, 0.5),)))
-    assert fidelity(phase_only, zero_state(1)) == pytest.approx(1.0, abs=1e-15)
+    assert fidelity(phase_only, zeros(1)) == pytest.approx(1.0, abs=1e-15)
     assert type(fidelity(psi, psi)) is float
     assert type(fidelity(zero, one)) is float
 
@@ -182,17 +188,17 @@ def test_fidelity_symmetry_and_global_phase():
 
 def test_fidelity_rejects_mismatched_sizes():
     with pytest.raises(InvalidParameterError):
-        fidelity(zero_state(2), zero_state(3))
+        fidelity(zeros(2), zeros(3))
 
 
 @pytest.mark.parametrize("a, b, message", [
     (StateVector(2, np.ones(4, complex) / 2), StateVector(2, np.ones(8, complex)),
      "a 2-qubit state needs 2^2 amplitudes in a 1-D numeric array, got an array of dtype complex128 and shape (8,)"),
     (StateVector(1, [1, 0]), StateVector(1, [1, 0]), "a 1-qubit state needs 2^1 amplitudes in a 1-D numeric array"),
-    (StateVector(1, np.array([np.nan, 0j])), zero_state(1), "fidelity of states with non-finite amplitudes"),
-    (zero_state(1), StateVector(1, np.array([np.inf, 0j])), "fidelity of states with non-finite amplitudes"),
-    (zero_state(1), StateVector(10**9, np.array([1, 0j])), "a 1000000000-qubit state needs 2^1000000000 amplitudes"),
-    (zero_state(1), "|0>", "a state must be a StateVector, got str"),
+    (StateVector(1, np.array([np.nan, 0j])), zeros(1), "fidelity of states with non-finite amplitudes"),
+    (zeros(1), StateVector(1, np.array([np.inf, 0j])), "fidelity of states with non-finite amplitudes"),
+    (zeros(1), StateVector(10**9, np.array([1, 0j])), "a 1000000000-qubit state needs 2^1000000000 amplitudes"),
+    (zeros(1), "|0>", "a state must be a StateVector, got str"),
 ], ids=["wrong-length", "list", "nan", "inf", "huge-width", "not-a-state"])
 def test_fidelity_rejects_states_that_are_not_states(a, b, message):
     with pytest.raises(InvalidParameterError, match=re.escape(message)):
@@ -228,7 +234,7 @@ def test_run_losses_must_be_writeable(monkeypatch):
     circuit = generate_uniform(GenerationParams(4, 1.0, 0.3, 0))
     losses = np.zeros(len(circuit))
     losses.flags.writeable = False
-    monkeypatch.setattr(simulator, "zero_state", None)  # raises before the state is made
+    monkeypatch.setattr(simulator, "_runs", None)  # raises before any state is allocated
     with pytest.raises(InvalidParameterError, match="losses must be a writeable array, got a read-only one"):
         run(circuit, losses)
 
